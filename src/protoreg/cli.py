@@ -16,8 +16,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import condition, engine, io, metrics, priors, synth
-from .errors import ValidationError
-from .volgrid import Volume, pad_to_shape
+from .errors import ValidationError, _known_keys
+from .volgrid import pad_to_shape
 
 logger = logging.getLogger("protoreg")
 
@@ -45,7 +45,7 @@ def _write_json(path, doc):
     io._atomic_write(path, json.dumps(doc, sort_keys=True, indent=2).encode("utf-8"))
 
 
-def _load_structures(args, grid: Volume | None = None) -> priors.StructureSet | None:
+def _load_structures(args) -> priors.StructureSet | None:
     ctv = io.read_volume(args.ctv) if getattr(args, "ctv", None) else None
     body = io.read_volume(args.body) if getattr(args, "body", None) else None
     oars = tuple(io.read_volume(p) for p in (getattr(args, "oars", None) or ()))
@@ -60,8 +60,9 @@ def _load_structures(args, grid: Volume | None = None) -> priors.StructureSet | 
 
 
 def _cmd_phantom(args) -> int:
+    doc = _known_keys(synth.PhantomSpec, _load_json(args.spec), "phantom spec")
     spec = synth.PhantomSpec(**{k: tuple(v) if isinstance(v, list) else v
-                                for k, v in _load_json(args.spec).items()})
+                                for k, v in doc.items()})
     img, structures, dose = synth.make_phantom(spec)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -75,8 +76,9 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_priors(args) -> int:
-    params = priors.PriorParams(**_load_json(args.params)) if args.params \
-        else priors.PriorParams()
+    params = priors.PriorParams(**_known_keys(
+        priors.PriorParams, _load_json(args.params), "prior params")) \
+        if args.params else priors.PriorParams()
     structures = _load_structures(args)
     if structures is None:
         raise ValidationError("priors needs at least a CTV")
@@ -90,10 +92,6 @@ def _cmd_priors(args) -> int:
         io.write_volume(os.path.join(args.out, "risk"), rmap, kind="prior")
         io.write_volume(os.path.join(args.out, "fused"), fused, kind="prior")
     return EXIT_OK
-
-
-def _pad_all(volumes, dims):
-    return [pad_to_shape(v, dims) if v is not None else None for v in volumes]
 
 
 def _cmd_register(args) -> int:
@@ -167,7 +165,7 @@ def _cmd_metrics(args) -> int:
     if fld is not None:
         doc["fold_fraction_pct"] = metrics.fold_fraction(fld)
         if truth is not None:
-            doc["endpoint_error"] = asdict(metrics.endpoint_error(fld, truth))
+            doc["endpoint_error"] = asdict(metrics.endpoint_error(fld, truth, mask))
     if ctv_fixed is not None and ctv_prop is not None:
         doc["relvoldiff_pct"] = metrics.relvoldiff(ctv_fixed, ctv_prop)
     _write_json(args.out, doc)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .condition import AdapterWeights, adapter, film, FeatureGrid, mean_embedding
-from .errors import ValidationError
+from .errors import ValidationError, _known_keys
 from .metrics import fold_fraction
 from .priors import PriorParams, StructureSet, anatomy_map, fuse_priors, gate, risk_map
 from .similarity import LossBreakdown, loss_gradient, total_loss
@@ -30,6 +30,24 @@ def _wrap_angle(a: float) -> float:
     if a <= 0.0:
         a += 2.0 * math.pi
     return a - math.pi
+
+
+def _axis_rotations(rotation) -> tuple:
+    """Rx, Ry, Rz of the Euler angles (rx, ry, rz); R = Rz @ Ry @ Rx."""
+    rx, ry, rz = rotation
+    cx, sx = math.cos(rx), math.sin(rx)
+    cy, sy = math.cos(ry), math.sin(ry)
+    cz, sz = math.cos(rz), math.sin(rz)
+    Rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    Ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+    Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    return Rx, Ry, Rz
+
+
+# generators of rotations about x, y, z: d/da Ra(a) = K_a @ Ra(a)
+_KX = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]])
+_KY = np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
+_KZ = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
 
 
 @dataclass(frozen=True)
@@ -51,13 +69,7 @@ class RigidTransform:
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
 
     def matrix(self) -> np.ndarray:
-        rx, ry, rz = self.rotation
-        cx, sx = math.cos(rx), math.sin(rx)
-        cy, sy = math.cos(ry), math.sin(ry)
-        cz, sz = math.cos(rz), math.sin(rz)
-        Rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-        Ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-        Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+        Rx, Ry, Rz = _axis_rotations(self.rotation)
         return Rz @ Ry @ Rx
 
 
@@ -85,8 +97,14 @@ class RegConfig:
     def __post_init__(self):
         if self.levels < 1:
             raise ValidationError("levels must be >= 1")
-        if any(i < 0 for i in self.iterations):
+        if len(self.iterations) == 0 or len(self.rigid_iterations) == 0:
+            raise ValidationError("iterations and rigid_iterations must be nonempty")
+        if any(i < 0 for i in (*self.iterations, *self.rigid_iterations)):
             raise ValidationError("iteration counts must be >= 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValidationError("beta1 and beta2 must lie in [0, 1)")
+        if self.convergence_window < 1:
+            raise ValidationError("convergence_window must be >= 1")
         if self.step_size <= 0:
             raise ValidationError("step size must be > 0")
         if self.lambda_smooth < 0:
@@ -103,11 +121,11 @@ class RegConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegConfig":
-        d = dict(d)
-        pp = d.pop("prior_params", None)
-        kwargs = dict(d)
+        kwargs = _known_keys(cls, d, "config")
+        pp = kwargs.pop("prior_params", None)
         if pp is not None:
-            kwargs["prior_params"] = PriorParams(**pp)
+            kwargs["prior_params"] = PriorParams(**_known_keys(PriorParams, pp,
+                                                               "prior_params"))
         return cls(**kwargs)
 
 
@@ -156,38 +174,63 @@ def _physical_center(vol: Volume) -> tuple:
                  for o, n, s in zip(vol.origin, vol.dims, vol.spacing))
 
 
-def resample_rigid(moving: Volume, like: Volume, t: RigidTransform) -> Volume:
-    """Sample moving at the rigidly transformed physical positions of
-    like's voxel centers."""
+def _rigid_voxels(moving: Volume, like: Volume, t: RigidTransform):
+    """Continuous voxel coordinates in moving of the rigidly transformed
+    physical positions of like's voxel centers, shape (3, nx, ny, nz), and
+    those centers relative to the rotation center in mm."""
     xx, yy, zz = _identity_coords(like.dims)
     pts = np.stack([xx * like.spacing[0] + like.origin[0],
                     yy * like.spacing[1] + like.origin[1],
                     zz * like.spacing[2] + like.origin[2]])
     c = np.array(t.center).reshape(3, 1, 1, 1)
     tr = np.array(t.translation).reshape(3, 1, 1, 1)
-    R = t.matrix()
-    moved = np.einsum("ij,jxyz->ixyz", R, pts - c) + c + tr
-    vox = [(moved[a] - moving.origin[a]) / moving.spacing[a] for a in range(3)]
+    rel = pts - c
+    moved = np.einsum("ij,jxyz->ixyz", t.matrix(), rel) + c + tr
+    vox = np.stack([(moved[a] - moving.origin[a]) / moving.spacing[a]
+                    for a in range(3)])
+    return vox, rel
+
+
+def resample_rigid(moving: Volume, like: Volume, t: RigidTransform) -> Volume:
+    """Sample moving at the rigidly transformed physical positions of
+    like's voxel centers."""
+    vox, _ = _rigid_voxels(moving, like, t)
     out = _trilinear_arrays(moving.data, vox[0], vox[1], vox[2])
     return Volume(out.astype(np.float32), spacing=like.spacing, origin=like.origin)
 
 
-def _rigid_objective(fixed_l: Volume, moving_l: Volume, mask_w: np.ndarray,
-                     params: np.ndarray, center) -> float:
+def _rigid_field(fixed: Volume, moving: Volume, params: np.ndarray, center):
+    """The rigid parameters (rx, ry, rz, tx, ty, tz) as the displacement
+    field u(x) = voxel(T(x)) - x on fixed's grid, so the deformable
+    objective scores them. Also returns the voxel centers relative to the
+    rotation center."""
     t = RigidTransform(rotation=tuple(params[:3]), translation=tuple(params[3:]),
                        center=center)
-    res = resample_rigid(moving_l, fixed_l, t)
-    a = fixed_l.data.astype(np.float64)
-    b = res.data.astype(np.float64)
-    wsum = mask_w.sum()
-    mu_a = (mask_w * a).sum() / wsum
-    mu_b = (mask_w * b).sum() / wsum
-    A, B = a - mu_a, b - mu_b
-    s_aa = (mask_w * A * A).sum()
-    s_bb = (mask_w * B * B).sum()
-    if s_aa < 1e-12 or s_bb < 1e-12:
-        return 0.0
-    return -float((mask_w * A * B).sum() / np.sqrt(s_aa * s_bb))
+    vox, rel = _rigid_voxels(moving, fixed, t)
+    u = vox - np.stack(_identity_coords(fixed.dims))
+    return rel, DisplacementField(u, spacing=fixed.spacing, origin=fixed.origin)
+
+
+def _rigid_loss(fixed: Volume, moving: Volume, mask: Volume,
+                params: np.ndarray, center) -> float:
+    """-maskedNCC of the rigidly resampled moving image."""
+    _, fld = _rigid_field(fixed, moving, params, center)
+    return total_loss(fixed, moving, fld, mask, 0.0).total
+
+
+def _rigid_gradient(fixed: Volume, moving: Volume, mask: Volume,
+                    params: np.ndarray, center) -> np.ndarray:
+    """Analytic d(_rigid_loss)/d(params): dL/du chained through
+    T(x) = R (x - c) + c + t. Per mm, dL/dt is the voxel sum of dL/dT(x)
+    and dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>."""
+    rel, fld = _rigid_field(fixed, moving, params, center)
+    g = loss_gradient(fixed, moving, fld, mask, 0.0).data.astype(np.float64)
+    g /= np.array(moving.spacing).reshape(3, 1, 1, 1)
+    moments = np.einsum("axyz,bxyz->ab", g, rel)
+    Rx, Ry, Rz = _axis_rotations(params[:3])
+    d_rot = [float((dR * moments).sum()) for dR in
+             (Rz @ Ry @ _KX @ Rx, Rz @ _KY @ Ry @ Rx, _KZ @ Rz @ Ry @ Rx)]
+    return np.array(d_rot + [float(v) for v in g.sum(axis=(1, 2, 3))])
 
 
 def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
@@ -195,8 +238,10 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
     """Six-parameter gradient descent maximizing masked NCC at the
     coarsest rigid pyramid level, refined one level up.
 
-    Returns the transform and the moving image resampled at full
-    resolution.
+    Each trial is scored with the deformable objective (lambda = 0) on the
+    displacement field the rigid transform induces, and differentiated
+    with its analytic gradient. Returns the transform and the moving image
+    resampled at full resolution.
     """
     config = config or RegConfig()
     if fixed.dims != moving.dims or fixed.dims != mask.dims:
@@ -212,26 +257,20 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
     stages = [n_levels - 1]
     if n_levels > 1:
         stages.append(n_levels - 2)
-    fd_step = np.array([1e-3] * 3 + [0.1 * min(fixed.spacing)] * 3)
     for stage_idx, li in enumerate(stages):
         f_l, m_l, k_l = fpyr[li], mpyr[li], kpyr[li]
-        w = (k_l.data > 0.5).astype(np.float64)
+        w = (k_l.data > 0.5).astype(np.float32)
         if w.sum() < 2:
             w = np.ones_like(w)
+        w_l = k_l.with_data(w)
         iters = config.rigid_iterations[min(stage_idx, len(config.rigid_iterations) - 1)]
         lr = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
         m1 = np.zeros(6)
         m2 = np.zeros(6)
-        cur = _rigid_objective(f_l, m_l, w, params, center)
+        cur = _rigid_loss(f_l, m_l, w_l, params, center)
         damp = 1.0
         for it in range(iters):
-            g = np.zeros(6)
-            for j in range(6):
-                dp = np.zeros(6)
-                dp[j] = fd_step[j]
-                g[j] = (_rigid_objective(f_l, m_l, w, params + dp, center)
-                        - _rigid_objective(f_l, m_l, w, params - dp, center)) \
-                    / (2.0 * fd_step[j])
+            g = _rigid_gradient(f_l, m_l, w_l, params, center)
             m1 = 0.9 * m1 + 0.1 * g
             m2 = 0.999 * m2 + 0.001 * g * g
             mh = m1 / (1.0 - 0.9 ** (it + 1))
@@ -240,7 +279,7 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
             accepted = False
             for f in (1.0, 0.5, 0.25, 0.125):
                 cand = params - f * step
-                val = _rigid_objective(f_l, m_l, w, cand, center)
+                val = _rigid_loss(f_l, m_l, w_l, cand, center)
                 if val <= cur:
                     params, cur = cand, val
                     accepted = True
@@ -340,7 +379,7 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
                 p = downsample_avg(p)
             prior_levels[li] = p
             if config.use_gate:
-                g = gate(fused, config.prior_params, li + 1)
+                g = gate(p, config.prior_params, 1)
                 gate_levels[li] = g.data.astype(np.float64)[None]
 
     iters = list(config.iterations)

@@ -49,10 +49,8 @@ def _header(obj, kind: str) -> dict:
 
 
 def _flat_bytes(obj) -> bytes:
-    if isinstance(obj, DisplacementField):
-        # components fastest, then x-fastest voxels == F-order of (3, nx, ny, nz)
-        return np.ascontiguousarray(
-            obj.data.ravel(order="F"), dtype="<f4").tobytes()
+    # x-fastest voxels; for a field (3, nx, ny, nz) F-order also puts the
+    # components fastest, interleaved per voxel
     return np.ascontiguousarray(obj.data.ravel(order="F"), dtype="<f4").tobytes()
 
 

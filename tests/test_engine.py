@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import protoreg as pr
+from protoreg import engine
 from protoreg.engine import resample_rigid
 from protoreg.errors import ValidationError
 
@@ -73,6 +74,57 @@ class TestRigidAlign:
         empty = img.with_data(np.zeros(img.dims, dtype=np.float32))
         with pytest.raises(ValidationError):
             pr.rigid_align(img, img, empty)
+
+
+@pytest.fixture(scope="module")
+def rigid_levels():
+    """16^3 and 32^3 rigid pyramid levels of the default phantom against a
+    rigidly moved copy, with the binary level masks rigid_align uses."""
+    img, st, _ = pr.make_phantom(pr.PhantomSpec())
+    center = engine._physical_center(img)
+    moving = resample_rigid(img, img, pr.RigidTransform(
+        rotation=(0.1, -0.12, 0.15), translation=(2.0, -1.0, 1.5),
+        center=center))
+    fpyr, mpyr, kpyr = (pr.build_pyramid(v, 3) for v in (img, moving, st.body))
+    return center, {fpyr[li].dims[0]: (
+        fpyr[li], mpyr[li],
+        kpyr[li].with_data((kpyr[li].data > 0.5).astype(np.float32)))
+        for li in (1, 2)}
+
+
+# angles large enough that the order of the Euler factors shows
+RIGID_PARAMS = np.array([-0.05, 0.08, -0.1, -1.0, 0.5, -0.8])
+
+
+class TestRigidObjective:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_gradient_vs_finite_differences(self, rigid_levels, n):
+        center, levels = rigid_levels
+        fixed, moving, mask = levels[n]
+        g = engine._rigid_gradient(fixed, moving, mask, RIGID_PARAMS, center)
+        h = np.array([1e-3] * 3 + [0.1] * 3)        # rad, mm
+        fd = np.empty(6)
+        for j in range(6):
+            dp = np.zeros(6)
+            dp[j] = h[j]
+            fd[j] = (engine._rigid_loss(fixed, moving, mask, RIGID_PARAMS + dp, center)
+                     - engine._rigid_loss(fixed, moving, mask, RIGID_PARAMS - dp, center)) \
+                / (2.0 * h[j])
+        # relative error per block of like units; the trilinear kinks put
+        # about 1% of noise into each central difference
+        for block in (slice(0, 3), slice(3, 6)):
+            rel = np.linalg.norm(g[block] - fd[block]) / np.linalg.norm(fd[block])
+            assert rel < 0.02, f"{g} vs {fd}"
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_loss_is_negative_masked_ncc(self, rigid_levels, n):
+        center, levels = rigid_levels
+        fixed, moving, mask = levels[n]
+        t = pr.RigidTransform(rotation=tuple(RIGID_PARAMS[:3]),
+                              translation=tuple(RIGID_PARAMS[3:]), center=center)
+        want = -pr.masked_ncc(fixed, resample_rigid(moving, fixed, t), mask)
+        got = engine._rigid_loss(fixed, moving, mask, RIGID_PARAMS, center)
+        assert got == pytest.approx(want, abs=1e-6)
 
 
 class TestRegister:
@@ -187,3 +239,7 @@ class TestRegConfig:
             pr.RegConfig(step_size=0.0)
         with pytest.raises(ValidationError):
             pr.RegConfig(lambda_smooth=-1.0)
+        for kwargs in ({"rigid_iterations": (-1,)}, {"beta1": -0.1},
+                       {"beta2": 1.0}):
+            with pytest.raises(ValidationError):
+                pr.RegConfig(**kwargs)

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -172,6 +173,23 @@ class TestCli:
         assert doc["mse"] == 0.0
         assert doc["ssim_pct"] == pytest.approx(100.0)
 
+    def test_metrics_epe_honours_mask(self, phantom_dir, tmp_path, rng):
+        body = io.read_volume(str(phantom_dir / "body"))
+        fld = lattice_safe_field(rng, body.dims)      # nonzero off the body too
+        truth = pr.zero_field(body)
+        io.write_volume(str(tmp_path / "fld"), fld, kind="field")
+        io.write_volume(str(tmp_path / "truth"), truth, kind="field")
+        out = tmp_path / "m.json"
+        rc = cli(["metrics", "--fixed", str(phantom_dir / "image"),
+                  "--warped", str(phantom_dir / "image"),
+                  "--mask", str(phantom_dir / "body"),
+                  "--field", str(tmp_path / "fld"),
+                  "--truth", str(tmp_path / "truth"), "--out", str(out)])
+        assert rc == EXIT_OK
+        got = json.loads(out.read_text())["endpoint_error"]
+        assert got == asdict(pr.endpoint_error(fld, truth, mask=body))
+        assert got != asdict(pr.endpoint_error(fld, truth))
+
     def test_metrics_csv_line(self, phantom_dir, tmp_path, capsys):
         rc = cli(["metrics", "--fixed", str(phantom_dir / "image"),
                   "--warped", str(phantom_dir / "image"),
@@ -199,6 +217,31 @@ class TestCli:
                   "--field", str(phantom_dir / "image"),
                   "--out", str(tmp_path / "o")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("verb,doc", [
+        ("register", {"nope": 1}),
+        ("register", {"prior_params": {"nope": 1}}),
+        ("register", {"iterations": []}),
+        ("register", {"rigid_iterations": []}),
+        ("register", {"convergence_window": 0}),
+        ("register", {"beta1": 1.0}),
+        ("priors", {"nope": 1}),
+        ("phantom", {"nope": 1}),
+    ])
+    def test_bad_config_is_validation_error(self, phantom_dir, tmp_path,
+                                            verb, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "o")
+        argv = {
+            "register": ["register", "--fixed", str(phantom_dir / "image"),
+                         "--moving", str(phantom_dir / "image"),
+                         "--config", str(path), "--out", out],
+            "priors": ["priors", "--ctv", str(phantom_dir / "ctv"),
+                       "--params", str(path), "--out", out],
+            "phantom": ["phantom", "--spec", str(path), "--out", out],
+        }[verb]
+        assert cli(argv) == EXIT_VALIDATION
 
     def test_bad_threads_env(self, monkeypatch):
         monkeypatch.setenv("PROTOREG_THREADS", "lots")
