@@ -99,16 +99,25 @@ def _cmd_register(args) -> int:
     moving = io.read_volume(args.moving)
     config = engine.RegConfig.from_dict(_load_json(args.config)) if args.config \
         else engine.RegConfig()
+    structures = _load_structures(args)
+    dose = io.read_volume(args.dose) if args.dose else None
+    # padding only extends the high-index side, so every input must
+    # already share one voxel size and one origin
+    others = [moving, dose]
+    if structures is not None:
+        others += [structures.ctv, structures.body, *structures.oars]
+    if any((v.spacing, v.origin) != (fixed.spacing, fixed.origin)
+           for v in others if v is not None):
+        raise ValidationError("input volumes differ in spacing or origin")
     dims = tuple(max(f, m) for f, m in zip(fixed.dims, moving.dims))
     fixed = pad_to_shape(fixed, dims)
     moving = pad_to_shape(moving, dims)
-    structures = _load_structures(args)
     if structures is not None:
         structures = priors.StructureSet(
             ctv=pad_to_shape(structures.ctv, dims),
             body=pad_to_shape(structures.body, dims),
             oars=tuple(pad_to_shape(o, dims) for o in structures.oars))
-    dose = pad_to_shape(io.read_volume(args.dose), dims) if args.dose else None
+    dose = pad_to_shape(dose, dims) if dose is not None else None
     embeddings = tuple(condition.load_embedding(p) for p in (args.embeddings or ()))
     adapter_w = condition.load_adapter(args.adapter) if args.adapter else None
 

@@ -19,10 +19,12 @@ from .condition import AdapterWeights, adapter, film, FeatureGrid, mean_embeddin
 from .errors import ValidationError, _known_keys
 from .metrics import fold_fraction
 from .priors import PriorParams, StructureSet, anatomy_map, fuse_priors, gate, risk_map
-from .similarity import LossBreakdown, loss_gradient, total_loss
+# total_loss and loss_gradient stay bound here so per-layer tracers can wrap them
+from .similarity import LossBreakdown, Objective, loss_gradient, total_loss
 from .volgrid import (DisplacementField, Volume, _identity_coords,
                       _trilinear_arrays, build_pyramid, compose_additive,
-                      downsample_avg, upsample_field, warp, zero_field)
+                      downsample_avg, same_grid, upsample_field, warp,
+                      zero_field)
 
 
 def _wrap_angle(a: float) -> float:
@@ -107,6 +109,8 @@ class RegConfig:
             raise ValidationError("convergence_window must be >= 1")
         if self.step_size <= 0:
             raise ValidationError("step size must be > 0")
+        if not self.adam_eps > 0:
+            raise ValidationError("adam_eps must be > 0")
         if self.lambda_smooth < 0:
             raise ValidationError("lambda_smooth must be >= 0")
         object.__setattr__(self, "iterations", tuple(int(i) for i in self.iterations))
@@ -199,33 +203,30 @@ def resample_rigid(moving: Volume, like: Volume, t: RigidTransform) -> Volume:
     return Volume(out.astype(np.float32), spacing=like.spacing, origin=like.origin)
 
 
-def _rigid_field(fixed: Volume, moving: Volume, params: np.ndarray, center):
+def _rigid_field(obj: Objective, params: np.ndarray, center):
     """The rigid parameters (rx, ry, rz, tx, ty, tz) as the displacement
-    field u(x) = voxel(T(x)) - x on fixed's grid, so the deformable
-    objective scores them. Also returns the voxel centers relative to the
-    rotation center."""
+    field u(x) = voxel(T(x)) - x on the fixed grid of obj, so the
+    deformable objective scores them. Also returns the voxel centers
+    relative to the rotation center."""
     t = RigidTransform(rotation=tuple(params[:3]), translation=tuple(params[3:]),
                        center=center)
-    vox, rel = _rigid_voxels(moving, fixed, t)
-    u = vox - np.stack(_identity_coords(fixed.dims))
-    return rel, DisplacementField(u, spacing=fixed.spacing, origin=fixed.origin)
+    vox, rel = _rigid_voxels(obj.moving, obj.fixed, t)
+    return rel, vox - np.stack(_identity_coords(obj.fixed.dims))
 
 
-def _rigid_loss(fixed: Volume, moving: Volume, mask: Volume,
-                params: np.ndarray, center) -> float:
-    """-maskedNCC of the rigidly resampled moving image."""
-    _, fld = _rigid_field(fixed, moving, params, center)
-    return total_loss(fixed, moving, fld, mask, 0.0).total
+def _rigid_loss(obj: Objective, params: np.ndarray, center) -> float:
+    """-maskedNCC of the rigidly resampled moving image (obj at lambda 0)."""
+    _, u = _rigid_field(obj, params, center)
+    return obj.loss(u).total
 
 
-def _rigid_gradient(fixed: Volume, moving: Volume, mask: Volume,
-                    params: np.ndarray, center) -> np.ndarray:
+def _rigid_gradient(obj: Objective, params: np.ndarray, center) -> np.ndarray:
     """Analytic d(_rigid_loss)/d(params): dL/du chained through
     T(x) = R (x - c) + c + t. Per mm, dL/dt is the voxel sum of dL/dT(x)
     and dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>."""
-    rel, fld = _rigid_field(fixed, moving, params, center)
-    g = loss_gradient(fixed, moving, fld, mask, 0.0).data.astype(np.float64)
-    g /= np.array(moving.spacing).reshape(3, 1, 1, 1)
+    rel, u = _rigid_field(obj, params, center)
+    g = obj.gradient(u)
+    g /= np.array(obj.moving.spacing).reshape(3, 1, 1, 1)
     moments = np.einsum("axyz,bxyz->ab", g, rel)
     Rx, Ry, Rz = _axis_rotations(params[:3])
     d_rot = [float((dR * moments).sum()) for dR in
@@ -244,7 +245,7 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
     resampled at full resolution.
     """
     config = config or RegConfig()
-    if fixed.dims != moving.dims or fixed.dims != mask.dims:
+    if not same_grid(fixed, moving, mask):
         raise ValidationError("rigid_align requires one shared grid")
     if int((mask.data > 0).sum()) < 8:
         raise ValidationError("mask too small for rigid alignment")
@@ -262,15 +263,15 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
         w = (k_l.data > 0.5).astype(np.float32)
         if w.sum() < 2:
             w = np.ones_like(w)
-        w_l = k_l.with_data(w)
+        obj = Objective(f_l, m_l, k_l.with_data(w), 0.0)
         iters = config.rigid_iterations[min(stage_idx, len(config.rigid_iterations) - 1)]
         lr = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
         m1 = np.zeros(6)
         m2 = np.zeros(6)
-        cur = _rigid_loss(f_l, m_l, w_l, params, center)
+        cur = _rigid_loss(obj, params, center)
         damp = 1.0
         for it in range(iters):
-            g = _rigid_gradient(f_l, m_l, w_l, params, center)
+            g = _rigid_gradient(obj, params, center)
             m1 = 0.9 * m1 + 0.1 * g
             m2 = 0.999 * m2 + 0.001 * g * g
             mh = m1 / (1.0 - 0.9 ** (it + 1))
@@ -279,7 +280,7 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
             accepted = False
             for f in (1.0, 0.5, 0.25, 0.125):
                 cand = params - f * step
-                val = _rigid_loss(f_l, m_l, w_l, cand, center)
+                val = _rigid_loss(obj, cand, center)
                 if val <= cur:
                     params, cur = cand, val
                     accepted = True
@@ -353,13 +354,15 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
     assumed padded to one grid and rigidly pre-aligned.
     """
     config = config or RegConfig()
-    if fixed.dims != moving.dims:
+    if not same_grid(fixed, moving):
         raise ValidationError("fixed/moving grids differ")
     flags: list = []
 
     mask = structures.body if structures is not None else \
         Volume(np.ones(fixed.dims, dtype=np.float32), spacing=fixed.spacing,
                origin=fixed.origin)
+    if not same_grid(fixed, mask):
+        raise ValidationError("mask grid differs from image grid")
     fused = _build_fused_prior(fixed, config, structures, dose,
                                list(embeddings), adapter_weights, flags)
 
@@ -405,25 +408,17 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         m1 = np.zeros_like(delta)
         m2 = np.zeros_like(delta)
         up_data = up.data.astype(np.float64)
+        obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=w_l,
+                        kappa=config.prior_weight_kappa)
 
-        def loss_at(d):
-            fld = DisplacementField((up_data + d).astype(np.float32),
-                                    spacing=f_l.spacing, origin=f_l.origin)
-            return total_loss(f_l, m_l, fld, k_l, config.lambda_smooth,
-                              weights=w_l, kappa=config.prior_weight_kappa)
-
-        cur = loss_at(delta)
+        cur = obj.loss(up_data + delta)
         if not math.isfinite(cur.total):
             raise ValidationError(f"non-finite loss at level {li + 1}")
         initial_loss = cur.total
         trajectory = [cur.total]
         used = 0
         for it in range(iters_by_index[li]):
-            fld = DisplacementField((up_data + delta).astype(np.float32),
-                                    spacing=f_l.spacing, origin=f_l.origin)
-            grad = loss_gradient(f_l, m_l, fld, k_l, config.lambda_smooth,
-                                 weights=w_l, kappa=config.prior_weight_kappa) \
-                .data.astype(np.float64)
+            grad = obj.gradient(up_data + delta)
             m1 = config.beta1 * m1 + (1.0 - config.beta1) * grad
             m2 = config.beta2 * m2 + (1.0 - config.beta2) * grad * grad
             mh = m1 / (1.0 - config.beta1 ** (it + 1))
@@ -433,7 +428,7 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
                 step = step * g_l
             for f in (1.0, 0.5, 0.25, 0.125):
                 cand = delta - f * step
-                val = loss_at(cand)
+                val = obj.loss(up_data + cand)
                 if not math.isfinite(val.total):
                     continue
                 if val.total <= cur.total:

@@ -71,19 +71,22 @@ def masked_ncc(fixed: Volume, warped: Volume, mask: Volume,
     return ncc
 
 
-def smoothness(fld: DisplacementField) -> float:
-    """Mean over voxels of the summed squared forward differences of all
-    three components along all three axes (voxel units)."""
-    if min(fld.dims) < 2:
-        raise ValidationError("smoothness needs at least 2 voxels per axis")
-    u = fld.data.astype(np.float64)
-    n = float(np.prod(fld.dims))
+def _smoothness(u: np.ndarray) -> float:
+    n = float(np.prod(u.shape[1:]))
     total = 0.0
     for c in range(3):
         for ax in range(3):
             d = np.diff(u[c], axis=ax)
             total += float((d * d).sum())
     return total / n
+
+
+def smoothness(fld: DisplacementField) -> float:
+    """Mean over voxels of the summed squared forward differences of all
+    three components along all three axes (voxel units)."""
+    if min(fld.dims) < 2:
+        raise ValidationError("smoothness needs at least 2 voxels per axis")
+    return _smoothness(fld.data.astype(np.float64))
 
 
 def _smoothness_gradient(u: np.ndarray) -> np.ndarray:
@@ -102,53 +105,92 @@ def _smoothness_gradient(u: np.ndarray) -> np.ndarray:
     return (2.0 / n) * grad
 
 
+class Objective:
+    """L(u) = -NCC_w(fixed, moving warped by u) + lambda * S(u) on one grid.
+
+    Built once per grid: the constructor checks the inputs and keeps the
+    float64 fixed image, the weights and the identity coordinates, so each
+    trial pays only for its warp and sums. A trial field is a plain
+    (3, nx, ny, nz) array in voxel units; it is rounded to float32, the
+    precision a DisplacementField stores.
+    """
+
+    def __init__(self, fixed: Volume, moving: Volume, mask: Volume,
+                 lambda_smooth: float = 0.2, weights: Volume | None = None,
+                 kappa: float = 1.0):
+        if fixed.dims != moving.dims:
+            raise ValidationError("image/field grids differ")
+        self._w = _weights(fixed, mask, weights, kappa)
+        if min(fixed.dims) < 2:
+            raise ValidationError("smoothness needs at least 2 voxels per axis")
+        self.fixed, self.moving = fixed, moving
+        self.lambda_smooth = float(lambda_smooth)
+        self._a = fixed.data.astype(np.float64)
+        self._coords = _identity_coords(fixed.dims)
+        self._masked_voxels = int((mask.data > 0).sum())
+
+    def _warp(self, u: np.ndarray, want_grad: bool = False):
+        # warp in float64 so the finite-difference gradient check is not
+        # drowned by float32 rounding of the warped intensities
+        xx, yy, zz = self._coords
+        return _trilinear_arrays(self.moving.data, xx + u[0], yy + u[1],
+                                 zz + u[2], want_grad=want_grad)
+
+    def loss(self, u: np.ndarray) -> LossBreakdown:
+        """The loss of trial field u; smoothness is S(u) even at lambda 0."""
+        u = np.asarray(u, dtype=np.float32).astype(np.float64)
+        ncc, degenerate, _ = _ncc_core(self._a, self._warp(u), self._w)
+        smooth = _smoothness(u)
+        return LossBreakdown(ncc=ncc, smoothness=smooth,
+                             lambda_smooth=self.lambda_smooth,
+                             total=-ncc + self.lambda_smooth * smooth,
+                             masked_voxels=self._masked_voxels,
+                             degenerate=degenerate)
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """Analytic dL/du in float64, rounded to float32 precision.
+
+        NCC part: dNCC/d(warped intensity) chained through the trilinear
+        interpolant's spatial derivative at x + u. Smoothness part: exact
+        adjoint of the forward-difference energy, so the finite-difference
+        check holds by construction; skipped when lambda is 0.
+        """
+        u = np.asarray(u, dtype=np.float32).astype(np.float64)
+        b, gx, gy, gz = self._warp(u, want_grad=True)
+        ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._a, b, self._w)
+        if self.lambda_smooth == 0.0:
+            grad = np.zeros_like(u)
+        else:
+            grad = self.lambda_smooth * _smoothness_gradient(u)
+        if not degenerate:
+            # d(NCC)/d b_j = w_j * (A_j - NCC * sqrt(Saa/Sbb) * B_j) / sqrt(Saa*Sbb)
+            dncc_db = self._w * (A - (s_ab / s_bb) * B) / np.sqrt(s_aa * s_bb)
+            grad[0] -= dncc_db * gx
+            grad[1] -= dncc_db * gy
+            grad[2] -= dncc_db * gz
+        return grad.astype(np.float32).astype(np.float64)
+
+
+def _objective(fixed, moving, fld, mask, lambda_smooth, weights, kappa):
+    if fixed.dims != fld.dims:
+        raise ValidationError("image/field grids differ")
+    return Objective(fixed, moving, mask, lambda_smooth, weights, kappa)
+
+
 def total_loss(fixed: Volume, moving: Volume, fld: DisplacementField,
                mask: Volume, lambda_smooth: float = 0.2,
                weights: Volume | None = None, kappa: float = 1.0) -> LossBreakdown:
     """Evaluate -NCC + lambda * smoothness for the warped moving image."""
-    if fixed.dims != moving.dims or fixed.dims != fld.dims:
-        raise ValidationError("image/field grids differ")
-    w = _weights(fixed, mask, weights, kappa)
-    # warp in float64 so the finite-difference gradient check is not
-    # drowned by float32 rounding of the warped intensities
-    u = fld.data.astype(np.float64)
-    xx, yy, zz = _identity_coords(fld.dims)
-    warped = _trilinear_arrays(moving.data, xx + u[0], yy + u[1], zz + u[2])
-    ncc, degenerate, _ = _ncc_core(fixed.data.astype(np.float64), warped, w)
-    smooth = smoothness(fld)
-    return LossBreakdown(ncc=ncc, smoothness=smooth,
-                         lambda_smooth=float(lambda_smooth),
-                         total=-ncc + lambda_smooth * smooth,
-                         masked_voxels=int((mask.data > 0).sum()),
-                         degenerate=degenerate)
+    return _objective(fixed, moving, fld, mask, lambda_smooth, weights,
+                      kappa).loss(fld.data)
 
 
 def loss_gradient(fixed: Volume, moving: Volume, fld: DisplacementField,
                   mask: Volume, lambda_smooth: float = 0.2,
                   weights: Volume | None = None,
                   kappa: float = 1.0) -> DisplacementField:
-    """Analytic dL/du.
-
-    NCC part: dNCC/d(warped intensity) chained through the trilinear
-    interpolant's spatial derivative at x + u. Smoothness part: exact
-    adjoint of the forward-difference energy, so the finite-difference
-    check holds by construction.
-    """
-    if fixed.dims != moving.dims or fixed.dims != fld.dims:
-        raise ValidationError("image/field grids differ")
-    w = _weights(fixed, mask, weights, kappa)
-    u = fld.data.astype(np.float64)
-    xx, yy, zz = _identity_coords(fld.dims)
-    b, gx, gy, gz = _trilinear_arrays(moving.data, xx + u[0], yy + u[1],
-                                      zz + u[2], want_grad=True)
-    a = fixed.data.astype(np.float64)
-    ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(a, b, w)
-    grad = lambda_smooth * _smoothness_gradient(u)
-    if not degenerate:
-        # d(NCC)/d b_j = w_j * (A_j - NCC * sqrt(Saa/Sbb) * B_j) / sqrt(Saa*Sbb)
-        dncc_db = w * (A - (s_ab / s_bb) * B) / np.sqrt(s_aa * s_bb)
-        grad[0] -= dncc_db * gx
-        grad[1] -= dncc_db * gy
-        grad[2] -= dncc_db * gz
-    return DisplacementField(grad.astype(np.float32),
-                             spacing=fld.spacing, origin=fld.origin)
+    """Analytic dL/du (see Objective.gradient) as a field on fld's grid."""
+    g = _objective(fixed, moving, fld, mask, lambda_smooth, weights,
+                   kappa).gradient(fld.data)
+    return DisplacementField(g.astype(np.float32), spacing=fld.spacing,
+                             origin=fld.origin)

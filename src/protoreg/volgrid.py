@@ -86,6 +86,11 @@ class DisplacementField:
         return replace(self, data=np.asarray(data, dtype=np.float32))
 
 
+def same_grid(*grids) -> bool:
+    """Whether all volumes or fields share dims, spacing and origin."""
+    return len({(g.dims, g.spacing, g.origin) for g in grids}) == 1
+
+
 def zero_field(like: Volume | DisplacementField) -> DisplacementField:
     return DisplacementField(
         np.zeros((3,) + tuple(like.dims), dtype=np.float32),
@@ -228,7 +233,8 @@ def build_pyramid(vol: Volume, levels: int) -> Pyramid:
     if levels < 1:
         raise ValidationError(f"level count must be >= 1, got {levels}")
     requested = levels
-    max_levels = 1 + int(math.floor(math.log2(max(min(vol.dims), 1))))
+    # ceil(n / 2**(L-1)) >= 2 holds for L <= ceil(log2(n))
+    max_levels = max(1, (min(vol.dims) - 1).bit_length())
     if levels > max_levels:
         logger.warning("pyramid reduced from %d to %d levels for dims %s",
                        levels, max_levels, vol.dims)

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import protoreg as pr
-from protoreg import engine
+from protoreg import engine, similarity
 from protoreg.engine import resample_rigid
 from protoreg.errors import ValidationError
 
@@ -101,14 +102,15 @@ class TestRigidObjective:
     def test_gradient_vs_finite_differences(self, rigid_levels, n):
         center, levels = rigid_levels
         fixed, moving, mask = levels[n]
-        g = engine._rigid_gradient(fixed, moving, mask, RIGID_PARAMS, center)
+        obj = pr.similarity.Objective(fixed, moving, mask, 0.0)
+        g = engine._rigid_gradient(obj, RIGID_PARAMS, center)
         h = np.array([1e-3] * 3 + [0.1] * 3)        # rad, mm
         fd = np.empty(6)
         for j in range(6):
             dp = np.zeros(6)
             dp[j] = h[j]
-            fd[j] = (engine._rigid_loss(fixed, moving, mask, RIGID_PARAMS + dp, center)
-                     - engine._rigid_loss(fixed, moving, mask, RIGID_PARAMS - dp, center)) \
+            fd[j] = (engine._rigid_loss(obj, RIGID_PARAMS + dp, center)
+                     - engine._rigid_loss(obj, RIGID_PARAMS - dp, center)) \
                 / (2.0 * h[j])
         # relative error per block of like units; the trilinear kinks put
         # about 1% of noise into each central difference
@@ -123,7 +125,8 @@ class TestRigidObjective:
         t = pr.RigidTransform(rotation=tuple(RIGID_PARAMS[:3]),
                               translation=tuple(RIGID_PARAMS[3:]), center=center)
         want = -pr.masked_ncc(fixed, resample_rigid(moving, fixed, t), mask)
-        got = engine._rigid_loss(fixed, moving, mask, RIGID_PARAMS, center)
+        got = engine._rigid_loss(pr.similarity.Objective(fixed, moving, mask, 0.0),
+                                 RIGID_PARAMS, center)
         assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -209,6 +212,50 @@ class TestRegister:
         with pytest.raises(ValidationError):
             pr.register(img, other)
 
+    def test_default_levels_on_16_cubed(self):
+        # a fifth level would be 1^3, which leaves the mask a single voxel
+        spec = replace(pr.PhantomSpec(), dims=(16, 16, 16), spacing=(2.0, 2.0, 2.0))
+        img, st, _ = pr.make_phantom(spec)
+        moving = pr.warp(img, pr.make_smooth_field(img.dims, pr.FieldSpec(1.0, 3.0, 5)))
+        fld, rep = pr.register(img, moving, pr.RegConfig(), structures=st)
+        assert fld.dims == img.dims
+        assert "levels_reduced_to_4" in rep.flags
+        assert [lv.dims for lv in rep.levels] == [(2, 2, 2), (4, 4, 4), (8, 8, 8),
+                                                  (16, 16, 16)]
+
+    def test_flat_grid_rejected_before_any_iteration(self, rng, monkeypatch):
+        def no_trial(self, u):
+            raise AssertionError("a trial was evaluated")
+        monkeypatch.setattr(similarity.Objective, "loss", no_trial)
+        monkeypatch.setattr(similarity.Objective, "gradient", no_trial)
+        vol = pr.Volume(rng.random((32, 32, 1)).astype(np.float32))
+        with pytest.raises(ValidationError,
+                           match="smoothness needs at least 2 voxels per axis"):
+            pr.register(vol, vol)
+
+
+@pytest.mark.parametrize("change", [{"spacing": (2.0, 2.0, 2.0)},
+                                    {"origin": (0.0, 0.0, 5.0)}])
+class TestGridMetadataMismatch:
+    """Volumes of equal dims but a different voxel size or origin do not
+    share a grid, so registering them voxel by voxel would be wrong."""
+
+    def test_register_rejects(self, small_phantom, change):
+        img, st, _ = small_phantom
+        with pytest.raises(ValidationError, match="fixed/moving grids differ"):
+            pr.register(img, replace(img, **change))
+        moved = pr.StructureSet(ctv=replace(st.ctv, **change),
+                                body=replace(st.body, **change))
+        with pytest.raises(ValidationError, match="mask grid differs"):
+            pr.register(img, img, structures=moved)
+
+    def test_rigid_align_rejects(self, small_phantom, change):
+        img, st, _ = small_phantom
+        for fixed, moving, mask in ((img, replace(img, **change), st.body),
+                                    (img, img, replace(st.body, **change))):
+            with pytest.raises(ValidationError, match="one shared grid"):
+                pr.rigid_align(fixed, moving, mask)
+
 
 class TestGateUpdateProperty:
     def test_gated_update_preserves_sign_and_range(self, small_phantom, rng):
@@ -240,6 +287,6 @@ class TestRegConfig:
         with pytest.raises(ValidationError):
             pr.RegConfig(lambda_smooth=-1.0)
         for kwargs in ({"rigid_iterations": (-1,)}, {"beta1": -0.1},
-                       {"beta2": 1.0}):
+                       {"beta2": 1.0}, {"adam_eps": 0.0}, {"adam_eps": -1e-8}):
             with pytest.raises(ValidationError):
                 pr.RegConfig(**kwargs)

@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -227,6 +227,7 @@ class TestCli:
         ("register", {"beta1": 1.0}),
         ("priors", {"nope": 1}),
         ("phantom", {"nope": 1}),
+        ("register", {"adam_eps": 0.0}),
     ])
     def test_bad_config_is_validation_error(self, phantom_dir, tmp_path,
                                             verb, doc):
@@ -242,6 +243,23 @@ class TestCli:
             "phantom": ["phantom", "--spec", str(path), "--out", out],
         }[verb]
         assert cli(argv) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("change", [{"spacing": (2.0, 2.0, 2.0)},
+                                        {"origin": (0.0, 0.0, 5.0)}])
+    @pytest.mark.parametrize("which", ["moving", "body"])
+    def test_register_grid_metadata_mismatch(self, phantom_dir, tmp_path,
+                                             change, which):
+        src = phantom_dir / ("image" if which == "moving" else "body")
+        vol = io.read_volume(str(src))
+        io.write_volume(str(tmp_path / "other"), replace(vol, **change),
+                        kind="image" if which == "moving" else "mask")
+        paths = {"moving": phantom_dir / "image", "body": phantom_dir / "body",
+                 which: tmp_path / "other"}
+        rc = cli(["register", "--fixed", str(phantom_dir / "image"),
+                  "--moving", str(paths["moving"]), "--body", str(paths["body"]),
+                  "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
 
     def test_bad_threads_env(self, monkeypatch):
         monkeypatch.setenv("PROTOREG_THREADS", "lots")

@@ -1,0 +1,74 @@
+"""Property tests for the grid algebra and serialization."""
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+import protoreg as pr
+from protoreg import io
+
+SETTINGS = settings(max_examples=30, deadline=None)
+
+finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+small_dims = st.tuples(*[st.integers(1, 6)] * 3)
+
+
+def triples(lo, hi):
+    return st.tuples(*[st.floats(lo, hi)] * 3)
+
+
+@st.composite
+def grids(draw, field=False):
+    dims = draw(small_dims)
+    data = draw(arrays(np.float32, ((3,) if field else ()) + dims, elements=finite32))
+    cls = pr.DisplacementField if field else pr.Volume
+    return cls(data, spacing=draw(triples(1e-3, 1e3)),
+               origin=draw(triples(-1e4, 1e4)))
+
+
+@SETTINGS
+@given(obj=st.one_of(grids(), grids(field=True)))
+def test_read_write_round_trip_is_identity(obj):
+    kind = "field" if isinstance(obj, pr.DisplacementField) else "image"
+    with tempfile.TemporaryDirectory() as d:
+        path = str(Path(d) / "v")
+        io.write_volume(path, obj, kind=kind)
+        back = io.read_volume(path)
+    assert type(back) is type(obj)
+    assert back.data.tobytes() == obj.data.tobytes()
+    assert (back.dims, back.spacing, back.origin) == (obj.dims, obj.spacing, obj.origin)
+
+
+@SETTINGS
+@given(dims=st.tuples(*[st.integers(2, 40)] * 3), levels=st.integers(1, 8))
+def test_pyramid_levels_keep_two_voxels_and_ceil_halve(dims, levels):
+    pyr = pr.build_pyramid(pr.Volume(np.zeros(dims, dtype=np.float32)), levels)
+    assert 1 <= len(pyr) <= levels
+    assert pyr[0].dims == dims
+    for fine, coarse in zip(pyr.levels, pyr.levels[1:]):
+        assert coarse.dims == tuple(math.ceil(d / 2) for d in fine.dims)
+    assert all(min(lv.dims) >= 2 for lv in pyr.levels)
+    # clipped only where one more level would leave an axis a single voxel
+    assert len(pyr) == levels or min(math.ceil(d / 2) for d in pyr[-1].dims) < 2
+
+
+@SETTINGS
+@given(target=st.tuples(*[st.integers(1, 12)] * 3), data=st.data())
+def test_upsample_field_returns_requested_dims(target, data):
+    src = tuple(math.ceil(t / 2) for t in target)
+    u = data.draw(arrays(np.float32, (3,) + src,
+                         elements=st.floats(-4, 4, width=32)))
+    up = pr.upsample_field(pr.DisplacementField(u, spacing=(2.0, 2.0, 2.0)), target)
+    assert up.dims == target
+    assert up.spacing == (1.0, 1.0, 1.0)
+
+
+@SETTINGS
+@given(vol=grids())
+def test_zero_field_warp_is_identity(vol):
+    out = pr.warp(vol, pr.zero_field(vol))
+    assert out.data.tobytes() == vol.data.tobytes()
+    assert (out.spacing, out.origin) == (vol.spacing, vol.origin)
