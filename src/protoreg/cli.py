@@ -245,15 +245,6 @@ _COMMANDS = {
 
 def cli(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
-    # PROTOREG_THREADS caps worker threads; all math here is single-threaded
-    # numpy, so any positive value (or 0 = auto) is accepted as-is.
-    threads = os.environ.get("PROTOREG_THREADS", "0")
-    try:
-        if int(threads) < 0:
-            raise ValueError
-    except ValueError:
-        print(f"invalid PROTOREG_THREADS value {threads!r}", file=sys.stderr)
-        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -171,6 +171,44 @@ class RegReport:
 
 
 # ---------------------------------------------------------------------------
+# descent shared by the rigid stages and the pyramid levels
+
+def _descend(loss, gradient, x, lr, iterations, beta1, beta2, eps, window, tol,
+             scale=1.0):
+    """Adam from x with backtracking over the step factors 1, 1/2, 1/4, 1/8:
+    the first trial whose loss is finite and not higher is taken, so the
+    trajectory (initial loss, then one per iteration) never rises. scale
+    multiplies each step per component. Stops after `iterations`, or once the
+    loss changed by less than tol, relative, over `window` iterations (tol 0
+    never stops early). Returns (x, trajectory)."""
+    cur = loss(x)
+    if not math.isfinite(cur):
+        raise ValidationError("non-finite loss at the start of a descent")
+    trajectory = [cur]
+    m1 = np.zeros_like(x)
+    m2 = np.zeros_like(x)
+    for it in range(iterations):
+        g = gradient(x)
+        m1 = beta1 * m1 + (1.0 - beta1) * g
+        m2 = beta2 * m2 + (1.0 - beta2) * g * g
+        mh = m1 / (1.0 - beta1 ** (it + 1))
+        vh = m2 / (1.0 - beta2 ** (it + 1))
+        step = lr * mh / (np.sqrt(vh) + eps) * scale
+        for f in (1.0, 0.5, 0.25, 0.125):
+            cand = x - f * step
+            val = loss(cand)
+            if math.isfinite(val) and val <= cur:
+                x, cur = cand, val
+                break
+        trajectory.append(cur)
+        if len(trajectory) > window:
+            prev = trajectory[-1 - window]
+            if abs(prev - cur) / max(abs(prev), 1e-12) < tol:
+                break
+    return x, trajectory
+
+
+# ---------------------------------------------------------------------------
 # rigid pre-alignment
 
 def _physical_center(vol: Volume) -> tuple:
@@ -266,33 +304,11 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
         obj = Objective(f_l, m_l, k_l.with_data(w), 0.0)
         iters = config.rigid_iterations[min(stage_idx, len(config.rigid_iterations) - 1)]
         lr = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
-        m1 = np.zeros(6)
-        m2 = np.zeros(6)
-        cur = _rigid_loss(obj, params, center)
-        damp = 1.0
-        for it in range(iters):
-            g = _rigid_gradient(obj, params, center)
-            m1 = 0.9 * m1 + 0.1 * g
-            m2 = 0.999 * m2 + 0.001 * g * g
-            mh = m1 / (1.0 - 0.9 ** (it + 1))
-            vh = m2 / (1.0 - 0.999 ** (it + 1))
-            step = damp * lr * mh / (np.sqrt(vh) + 1e-12)
-            accepted = False
-            for f in (1.0, 0.5, 0.25, 0.125):
-                cand = params - f * step
-                val = _rigid_loss(obj, cand, center)
-                if val <= cur:
-                    params, cur = cand, val
-                    accepted = True
-                    # recover step size slowly after a run of rejections
-                    damp = min(1.0, damp * 2.0)
-                    break
-            if not accepted:
-                # all factors overshoot; shrink persistently so later
-                # iterations probe a smaller trust region
-                damp *= 0.25
-                if damp * np.abs(step).max() < 1e-10:
-                    break
+        # tol 0: a rigid stage always runs its full budget
+        params, _ = _descend(lambda p: _rigid_loss(obj, p, center),
+                             lambda p: _rigid_gradient(obj, p, center),
+                             params, lr, iters, beta1=0.9, beta2=0.999,
+                             eps=1e-12, window=1, tol=0.0)
     transform = RigidTransform(rotation=tuple(params[:3]),
                                translation=tuple(params[3:]), center=center)
     return transform, resample_rigid(moving, fixed, transform)
@@ -374,7 +390,7 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         flags.append(f"levels_reduced_to_{n_levels}")
 
     prior_levels = [None] * n_levels
-    gate_levels = [None] * n_levels
+    gate_levels = [1.0] * n_levels
     if fused is not None:
         p = fused
         for li in range(n_levels):
@@ -400,58 +416,27 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         if int((k_l.data > 0).sum()) < 2:
             k_l = k_l.with_data(np.ones(f_l.dims, dtype=np.float32))
             flags.append(f"mask_degenerate_at_level_{li + 1}")
-        w_l = prior_levels[li]
-        g_l = gate_levels[li]
         up = upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)
-
-        delta = np.zeros((3,) + f_l.dims, dtype=np.float64)
-        m1 = np.zeros_like(delta)
-        m2 = np.zeros_like(delta)
         up_data = up.data.astype(np.float64)
-        obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=w_l,
+        obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=prior_levels[li],
                         kappa=config.prior_weight_kappa)
-
-        cur = obj.loss(up_data + delta)
-        if not math.isfinite(cur.total):
-            raise ValidationError(f"non-finite loss at level {li + 1}")
-        initial_loss = cur.total
-        trajectory = [cur.total]
-        used = 0
-        for it in range(iters_by_index[li]):
-            grad = obj.gradient(up_data + delta)
-            m1 = config.beta1 * m1 + (1.0 - config.beta1) * grad
-            m2 = config.beta2 * m2 + (1.0 - config.beta2) * grad * grad
-            mh = m1 / (1.0 - config.beta1 ** (it + 1))
-            vh = m2 / (1.0 - config.beta2 ** (it + 1))
-            step = config.step_size * mh / (np.sqrt(vh) + config.adam_eps)
-            if g_l is not None:
-                step = step * g_l
-            for f in (1.0, 0.5, 0.25, 0.125):
-                cand = delta - f * step
-                val = obj.loss(up_data + cand)
-                if not math.isfinite(val.total):
-                    continue
-                if val.total <= cur.total:
-                    delta, cur = cand, val
-                    break
-            used = it + 1
-            trajectory.append(cur.total)
-            if len(trajectory) > config.convergence_window:
-                prev = trajectory[-1 - config.convergence_window]
-                rel = abs(prev - cur.total) / max(abs(prev), 1e-12)
-                if rel < config.convergence_tol:
-                    break
+        delta, trajectory = _descend(
+            lambda d: obj.loss(up_data + d).total,
+            lambda d: obj.gradient(up_data + d),
+            np.zeros((3,) + f_l.dims), config.step_size, iters_by_index[li],
+            config.beta1, config.beta2, config.adam_eps,
+            config.convergence_window, config.convergence_tol,
+            scale=gate_levels[li])
         phi = compose_additive(up, DisplacementField(
             delta.astype(np.float32), spacing=f_l.spacing, origin=f_l.origin))
         level_reports.append(LevelReport(
-            level=li + 1, dims=f_l.dims, iterations_used=used,
-            initial_loss=initial_loss, final_loss=cur.total,
+            level=li + 1, dims=f_l.dims, iterations_used=len(trajectory) - 1,
+            initial_loss=trajectory[0], final_loss=trajectory[-1],
             trajectory=tuple(trajectory),
             wall_time_s=time.perf_counter() - t0))
 
-    final = total_loss(fixed, moving, phi, _binary_level(kpyr[0]),
-                       config.lambda_smooth, weights=prior_levels[0],
-                       kappa=config.prior_weight_kappa)
+    # the finest level's objective, with the mask that level ran on
+    final = obj.loss(phi.data)
     if final.degenerate:
         flags.append("degenerate_variance")
     report = RegReport(levels=tuple(level_reports), final=final,

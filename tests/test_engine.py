@@ -130,6 +130,56 @@ class TestRigidObjective:
         assert got == pytest.approx(want, abs=1e-6)
 
 
+# a quadratic bowl with minimum 1 at C
+C = np.array([1.0, -2.0, 0.5, 3.0])
+
+
+def _bowl(x):
+    return float(((x - C) ** 2).sum()) + 1.0
+
+
+def _bowl_gradient(x):
+    return 2.0 * (x - C)
+
+
+class TestDescend:
+    def test_trajectory_and_window_rule(self):
+        x0 = np.zeros(4)
+        x, traj = engine._descend(_bowl, _bowl_gradient, x0, 0.1, 200,
+                                  0.9, 0.999, 1e-8, 5, 1e-5)
+        assert traj[0] == _bowl(x0)
+        assert traj[-1] == _bowl(x)
+        assert np.all(np.diff(traj) <= 0.0)
+        assert np.abs(x - C).max() < 0.01
+        # stopped early, by the window rule
+        assert len(traj) < 200 + 1
+        assert abs(traj[-6] - traj[-1]) / abs(traj[-6]) < 1e-5
+
+    def test_rigid_rule_runs_full_budget(self):
+        # started at the minimum the loss never changes, so only tol 0
+        # keeps the descent going
+        _, traj = engine._descend(_bowl, _bowl_gradient, C.copy(), 0.1, 30,
+                                  0.9, 0.999, 1e-12, 1, 0.0)
+        assert traj == [1.0] * 31
+        _, traj = engine._descend(_bowl, _bowl_gradient, C.copy(), 0.1, 30,
+                                  0.9, 0.999, 1e-12, 5, 1e-5)
+        assert len(traj) == 6
+
+    def test_non_finite_trials_rejected(self):
+        def loss(x):
+            return math.inf if x[0] > 0.5 else _bowl(x)
+        x, traj = engine._descend(loss, _bowl_gradient, np.zeros(4), 0.1, 50,
+                                  0.9, 0.999, 1e-8, 5, 0.0)
+        assert x[0] <= 0.5
+        assert all(math.isfinite(v) for v in traj)
+        assert np.all(np.diff(traj) <= 0.0)
+
+    def test_non_finite_initial_loss_raises(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            engine._descend(lambda x: math.nan, _bowl_gradient, np.zeros(4),
+                            0.1, 10, 0.9, 0.999, 1e-8, 5, 1e-5)
+
+
 class TestRegister:
     def test_self_registration(self, small_phantom):
         img, st, _ = small_phantom
@@ -222,6 +272,22 @@ class TestRegister:
         assert "levels_reduced_to_4" in rep.flags
         assert [lv.dims for lv in rep.levels] == [(2, 2, 2), (4, 4, 4), (8, 8, 8),
                                                   (16, 16, 16)]
+
+    def test_degenerate_finest_mask_reaches_report(self):
+        # a one-voxel body is degenerate at both levels, so each runs on an
+        # all-ones mask; the final loss is scored on that mask too
+        spec = replace(pr.PhantomSpec(), dims=(16, 16, 16), spacing=(2.0, 2.0, 2.0))
+        img, _, _ = pr.make_phantom(spec)
+        body = np.zeros(img.dims, dtype=np.float32)
+        body[8, 8, 8] = 1.0
+        st = pr.StructureSet(ctv=img.with_data(body), body=img.with_data(body))
+        moving = pr.warp(img, pr.make_smooth_field(img.dims, pr.FieldSpec(1.0, 3.0, 5)))
+        _, rep = pr.register(img, moving, pr.RegConfig(levels=2, iterations=(5, 5)),
+                             structures=st)
+        assert "mask_degenerate_at_level_2" in rep.flags
+        assert "mask_degenerate_at_level_1" in rep.flags
+        assert math.isfinite(rep.final.total)
+        assert rep.final.masked_voxels == 16 ** 3
 
     def test_flat_grid_rejected_before_any_iteration(self, rng, monkeypatch):
         def no_trial(self, u):

@@ -261,14 +261,6 @@ class TestCli:
         assert rc == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
 
-    def test_bad_threads_env(self, monkeypatch):
-        monkeypatch.setenv("PROTOREG_THREADS", "lots")
-        assert cli(["phantom"]) == EXIT_USAGE
-        monkeypatch.setenv("PROTOREG_THREADS", "-2")
-        assert cli(["phantom"]) == EXIT_USAGE
-        monkeypatch.setenv("PROTOREG_THREADS", "4")
-        assert cli(["phantom"]) == EXIT_USAGE  # still missing args, env ok
-
 
 class TestCliRegisterDeterminism:
     def test_register_twice_byte_identical(self, phantom_dir, tmp_path):
