@@ -1,10 +1,9 @@
 """Prior-guided coarse-to-fine deformable 3D CT registration."""
 
 from .errors import FormatError, ValidationError
-from .volgrid import (DisplacementField, Pyramid, Volume, build_pyramid,
-                      compose_additive, downsample_avg, jacobian_det,
-                      pad_to_shape, trilinear_sample, upsample_field, warp,
-                      zero_field)
+from .volgrid import (DisplacementField, Volume, build_pyramid, compose_additive,
+                      downsample_avg, jacobian_det, pad_to_shape,
+                      trilinear_sample, upsample_field, warp, zero_field)
 from .priors import (PriorParams, StructureSet, anatomy_map, boundary_band,
                      fuse_priors, gate, gaussian_proximity, risk_map,
                      signed_distance)

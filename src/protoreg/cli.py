@@ -11,7 +11,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -165,18 +164,8 @@ def _cmd_metrics(args) -> int:
     ctv_fixed = io.read_volume(args.ctv_fixed) if args.ctv_fixed else None
     ctv_prop = io.read_volume(args.ctv_prop) if args.ctv_prop else None
 
-    from .similarity import masked_ncc
-    doc = {
-        "ncc_pct": 100.0 * masked_ncc(fixed, warped, mask),
-        "mse": metrics.mse(fixed, warped, mask),
-        "ssim_pct": 100.0 * metrics.ssim(fixed, warped, mask),
-    }
-    if fld is not None:
-        doc["fold_fraction_pct"] = metrics.fold_fraction(fld)
-        if truth is not None:
-            doc["endpoint_error"] = asdict(metrics.endpoint_error(fld, truth, mask))
-    if ctv_fixed is not None and ctv_prop is not None:
-        doc["relvoldiff_pct"] = metrics.relvoldiff(ctv_fixed, ctv_prop)
+    doc = metrics.metric_report(fixed, warped, mask, fld, ctv_fixed, ctv_prop,
+                                truth, epe_mask=mask).to_dict()
     _write_json(args.out, doc)
     if args.csv:
         line = ",".join(f"{k}={v}" for k, v in sorted(doc.items())

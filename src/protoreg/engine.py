@@ -23,8 +23,7 @@ from .priors import PriorParams, StructureSet, anatomy_map, fuse_priors, gate, r
 from .similarity import LossBreakdown, Objective, loss_gradient, total_loss
 from .volgrid import (DisplacementField, Volume, _identity_coords,
                       _trilinear_arrays, build_pyramid, compose_additive,
-                      downsample_avg, same_grid, upsample_field, warp,
-                      zero_field)
+                      same_grid, upsample_field, warp, zero_field)
 
 
 def _wrap_angle(a: float) -> float:
@@ -94,7 +93,6 @@ class RegConfig:
     convergence_window: int = 5
     rigid_levels: int = 3
     rigid_iterations: tuple = (150, 75)
-    seed: int = 0
 
     def __post_init__(self):
         if self.levels < 1:
@@ -337,6 +335,8 @@ def _build_fused_prior(fixed: Volume, config: RegConfig,
     if config.use_risk:
         if dose is None:
             raise ValidationError("use_risk requires a dose volume")
+        if not same_grid(fixed, dose):
+            raise ValidationError("dose grid differs from image grid")
         if structures is None:
             raise ValidationError("use_risk requires structures for OAR weighting")
         rmap = risk_map(dose, structures, config.prior_params)
@@ -389,27 +389,16 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
     if n_levels < config.levels:
         flags.append(f"levels_reduced_to_{n_levels}")
 
-    prior_levels = [None] * n_levels
-    gate_levels = [1.0] * n_levels
-    if fused is not None:
-        p = fused
-        for li in range(n_levels):
-            if li > 0:
-                p = downsample_avg(p)
-            prior_levels[li] = p
-            if config.use_gate:
-                g = gate(p, config.prior_params, 1)
-                gate_levels[li] = g.data.astype(np.float64)[None]
-
-    iters = list(config.iterations)
-    while len(iters) < n_levels:
-        iters.append(iters[-1])
-    # config lists iterations coarse -> fine; pyramid index 0 is finest
-    iters_by_index = list(reversed(iters[:n_levels]))
+    prior_levels = build_pyramid(fused, n_levels) if fused is not None \
+        else (None,) * n_levels
+    gate_levels = [gate(p, config.prior_params).data.astype(np.float64)[None]
+                   if config.use_gate and p is not None else 1.0
+                   for p in prior_levels]
 
     phi = None
     level_reports = []
-    for li in range(n_levels - 1, -1, -1):
+    # pyramid index 0 is finest; config lists iterations coarse -> fine
+    for step, li in enumerate(range(n_levels - 1, -1, -1)):
         t0 = time.perf_counter()
         f_l, m_l = fpyr[li], mpyr[li]
         k_l = _binary_level(kpyr[li])
@@ -423,7 +412,8 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         delta, trajectory = _descend(
             lambda d: obj.loss(up_data + d).total,
             lambda d: obj.gradient(up_data + d),
-            np.zeros((3,) + f_l.dims), config.step_size, iters_by_index[li],
+            np.zeros((3,) + f_l.dims), config.step_size,
+            config.iterations[min(step, len(config.iterations) - 1)],
             config.beta1, config.beta2, config.adam_eps,
             config.convergence_window, config.convergence_tol,
             scale=gate_levels[li])

@@ -27,7 +27,7 @@ class MetricReport:
     ncc_pct: float
     mse: float
     ssim_pct: float
-    fold_fraction_pct: float
+    fold_fraction_pct: float | None = None
     relvoldiff_pct: float | None = None
     endpoint_error: EndpointStats | None = None
 
@@ -129,23 +129,24 @@ def fold_fraction(fld: DisplacementField) -> float:
 
 
 def metric_report(fixed: Volume, warped: Volume, mask: Volume,
-                  fld: DisplacementField,
+                  fld: DisplacementField | None = None,
                   ctv_fixed: Volume | None = None,
                   ctv_propagated: Volume | None = None,
                   truth: DisplacementField | None = None,
                   epe_mask: Volume | None = None) -> MetricReport:
+    """Image similarity inside mask; with a field, its fold fraction and,
+    given the true field, the endpoint error inside epe_mask; with both
+    CTVs, their relative volume difference."""
     from .similarity import masked_ncc
-    rvd = None
-    if ctv_fixed is not None and ctv_propagated is not None:
-        rvd = relvoldiff(ctv_fixed, ctv_propagated)
-    epe = None
-    if truth is not None:
-        epe = endpoint_error(fld, truth, mask=epe_mask)
+    has_ctvs = ctv_fixed is not None and ctv_propagated is not None
+    # keyword arguments are evaluated in order: NCC, MSE, SSIM, fold
+    # fraction, EPE, relvoldiff, so the first failing check is always the same
     return MetricReport(
         ncc_pct=100.0 * masked_ncc(fixed, warped, mask),
         mse=mse(fixed, warped, mask),
         ssim_pct=100.0 * ssim(fixed, warped, mask),
-        fold_fraction_pct=fold_fraction(fld),
-        relvoldiff_pct=rvd,
-        endpoint_error=epe,
+        fold_fraction_pct=fold_fraction(fld) if fld is not None else None,
+        endpoint_error=endpoint_error(fld, truth, mask=epe_mask)
+        if fld is not None and truth is not None else None,
+        relvoldiff_pct=relvoldiff(ctv_fixed, ctv_propagated) if has_ctvs else None,
     )

@@ -4,7 +4,7 @@ The anatomy map combines a Gaussian proximity term around the target,
 a boundary band, and organ-at-risk masks; the risk map combines dose
 gradients, a high-dose isodose shell, and dose-weighted OAR regions.
 Both are fused into one importance map which is turned into a soft
-multiplicative gate per pyramid level.
+multiplicative update gate.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .errors import ValidationError
-from .volgrid import Volume, downsample_avg
+from .volgrid import Volume, same_grid
 
 __all__ = [
     "StructureSet", "PriorParams", "signed_distance", "gaussian_proximity",
@@ -42,9 +42,7 @@ class StructureSet:
         _check_binary(self.body, "body")
         for i, o in enumerate(self.oars):
             _check_binary(o, f"oar[{i}]")
-            if o.dims != self.ctv.dims:
-                raise ValidationError("structure grids differ")
-        if self.body.dims != self.ctv.dims:
+        if not same_grid(self.ctv, self.body, *self.oars):
             raise ValidationError("structure grids differ")
 
     def oar_union(self) -> np.ndarray:
@@ -170,20 +168,15 @@ def fuse_priors(anatomy: Volume, risk: Volume, alpha: float) -> Volume:
                   + (1.0 - alpha) * risk.data.astype(np.float64), anatomy)
 
 
-def gate(prior: Volume, params: PriorParams, level: int) -> Volume:
-    """Multiplicative update gate at a pyramid level.
+def gate(prior: Volume, params: PriorParams) -> Volume:
+    """Multiplicative update gate on the prior's own grid.
 
-    The full-resolution prior is average-pooled down (level - 1) times,
-    squashed with sigmoid(s * (P - c)) and lifted onto [floor, 1) so
-    updates are amplified in important regions but never suppressed
-    below the floor.
+    The prior is squashed with sigmoid(s * (P - c)) and lifted onto
+    [floor, 1), so updates are amplified in important regions but never
+    suppressed below the floor. `register` gates each pyramid level with
+    the fused prior pooled to that level.
     """
-    if level < 1:
-        raise ValidationError("level must be >= 1")
-    p = prior
-    for _ in range(level - 1):
-        p = downsample_avg(p)
     g = 1.0 / (1.0 + np.exp(-params.gate_steepness
-                            * (p.data.astype(np.float64) - params.gate_center)))
+                            * (prior.data.astype(np.float64) - params.gate_center)))
     m = params.gate_floor + (1.0 - params.gate_floor) * g
-    return Volume(m.astype(np.float32), spacing=p.spacing, origin=p.origin)
+    return prior.with_data(m)

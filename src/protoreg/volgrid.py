@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,27 +97,6 @@ def zero_field(like: Volume | DisplacementField) -> DisplacementField:
         spacing=like.spacing,
         origin=like.origin,
     )
-
-
-@dataclass(frozen=True)
-class Pyramid:
-    """Multi-resolution stack; levels[0] is full resolution."""
-
-    levels: tuple
-    requested_levels: int = field(default=0)
-
-    def __post_init__(self):
-        if len(self.levels) < 1:
-            raise ValidationError("pyramid needs at least one level")
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if self.requested_levels == 0:
-            object.__setattr__(self, "requested_levels", len(self.levels))
-
-    def __len__(self):
-        return len(self.levels)
-
-    def __getitem__(self, i):
-        return self.levels[i]
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +206,11 @@ def downsample_avg(vol: Volume) -> Volume:
                   origin=vol.origin)
 
 
-def build_pyramid(vol: Volume, levels: int) -> Pyramid:
-    """Repeated average pooling; level count is clipped so every axis keeps
-    at least 2 voxels at the coarsest level."""
+def build_pyramid(vol: Volume, levels: int) -> tuple:
+    """Repeated average pooling, finest level first; the level count is
+    clipped so every axis keeps at least 2 voxels at the coarsest level."""
     if levels < 1:
         raise ValidationError(f"level count must be >= 1, got {levels}")
-    requested = levels
     # ceil(n / 2**(L-1)) >= 2 holds for L <= ceil(log2(n))
     max_levels = max(1, (min(vol.dims) - 1).bit_length())
     if levels > max_levels:
@@ -242,7 +220,7 @@ def build_pyramid(vol: Volume, levels: int) -> Pyramid:
     out = [vol]
     for _ in range(levels - 1):
         out.append(downsample_avg(out[-1]))
-    return Pyramid(tuple(out), requested_levels=requested)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,19 @@ class TestRegister:
         assert [lv.dims for lv in rep.levels] == [(2, 2, 2), (4, 4, 4), (8, 8, 8),
                                                   (16, 16, 16)]
 
+    @pytest.mark.parametrize("config,want", [
+        # the last budget repeats for extra levels, coarse to fine ...
+        (pr.RegConfig(levels=3, iterations=(2, 3), convergence_tol=0.0), [2, 3, 3]),
+        # ... and budgets beyond the clipped level count go unused
+        (pr.RegConfig(iterations=(1, 2, 3, 4, 5), convergence_tol=0.0), [1, 2, 3, 4]),
+    ], ids=["last-repeats", "extra-unused"])
+    def test_iteration_schedule(self, config, want):
+        spec = replace(pr.PhantomSpec(), dims=(16, 16, 16), spacing=(2.0, 2.0, 2.0))
+        img, st, _ = pr.make_phantom(spec)
+        moving = pr.warp(img, pr.make_smooth_field(img.dims, pr.FieldSpec(1.0, 3.0, 5)))
+        _, rep = pr.register(img, moving, config, structures=st)
+        assert [lv.iterations_used for lv in rep.levels] == want
+
     def test_degenerate_finest_mask_reaches_report(self):
         # a one-voxel body is degenerate at both levels, so each runs on an
         # all-ones mask; the final loss is scored on that mask too
@@ -301,10 +314,12 @@ class TestRegister:
 
 
 @pytest.mark.parametrize("change", [{"spacing": (2.0, 2.0, 2.0)},
-                                    {"origin": (0.0, 0.0, 5.0)}])
+                                    {"origin": (0.0, 0.0, 5.0)},
+                                    {"data": np.zeros((16, 16, 16), dtype=np.float32)}])
 class TestGridMetadataMismatch:
-    """Volumes of equal dims but a different voxel size or origin do not
-    share a grid, so registering them voxel by voxel would be wrong."""
+    """Volumes of other dims, or of equal dims but a different voxel size
+    or origin, do not share a grid, so registering them voxel by voxel
+    would be wrong."""
 
     def test_register_rejects(self, small_phantom, change):
         img, st, _ = small_phantom
@@ -322,6 +337,19 @@ class TestGridMetadataMismatch:
             with pytest.raises(ValidationError, match="one shared grid"):
                 pr.rigid_align(fixed, moving, mask)
 
+    def test_register_rejects_dose(self, small_phantom, change):
+        img, st, dose = small_phantom
+        with pytest.raises(ValidationError, match="dose grid differs from image grid"):
+            pr.register(img, img, pr.RegConfig(use_risk=True), structures=st,
+                        dose=replace(dose, **change))
+
+    def test_structure_set_rejects(self, small_phantom, change):
+        _, st, _ = small_phantom
+        for ctv, oars in ((replace(st.ctv, **change), st.oars),
+                          (st.ctv, (replace(st.oars[0], **change),))):
+            with pytest.raises(ValidationError, match="structure grids differ"):
+                pr.StructureSet(ctv=ctv, body=st.body, oars=oars)
+
 
 class TestGateUpdateProperty:
     def test_gated_update_preserves_sign_and_range(self, small_phantom, rng):
@@ -329,7 +357,7 @@ class TestGateUpdateProperty:
         p = pr.PriorParams()
         fused = pr.fuse_priors(pr.anatomy_map(st, p),
                                pr.risk_map(dose, st, p), p.fusion_alpha)
-        m = pr.gate(fused, p, level=1).data.astype(np.float64)
+        m = pr.gate(fused, p).data.astype(np.float64)
         raw = rng.normal(size=(3,) + st.ctv.dims)
         gated = raw * m[None]
         assert np.all(np.sign(gated) == np.sign(raw))

@@ -228,6 +228,7 @@ class TestCli:
         ("priors", {"nope": 1}),
         ("phantom", {"nope": 1}),
         ("register", {"adam_eps": 0.0}),
+        ("register", {"seed": 0}),
     ])
     def test_bad_config_is_validation_error(self, phantom_dir, tmp_path,
                                             verb, doc):
@@ -260,6 +261,15 @@ class TestCli:
                   "--out", str(tmp_path / "o")])
         assert rc == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change", [{"spacing": (2.0, 2.0, 2.0)},
+                                        {"origin": (0.0, 0.0, 5.0)}])
+    def test_priors_grid_metadata_mismatch(self, phantom_dir, tmp_path, change):
+        body = io.read_volume(str(phantom_dir / "body"))
+        io.write_volume(str(tmp_path / "body"), replace(body, **change), kind="mask")
+        rc = cli(["priors", "--ctv", str(phantom_dir / "ctv"),
+                  "--body", str(tmp_path / "body"), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
 
 
 class TestCliRegisterDeterminism:

@@ -171,3 +171,17 @@ class TestMetricReport:
         assert rep.fold_fraction_pct == 0.0
         d = rep.to_dict()
         assert "relvoldiff_pct" not in d and "endpoint_error" not in d
+
+    def test_without_field(self, rng):
+        a = random_volume(rng, (9, 9, 9))
+        mask = pr.Volume(np.ones((9, 9, 9), dtype=np.float32))
+        rep = pr.metric_report(a, a, mask, truth=pr.zero_field(a))
+        assert set(rep.to_dict()) == {"ncc_pct", "mse", "ssim_pct"}
+
+    def test_ncc_is_checked_first(self, rng):
+        # an empty mask fails NCC's check before the endpoint error's
+        a = random_volume(rng, (9, 9, 9))
+        empty = pr.Volume(np.zeros((9, 9, 9), dtype=np.float32))
+        fld = pr.zero_field(a)
+        with pytest.raises(ValidationError, match="at least 2 voxels"):
+            pr.metric_report(a, a, empty, fld, truth=fld, epe_mask=empty)

@@ -203,34 +203,34 @@ class TestGate:
     def test_sigmoid_midpoint(self):
         p = pr.PriorParams()
         prior = pr.Volume(np.full((4, 4, 4), p.gate_center, dtype=np.float32))
-        g = pr.gate(prior, p, level=1)
+        g = pr.gate(prior, p)
         np.testing.assert_allclose(g.data, 0.75, atol=1e-6)
 
     def test_high_prior(self):
         p = pr.PriorParams()
         prior = pr.Volume(np.ones((4, 4, 4), dtype=np.float32))
-        g = pr.gate(prior, p, level=1)
+        g = pr.gate(prior, p)
         np.testing.assert_allclose(g.data, 0.99450, atol=1e-5)
 
     def test_low_prior(self):
         p = pr.PriorParams()
         prior = pr.Volume(np.zeros((4, 4, 4), dtype=np.float32))
-        g = pr.gate(prior, p, level=1)
+        g = pr.gate(prior, p)
         np.testing.assert_allclose(g.data, 0.59121, atol=1e-5)
 
     def test_range_and_monotonicity(self, rng):
         p = pr.PriorParams()
         vals = rng.random((6, 6, 6)).astype(np.float32)
-        g = pr.gate(pr.Volume(vals), p, level=1)
+        g = pr.gate(pr.Volume(vals), p)
         assert np.all(g.data >= p.gate_floor) and np.all(g.data < 1.0)
         order = np.argsort(vals.ravel())
         assert np.all(np.diff(g.data.ravel()[order]) >= -1e-7)
 
-    def test_level_downsampling(self, rng):
-        p = pr.PriorParams()
-        prior = pr.Volume(rng.random((8, 8, 8)).astype(np.float32))
-        g = pr.gate(prior, p, level=3)
-        assert g.dims == (2, 2, 2)
+    def test_keeps_prior_grid(self, rng):
+        prior = pr.Volume(rng.random((8, 6, 4)).astype(np.float32),
+                          spacing=(2.0, 1.0, 0.5), origin=(1.0, -2.0, 3.0))
+        g = pr.gate(prior, pr.PriorParams())
+        assert (g.dims, g.spacing, g.origin) == (prior.dims, prior.spacing, prior.origin)
 
 
 class TestStructureSet:

@@ -48,9 +48,9 @@ def test_pyramid_levels_keep_two_voxels_and_ceil_halve(dims, levels):
     pyr = pr.build_pyramid(pr.Volume(np.zeros(dims, dtype=np.float32)), levels)
     assert 1 <= len(pyr) <= levels
     assert pyr[0].dims == dims
-    for fine, coarse in zip(pyr.levels, pyr.levels[1:]):
+    for fine, coarse in zip(pyr, pyr[1:]):
         assert coarse.dims == tuple(math.ceil(d / 2) for d in fine.dims)
-    assert all(min(lv.dims) >= 2 for lv in pyr.levels)
+    assert all(min(lv.dims) >= 2 for lv in pyr)
     # clipped only where one more level would leave an axis a single voxel
     assert len(pyr) == levels or min(math.ceil(d / 2) for d in pyr[-1].dims) < 2
 
