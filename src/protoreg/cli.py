@@ -16,7 +16,7 @@ import numpy as np
 
 from . import condition, engine, io, metrics, priors, synth
 from .errors import ValidationError, _known_keys
-from .volgrid import pad_to_shape
+from .volgrid import pad_to_shape, same_grid
 
 logger = logging.getLogger("protoreg")
 
@@ -142,14 +142,14 @@ def _cmd_register(args) -> int:
 def _cmd_warp(args) -> int:
     from .volgrid import warp as warp_image
     fld = io.read_volume(args.field)
+    vol = io.read_volume(args.image or args.mask)
+    # the field holds voxel displacements of its own grid
+    if not same_grid(vol, fld):
+        raise ValidationError("field grid differs from input grid")
     if args.image:
-        vol = io.read_volume(args.image)
-        out = warp_image(vol, fld)
-        kind = "image"
+        out, kind = warp_image(vol, fld), "image"
     else:
-        vol = io.read_volume(args.mask)
-        out = engine.warp_contour(vol, fld)
-        kind = "mask"
+        out, kind = engine.warp_contour(vol, fld), "mask"
     io.write_volume(args.out, out, kind=kind)
     return EXIT_OK
 

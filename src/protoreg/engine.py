@@ -78,10 +78,6 @@ class RigidTransform:
 class RegConfig:
     levels: int = 5
     iterations: tuple = (40, 60, 80, 100, 100)   # coarse -> fine
-    step_size: float = 0.5                       # voxels
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     lambda_smooth: float = 0.2
     prior_weight_kappa: float = 1.0
     use_anatomy: bool = False
@@ -90,25 +86,20 @@ class RegConfig:
     use_film: bool = False
     prior_params: PriorParams = field(default_factory=PriorParams)
     convergence_tol: float = 1e-5
-    convergence_window: int = 5
-    rigid_levels: int = 3
     rigid_iterations: tuple = (150, 75)
 
     def __post_init__(self):
         if self.levels < 1:
             raise ValidationError("levels must be >= 1")
-        if len(self.iterations) == 0 or len(self.rigid_iterations) == 0:
-            raise ValidationError("iterations and rigid_iterations must be nonempty")
-        if any(i < 0 for i in (*self.iterations, *self.rigid_iterations)):
+        if len(self.iterations) == 0 or not 1 <= len(self.rigid_iterations) <= 2:
+            raise ValidationError("iterations must be nonempty and rigid_iterations must "
+                                  "hold 1 or 2 budgets, one per rigid stage")
+        budgets = (*self.iterations, *self.rigid_iterations)
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   for i in budgets):
+            raise ValidationError("iteration counts must be integers")
+        if any(i < 0 for i in budgets):
             raise ValidationError("iteration counts must be >= 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValidationError("beta1 and beta2 must lie in [0, 1)")
-        if self.convergence_window < 1:
-            raise ValidationError("convergence_window must be >= 1")
-        if self.step_size <= 0:
-            raise ValidationError("step size must be > 0")
-        if not self.adam_eps > 0:
-            raise ValidationError("adam_eps must be > 0")
         if self.lambda_smooth < 0:
             raise ValidationError("lambda_smooth must be >= 0")
         object.__setattr__(self, "iterations", tuple(int(i) for i in self.iterations))
@@ -171,18 +162,27 @@ class RegReport:
 # ---------------------------------------------------------------------------
 # descent shared by the rigid stages and the pyramid levels
 
-def _descend(loss, gradient, x, lr, iterations, beta1, beta2, eps, window, tol,
-             scale=1.0):
-    """Adam from x with backtracking over the step factors 1, 1/2, 1/4, 1/8:
-    the first trial whose loss is finite and not higher is taken, so the
-    trajectory (initial loss, then one per iteration) never rises. scale
-    multiplies each step per component. Stops after `iterations`, or once the
-    loss changed by less than tol, relative, over `window` iterations (tol 0
-    never stops early). Returns (x, trajectory)."""
+# fixed optimizer settings, not RegConfig keys: each pyramid level's Adam
+# step, epsilon and convergence window, and the depth of the rigid pyramid
+LEVEL_STEP = 0.5       # voxels
+LEVEL_EPS = 1e-8
+LEVEL_WINDOW = 5
+RIGID_LEVELS = 3
+
+
+def _descend(loss, gradient, x, lr, iterations, eps, window, tol, scale=1.0):
+    """Adam (betas 0.9, 0.999) from x with backtracking over the step
+    factors 1, 1/2, 1/4, 1/8: the first trial whose loss is finite and not
+    higher is taken, so the trajectory (initial loss, then one per
+    iteration) never rises. scale multiplies each step per component.
+    Stops after `iterations`, or once the loss changed by less than tol,
+    relative, over `window` iterations (tol 0 never stops early). Returns
+    (x, trajectory)."""
     cur = loss(x)
     if not math.isfinite(cur):
         raise ValidationError("non-finite loss at the start of a descent")
     trajectory = [cur]
+    beta1, beta2 = 0.9, 0.999
     m1 = np.zeros_like(x)
     m2 = np.zeros_like(x)
     for it in range(iterations):
@@ -214,60 +214,59 @@ def _physical_center(vol: Volume) -> tuple:
                  for o, n, s in zip(vol.origin, vol.dims, vol.spacing))
 
 
-def _rigid_voxels(moving: Volume, like: Volume, t: RigidTransform):
-    """Continuous voxel coordinates in moving of the rigidly transformed
-    physical positions of like's voxel centers, shape (3, nx, ny, nz), and
-    those centers relative to the rotation center in mm."""
-    xx, yy, zz = _identity_coords(like.dims)
-    pts = np.stack([xx * like.spacing[0] + like.origin[0],
-                    yy * like.spacing[1] + like.origin[1],
-                    zz * like.spacing[2] + like.origin[2]])
-    c = np.array(t.center).reshape(3, 1, 1, 1)
-    tr = np.array(t.translation).reshape(3, 1, 1, 1)
-    rel = pts - c
-    moved = np.einsum("ij,jxyz->ixyz", t.matrix(), rel) + c + tr
-    vox = np.stack([(moved[a] - moving.origin[a]) / moving.spacing[a]
-                    for a in range(3)])
-    return vox, rel
+def _rigid_mapping(moving: Volume, like: Volume, center):
+    """like's identity grid and its voxel centers relative to the rotation
+    center c in mm, both (3, nx, ny, nz), and the map (R, t) -> continuous
+    voxel coordinates in moving of R (x - c) + c + t over like's voxel
+    centers x. The grids are built once per (moving, like) pair."""
+    def col(v):
+        return np.asarray(v, dtype=np.float64).reshape(3, 1, 1, 1)
+    ident = np.stack(_identity_coords(like.dims))
+    c = col(center)
+    rel = ident * col(like.spacing) + col(like.origin) - c
+    m_origin, m_spacing = col(moving.origin), col(moving.spacing)
+
+    def voxels(R, t):
+        moved = np.einsum("ij,jxyz->ixyz", R, rel) + c + col(t)
+        return (moved - m_origin) / m_spacing
+    return ident, rel, voxels
 
 
 def resample_rigid(moving: Volume, like: Volume, t: RigidTransform) -> Volume:
     """Sample moving at the rigidly transformed physical positions of
     like's voxel centers."""
-    vox, _ = _rigid_voxels(moving, like, t)
-    out = _trilinear_arrays(moving.data, vox[0], vox[1], vox[2])
+    _, _, voxels = _rigid_mapping(moving, like, t.center)
+    out = _trilinear_arrays(moving.data, *voxels(t.matrix(), t.translation))
     return Volume(out.astype(np.float32), spacing=like.spacing, origin=like.origin)
 
 
-def _rigid_field(obj: Objective, params: np.ndarray, center):
-    """The rigid parameters (rx, ry, rz, tx, ty, tz) as the displacement
-    field u(x) = voxel(T(x)) - x on the fixed grid of obj, so the
-    deformable objective scores them. Also returns the voxel centers
-    relative to the rotation center."""
-    t = RigidTransform(rotation=tuple(params[:3]), translation=tuple(params[3:]),
-                       center=center)
-    vox, rel = _rigid_voxels(obj.moving, obj.fixed, t)
-    return rel, vox - np.stack(_identity_coords(obj.fixed.dims))
+def _rigid_evaluator(obj: Objective, center):
+    """(loss, gradient) of the rigid parameters p = (rx, ry, rz, tx, ty, tz).
+    The loss is obj (at lambda 0) on the displacement field
+    u(x) = voxel(T(x)) - x that T(x) = R (x - c) + c + t induces on obj's
+    fixed grid, i.e. -maskedNCC of the rigidly resampled moving image. The
+    gradient chains dL/du through T: per mm, dL/dt is the voxel sum of
+    dL/dT(x) and dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>."""
+    ident, rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center)
+    spacing = np.array(obj.moving.spacing).reshape(3, 1, 1, 1)
 
+    def field(p):
+        # angles wrapped to (-pi, pi], as RigidTransform stores them
+        Rx, Ry, Rz = _axis_rotations([_wrap_angle(float(a)) for a in p[:3]])
+        return voxels(Rz @ Ry @ Rx, p[3:]) - ident
 
-def _rigid_loss(obj: Objective, params: np.ndarray, center) -> float:
-    """-maskedNCC of the rigidly resampled moving image (obj at lambda 0)."""
-    _, u = _rigid_field(obj, params, center)
-    return obj.loss(u).total
+    def loss(p):
+        return obj.loss(field(p)).total
 
-
-def _rigid_gradient(obj: Objective, params: np.ndarray, center) -> np.ndarray:
-    """Analytic d(_rigid_loss)/d(params): dL/du chained through
-    T(x) = R (x - c) + c + t. Per mm, dL/dt is the voxel sum of dL/dT(x)
-    and dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>."""
-    rel, u = _rigid_field(obj, params, center)
-    g = obj.gradient(u)
-    g /= np.array(obj.moving.spacing).reshape(3, 1, 1, 1)
-    moments = np.einsum("axyz,bxyz->ab", g, rel)
-    Rx, Ry, Rz = _axis_rotations(params[:3])
-    d_rot = [float((dR * moments).sum()) for dR in
-             (Rz @ Ry @ _KX @ Rx, Rz @ _KY @ Ry @ Rx, _KZ @ Rz @ Ry @ Rx)]
-    return np.array(d_rot + [float(v) for v in g.sum(axis=(1, 2, 3))])
+    def gradient(p):
+        g = obj.gradient(field(p))
+        g /= spacing
+        moments = np.einsum("axyz,bxyz->ab", g, rel)
+        Rx, Ry, Rz = _axis_rotations(p[:3])
+        d_rot = [float((dR * moments).sum()) for dR in
+                 (Rz @ Ry @ _KX @ Rx, Rz @ _KY @ Ry @ Rx, _KZ @ Rz @ Ry @ Rx)]
+        return np.array(d_rot + [float(v) for v in g.sum(axis=(1, 2, 3))])
+    return loss, gradient
 
 
 def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
@@ -286,26 +285,23 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
     if int((mask.data > 0).sum()) < 8:
         raise ValidationError("mask too small for rigid alignment")
     center = _physical_center(fixed)
-    fpyr = build_pyramid(fixed, config.rigid_levels)
-    mpyr = build_pyramid(moving, config.rigid_levels)
-    kpyr = build_pyramid(mask, config.rigid_levels)
+    fpyr = build_pyramid(fixed, RIGID_LEVELS)
+    mpyr = build_pyramid(moving, RIGID_LEVELS)
+    kpyr = build_pyramid(mask, RIGID_LEVELS)
     n_levels = len(fpyr)
     params = np.zeros(6)
-    stages = [n_levels - 1]
-    if n_levels > 1:
-        stages.append(n_levels - 2)
+    stages = [li for li in (n_levels - 1, n_levels - 2) if li >= 0]
     for stage_idx, li in enumerate(stages):
         f_l, m_l, k_l = fpyr[li], mpyr[li], kpyr[li]
         w = (k_l.data > 0.5).astype(np.float32)
         if w.sum() < 2:
             w = np.ones_like(w)
-        obj = Objective(f_l, m_l, k_l.with_data(w), 0.0)
+        loss, gradient = _rigid_evaluator(Objective(f_l, m_l, k_l.with_data(w), 0.0),
+                                          center)
         iters = config.rigid_iterations[min(stage_idx, len(config.rigid_iterations) - 1)]
         lr = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
         # tol 0: a rigid stage always runs its full budget
-        params, _ = _descend(lambda p: _rigid_loss(obj, p, center),
-                             lambda p: _rigid_gradient(obj, p, center),
-                             params, lr, iters, beta1=0.9, beta2=0.999,
+        params, _ = _descend(loss, gradient, params, lr, iters,
                              eps=1e-12, window=1, tol=0.0)
     transform = RigidTransform(rotation=tuple(params[:3]),
                                translation=tuple(params[3:]), center=center)
@@ -412,11 +408,9 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         delta, trajectory = _descend(
             lambda d: obj.loss(up_data + d).total,
             lambda d: obj.gradient(up_data + d),
-            np.zeros((3,) + f_l.dims), config.step_size,
+            np.zeros((3,) + f_l.dims), LEVEL_STEP,
             config.iterations[min(step, len(config.iterations) - 1)],
-            config.beta1, config.beta2, config.adam_eps,
-            config.convergence_window, config.convergence_tol,
-            scale=gate_levels[li])
+            LEVEL_EPS, LEVEL_WINDOW, config.convergence_tol, scale=gate_levels[li])
         phi = compose_additive(up, DisplacementField(
             delta.astype(np.float32), spacing=f_l.spacing, origin=f_l.origin))
         level_reports.append(LevelReport(

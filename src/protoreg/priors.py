@@ -140,6 +140,8 @@ def anatomy_map(structures: StructureSet, params: PriorParams) -> Volume:
 def risk_map(dose: Volume, structures: StructureSet, params: PriorParams) -> Volume:
     """Dose-derived spatial prior: normalized dose gradient magnitude,
     high-dose isodose shell, and dose-weighted OAR union."""
+    if not same_grid(dose, structures.ctv):
+        raise ValidationError("dose grid differs from structure grid")
     d = dose.data.astype(np.float64)
     if np.any(d < 0):
         raise ValidationError("dose must be nonnegative")

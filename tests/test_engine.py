@@ -102,16 +102,15 @@ class TestRigidObjective:
     def test_gradient_vs_finite_differences(self, rigid_levels, n):
         center, levels = rigid_levels
         fixed, moving, mask = levels[n]
-        obj = pr.similarity.Objective(fixed, moving, mask, 0.0)
-        g = engine._rigid_gradient(obj, RIGID_PARAMS, center)
+        loss, gradient = engine._rigid_evaluator(
+            pr.similarity.Objective(fixed, moving, mask, 0.0), center)
+        g = gradient(RIGID_PARAMS)
         h = np.array([1e-3] * 3 + [0.1] * 3)        # rad, mm
         fd = np.empty(6)
         for j in range(6):
             dp = np.zeros(6)
             dp[j] = h[j]
-            fd[j] = (engine._rigid_loss(obj, RIGID_PARAMS + dp, center)
-                     - engine._rigid_loss(obj, RIGID_PARAMS - dp, center)) \
-                / (2.0 * h[j])
+            fd[j] = (loss(RIGID_PARAMS + dp) - loss(RIGID_PARAMS - dp)) / (2.0 * h[j])
         # relative error per block of like units; the trilinear kinks put
         # about 1% of noise into each central difference
         for block in (slice(0, 3), slice(3, 6)):
@@ -125,8 +124,9 @@ class TestRigidObjective:
         t = pr.RigidTransform(rotation=tuple(RIGID_PARAMS[:3]),
                               translation=tuple(RIGID_PARAMS[3:]), center=center)
         want = -pr.masked_ncc(fixed, resample_rigid(moving, fixed, t), mask)
-        got = engine._rigid_loss(pr.similarity.Objective(fixed, moving, mask, 0.0),
-                                 RIGID_PARAMS, center)
+        loss, _ = engine._rigid_evaluator(
+            pr.similarity.Objective(fixed, moving, mask, 0.0), center)
+        got = loss(RIGID_PARAMS)
         assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -146,7 +146,7 @@ class TestDescend:
     def test_trajectory_and_window_rule(self):
         x0 = np.zeros(4)
         x, traj = engine._descend(_bowl, _bowl_gradient, x0, 0.1, 200,
-                                  0.9, 0.999, 1e-8, 5, 1e-5)
+                                  1e-8, 5, 1e-5)
         assert traj[0] == _bowl(x0)
         assert traj[-1] == _bowl(x)
         assert np.all(np.diff(traj) <= 0.0)
@@ -159,17 +159,17 @@ class TestDescend:
         # started at the minimum the loss never changes, so only tol 0
         # keeps the descent going
         _, traj = engine._descend(_bowl, _bowl_gradient, C.copy(), 0.1, 30,
-                                  0.9, 0.999, 1e-12, 1, 0.0)
+                                  1e-12, 1, 0.0)
         assert traj == [1.0] * 31
         _, traj = engine._descend(_bowl, _bowl_gradient, C.copy(), 0.1, 30,
-                                  0.9, 0.999, 1e-12, 5, 1e-5)
+                                  1e-12, 5, 1e-5)
         assert len(traj) == 6
 
     def test_non_finite_trials_rejected(self):
         def loss(x):
             return math.inf if x[0] > 0.5 else _bowl(x)
         x, traj = engine._descend(loss, _bowl_gradient, np.zeros(4), 0.1, 50,
-                                  0.9, 0.999, 1e-8, 5, 0.0)
+                                  1e-8, 5, 0.0)
         assert x[0] <= 0.5
         assert all(math.isfinite(v) for v in traj)
         assert np.all(np.diff(traj) <= 0.0)
@@ -177,7 +177,7 @@ class TestDescend:
     def test_non_finite_initial_loss_raises(self):
         with pytest.raises(ValidationError, match="non-finite"):
             engine._descend(lambda x: math.nan, _bowl_gradient, np.zeros(4),
-                            0.1, 10, 0.9, 0.999, 1e-8, 5, 1e-5)
+                            0.1, 10, 1e-8, 5, 1e-5)
 
 
 class TestRegister:
@@ -377,10 +377,17 @@ class TestRegConfig:
         with pytest.raises(ValidationError):
             pr.RegConfig(levels=0)
         with pytest.raises(ValidationError):
-            pr.RegConfig(step_size=0.0)
-        with pytest.raises(ValidationError):
             pr.RegConfig(lambda_smooth=-1.0)
-        for kwargs in ({"rigid_iterations": (-1,)}, {"beta1": -0.1},
-                       {"beta2": 1.0}, {"adam_eps": 0.0}, {"adam_eps": -1e-8}):
+        # rigid_align runs at most two stages, so a third budget is refused
+        for kwargs in ({"rigid_iterations": (-1,)}, {"rigid_iterations": (2, 1, 30)},
+                       {"iterations": (40, 1.5)}):
             with pytest.raises(ValidationError):
                 pr.RegConfig(**kwargs)
+
+    @pytest.mark.parametrize("doc,kind", [
+        ({"use_anatomy": "no"}, "boolean"), ({"levels": True}, "integer"),
+        ({"lambda_smooth": "0.2"}, "number"), ({"iterations": 40}, "list")])
+    def test_from_dict_rejects_wrong_json_types(self, doc, kind):
+        # a truthy string would silently turn a flag on
+        with pytest.raises(ValidationError, match=f"must be a JSON {kind}"):
+            pr.RegConfig.from_dict(doc)

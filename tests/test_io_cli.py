@@ -229,6 +229,12 @@ class TestCli:
         ("phantom", {"nope": 1}),
         ("register", {"adam_eps": 0.0}),
         ("register", {"seed": 0}),
+        # values of the wrong JSON type
+        ("register", {"levels": "x"}),
+        ("register", {"iterations": ["a"]}),
+        ("register", {"prior_params": {"sigma_mm": "5"}}),
+        ("phantom", {"seed": "7"}),
+        ("register", {"use_anatomy": "no"}),
     ])
     def test_bad_config_is_validation_error(self, phantom_dir, tmp_path,
                                             verb, doc):
@@ -262,14 +268,37 @@ class TestCli:
         assert rc == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("change", [
+        ("body", {"spacing": (2.0, 2.0, 2.0)}),
+        ("body", {"origin": (0.0, 0.0, 5.0)}),
+        ("dose", {"data": np.ones((20, 24, 24), dtype=np.float32)}),
+        ("dose", {"spacing": (2.0, 2.0, 2.0)}),
+        ("dose", {"origin": (0.0, 0.0, 5.0)}),
+    ])
+    def test_priors_grid_metadata_mismatch(self, phantom_dir, tmp_path, change):
+        which, kwargs = change
+        vol = io.read_volume(str(phantom_dir / which))
+        io.write_volume(str(tmp_path / which), replace(vol, **kwargs),
+                        kind="dose" if which == "dose" else "mask")
+        inputs = {"body": phantom_dir / "body", "dose": phantom_dir / "dose",
+                  which: tmp_path / which}
+        rc = cli(["priors", "--ctv", str(phantom_dir / "ctv"),
+                  "--body", str(inputs["body"]), "--dose", str(inputs["dose"]),
+                  "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+
     @pytest.mark.parametrize("change", [{"spacing": (2.0, 2.0, 2.0)},
                                         {"origin": (0.0, 0.0, 5.0)}])
-    def test_priors_grid_metadata_mismatch(self, phantom_dir, tmp_path, change):
-        body = io.read_volume(str(phantom_dir / "body"))
-        io.write_volume(str(tmp_path / "body"), replace(body, **change), kind="mask")
-        rc = cli(["priors", "--ctv", str(phantom_dir / "ctv"),
-                  "--body", str(tmp_path / "body"), "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("which", ["image", "mask"])
+    def test_warp_grid_metadata_mismatch(self, phantom_dir, tmp_path, which, change):
+        src = phantom_dir / ("image" if which == "image" else "ctv")
+        vol = io.read_volume(str(src))
+        io.write_volume(str(tmp_path / "fld"), pr.zero_field(vol), kind="field")
+        io.write_volume(str(tmp_path / "in"), replace(vol, **change), kind=which)
+        rc = cli(["warp", f"--{which}", str(tmp_path / "in"),
+                  "--field", str(tmp_path / "fld"), "--out", str(tmp_path / "o")])
         assert rc == EXIT_VALIDATION
+        assert not list(tmp_path.glob("o.*"))
 
 
 class TestCliRegisterDeterminism:

@@ -174,9 +174,9 @@ class TestRiskMap:
         np.testing.assert_allclose(rmap.data, expected, atol=1e-6)
 
     def test_zero_dose_rejected(self):
-        dose = pr.Volume(np.zeros((8, 8, 8), dtype=np.float32))
         s = _structures_16()
-        with pytest.raises(ValidationError):
+        dose = s.ctv.with_data(np.zeros(s.ctv.dims, dtype=np.float32))
+        with pytest.raises(ValidationError, match="identically zero"):
             pr.risk_map(dose, s, pr.PriorParams())
 
 
