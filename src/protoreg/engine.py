@@ -22,8 +22,9 @@ from .priors import PriorParams, StructureSet, anatomy_map, fuse_priors, gate, r
 # total_loss and loss_gradient stay bound here so per-layer tracers can wrap them
 from .similarity import LossBreakdown, Objective, loss_gradient, total_loss
 from .volgrid import (DisplacementField, Volume, _identity_coords,
-                      _trilinear_arrays, build_pyramid, compose_additive,
-                      same_grid, upsample_field, warp, zero_field)
+                      _trilinear_arrays, _zero_ring, build_pyramid,
+                      compose_additive, same_grid, upsample_field, warp,
+                      zero_field)
 
 
 def _wrap_angle(a: float) -> float:
@@ -236,7 +237,7 @@ def resample_rigid(moving: Volume, like: Volume, t: RigidTransform) -> Volume:
     """Sample moving at the rigidly transformed physical positions of
     like's voxel centers."""
     _, _, voxels = _rigid_mapping(moving, like, t.center)
-    out = _trilinear_arrays(moving.data, *voxels(t.matrix(), t.translation))
+    out = _trilinear_arrays(_zero_ring(moving.data), *voxels(t.matrix(), t.translation))
     return Volume(out.astype(np.float32), spacing=like.spacing, origin=like.origin)
 
 
@@ -256,7 +257,7 @@ def _rigid_evaluator(obj: Objective, center):
         return voxels(Rz @ Ry @ Rx, p[3:]) - ident
 
     def loss(p):
-        return obj.loss(field(p)).total
+        return obj.total(field(p))
 
     def gradient(p):
         g = obj.gradient(field(p))
@@ -406,7 +407,7 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=prior_levels[li],
                         kappa=config.prior_weight_kappa)
         delta, trajectory = _descend(
-            lambda d: obj.loss(up_data + d).total,
+            lambda d: obj.total(up_data + d),
             lambda d: obj.gradient(up_data + d),
             np.zeros((3,) + f_l.dims), LEVEL_STEP,
             config.iterations[min(step, len(config.iterations) - 1)],

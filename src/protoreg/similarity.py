@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .volgrid import (DisplacementField, Volume, _identity_coords,
-                      _trilinear_arrays)
+                      _trilinear_arrays, _zero_ring)
 
 VAR_EPS = 1e-12
 
@@ -43,15 +43,20 @@ def _weights(fixed: Volume, mask: Volume, prior: Volume | None,
     return m * (1.0 + kappa * prior.data.astype(np.float64))
 
 
-def _ncc_core(a: np.ndarray, b: np.ndarray, w: np.ndarray):
-    """Weighted global NCC plus the intermediates its gradient needs."""
+def _fixed_side(a: np.ndarray, w: np.ndarray):
+    """The fixed image's share of the weighted NCC: the weight sum, the
+    centred image A and its weighted square sum s_aa."""
     wsum = w.sum()
-    mu_a = (w * a).sum() / wsum
-    mu_b = (w * b).sum() / wsum
-    A = a - mu_a
-    B = b - mu_b
+    A = a - (w * a).sum() / wsum
+    return wsum, A, (w * A * A).sum()
+
+
+def _ncc_core(fixed_side, b: np.ndarray, w: np.ndarray):
+    """Weighted global NCC of b against the fixed side, plus the
+    intermediates its gradient needs."""
+    wsum, A, s_aa = fixed_side
+    B = b - (w * b).sum() / wsum
     s_ab = (w * A * B).sum()
-    s_aa = (w * A * A).sum()
     s_bb = (w * B * B).sum()
     if s_aa < VAR_EPS or s_bb < VAR_EPS:
         return 0.0, True, (A, B, s_aa, s_bb, 0.0)
@@ -66,7 +71,7 @@ def masked_ncc(fixed: Volume, warped: Volume, mask: Volume,
     if fixed.dims != warped.dims:
         raise ValidationError("image grids differ")
     w = _weights(fixed, mask, weights, kappa)
-    ncc, _, _ = _ncc_core(fixed.data.astype(np.float64),
+    ncc, _, _ = _ncc_core(_fixed_side(fixed.data.astype(np.float64), w),
                           warped.data.astype(np.float64), w)
     return ncc
 
@@ -109,8 +114,9 @@ class Objective:
     """L(u) = -NCC_w(fixed, moving warped by u) + lambda * S(u) on one grid.
 
     Built once per grid: the constructor checks the inputs and keeps the
-    float64 fixed image, the weights and the identity coordinates, so each
-    trial pays only for its warp and sums. A trial field is a plain
+    weights, the fixed image's share of the NCC, the identity coordinates
+    and the moving image with its ring of zeros, so each trial pays only
+    for its warp and the moving-side sums. A trial field is a plain
     (3, nx, ny, nz) array in voxel units; it is rounded to float32, the
     precision a DisplacementField stores.
     """
@@ -125,7 +131,8 @@ class Objective:
             raise ValidationError("smoothness needs at least 2 voxels per axis")
         self.fixed, self.moving = fixed, moving
         self.lambda_smooth = float(lambda_smooth)
-        self._a = fixed.data.astype(np.float64)
+        self._fixed = _fixed_side(fixed.data.astype(np.float64), self._w)
+        self._ringed = _zero_ring(moving.data)
         self._coords = _identity_coords(fixed.dims)
         self._masked_voxels = int((mask.data > 0).sum())
 
@@ -133,19 +140,26 @@ class Objective:
         # warp in float64 so the finite-difference gradient check is not
         # drowned by float32 rounding of the warped intensities
         xx, yy, zz = self._coords
-        return _trilinear_arrays(self.moving.data, xx + u[0], yy + u[1],
+        return _trilinear_arrays(self._ringed, xx + u[0], yy + u[1],
                                  zz + u[2], want_grad=want_grad)
 
     def loss(self, u: np.ndarray) -> LossBreakdown:
         """The loss of trial field u; smoothness is S(u) even at lambda 0."""
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        ncc, degenerate, _ = _ncc_core(self._a, self._warp(u), self._w)
+        ncc, degenerate, _ = _ncc_core(self._fixed, self._warp(u), self._w)
         smooth = _smoothness(u)
         return LossBreakdown(ncc=ncc, smoothness=smooth,
                              lambda_smooth=self.lambda_smooth,
                              total=-ncc + self.lambda_smooth * smooth,
                              masked_voxels=self._masked_voxels,
                              degenerate=degenerate)
+
+    def total(self, u: np.ndarray) -> float:
+        """loss(u).total, without computing S(u) when lambda is 0."""
+        u = np.asarray(u, dtype=np.float32).astype(np.float64)
+        ncc, _, _ = _ncc_core(self._fixed, self._warp(u), self._w)
+        smooth = _smoothness(u) if self.lambda_smooth else 0.0
+        return -ncc + self.lambda_smooth * smooth
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Analytic dL/du in float64, rounded to float32 precision.
@@ -157,7 +171,7 @@ class Objective:
         """
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
         b, gx, gy, gz = self._warp(u, want_grad=True)
-        ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._a, b, self._w)
+        ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._fixed, b, self._w)
         if self.lambda_smooth == 0.0:
             grad = np.zeros_like(u)
         else:

@@ -102,50 +102,75 @@ def zero_field(like: Volume | DisplacementField) -> DisplacementField:
 # ---------------------------------------------------------------------------
 # sampling / warping
 
-def _gather(arr: np.ndarray, ix, iy, iz):
-    """Fetch arr[ix, iy, iz] with zero outside the grid."""
-    nx, ny, nz = arr.shape
-    inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny) & (iz >= 0) & (iz < nz)
-    out = np.zeros(ix.shape, dtype=np.float64)
-    if np.any(inside):
-        out[inside] = arr[ix[inside], iy[inside], iz[inside]]
-    return out
+def _zero_ring(arr: np.ndarray) -> np.ndarray:
+    """float64 copy of a 3-D array with a one-voxel ring of zeros: the
+    sampler's input, so a corner outside the grid reads 0 from the ring."""
+    return np.pad(arr.astype(np.float64), 1)
 
 
-def _trilinear_arrays(arr: np.ndarray, x, y, z, want_grad: bool = False):
-    """Vectorized trilinear interpolation with zero border.
+def _corner_offsets(c: np.ndarray, n: int, stride: int):
+    """Fractional part of coordinate c and the flat offsets, along one axis
+    of a zero-ringed array, of its two corners floor(c) and floor(c) + 1.
+    Each corner is clamped into [-1, n] on its own, so one outside the grid
+    lands on the ring."""
+    lo = np.floor(c)
+    frac = c - lo
+    # below -2 or above n both corners already read the ring, so clipping
+    # floor(c) into [-2, n] changes no read; it also sends a non-finite c
+    # to the ring (fmax and fmin drop NaN) and keeps the int64 cast exact
+    np.fmax(lo, -2.0, out=lo)
+    np.fmin(lo, n, out=lo)
+    i = lo.astype(np.int64)
+    del lo
+    o0 = np.maximum(i, -1)        # corner floor(c), clamped below
+    o0 += 1                       # ringed index
+    o0 *= stride
+    o1 = np.minimum(i, n - 1, out=i)  # corner floor(c) + 1, clamped above
+    o1 += 2
+    o1 *= stride
+    return frac, (o0, o1)
+
+
+def _trilinear_arrays(ringed: np.ndarray, x, y, z, want_grad: bool = False):
+    """Vectorized trilinear interpolation with zero border, from an array
+    built by _zero_ring.
 
     Returns value, or (value, dv/dx, dv/dy, dv/dz) when want_grad is set;
     derivatives are with respect to the continuous voxel coordinate.
+    Corners are summed in the order (dx, dy, dz) as wx * wy * wz * c, and
+    each derivative term as +-(product of the other two weights) * c with
+    the sign applied exactly, so the bits equal those of gathering each
+    corner of the unringed array through an inside-the-grid mask.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    z0 = np.floor(z).astype(np.int64)
-    fx, fy, fz = x - x0, y - y0, z - z0
+    nx, ny, nz = (n - 2 for n in ringed.shape)
+    flat = ringed.ravel()
+    fx, ox = _corner_offsets(np.asarray(x, dtype=np.float64), nx,
+                             (ny + 2) * (nz + 2))
+    fy, oy = _corner_offsets(np.asarray(y, dtype=np.float64), ny, nz + 2)
+    fz, oz = _corner_offsets(np.asarray(z, dtype=np.float64), nz, 1)
+    wxs, wys, wzs = (1.0 - fx, fx), (1.0 - fy, fy), (1.0 - fz, fz)
 
-    val = np.zeros(x.shape, dtype=np.float64)
+    val = np.zeros(fx.shape, dtype=np.float64)
     if want_grad:
         gx = np.zeros_like(val)
         gy = np.zeros_like(val)
         gz = np.zeros_like(val)
     for dx in (0, 1):
-        wx = fx if dx else 1.0 - fx
-        sx = 1.0 if dx else -1.0
+        wx = wxs[dx]
         for dy in (0, 1):
-            wy = fy if dy else 1.0 - fy
-            sy = 1.0 if dy else -1.0
+            wy = wys[dy]
+            wxy = wx * wy
+            oxy = ox[dx] + oy[dy]
             for dz in (0, 1):
-                wz = fz if dz else 1.0 - fz
-                sz = 1.0 if dz else -1.0
-                c = _gather(arr, x0 + dx, y0 + dy, z0 + dz)
-                val += wx * wy * wz * c
+                wz = wzs[dz]
+                c = flat.take(oxy + oz[dz], mode="clip")   # always in range
+                val += wxy * wz * c
                 if want_grad:
-                    gx += sx * wy * wz * c
-                    gy += wx * sy * wz * c
-                    gz += wx * wy * sz * c
+                    # a low corner's -1 scales exactly: subtracting
+                    # wy * wz * c gives the bits of adding (-1 * wy) * wz * c
+                    (np.add if dx else np.subtract)(gx, wy * wz * c, out=gx)
+                    (np.add if dy else np.subtract)(gy, wx * wz * c, out=gy)
+                    (np.add if dz else np.subtract)(gz, wxy * c, out=gz)
     if want_grad:
         return val, gx, gy, gz
     return val
@@ -156,7 +181,8 @@ def trilinear_sample(vol: Volume, p) -> float:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (3,) or not np.all(np.isfinite(p)):
         raise ValidationError(f"bad sample coordinate {p!r}")
-    return float(_trilinear_arrays(vol.data, p[0:1], p[1:2], p[2:3])[0])
+    return float(_trilinear_arrays(_zero_ring(vol.data),
+                                   p[0:1], p[1:2], p[2:3])[0])
 
 
 def _identity_coords(dims):
@@ -177,7 +203,7 @@ def warp(moving: Volume, fld: DisplacementField) -> Volume:
         return moving  # bit-exact identity
     xx, yy, zz = _identity_coords(moving.dims)
     u = fld.data.astype(np.float64)
-    out = _trilinear_arrays(moving.data, xx + u[0], yy + u[1], zz + u[2])
+    out = _trilinear_arrays(_zero_ring(moving.data), xx + u[0], yy + u[1], zz + u[2])
     return Volume(out.astype(np.float32), spacing=moving.spacing, origin=moving.origin)
 
 
@@ -245,7 +271,8 @@ def upsample_field(fld: DisplacementField, target_dims) -> DisplacementField:
     cz = np.minimum(zz / 2.0, src[2] - 1)
     out = np.empty((3,) + target_dims, dtype=np.float32)
     for c in range(3):
-        out[c] = (2.0 * _trilinear_arrays(fld.data[c], cx, cy, cz)).astype(np.float32)
+        out[c] = (2.0 * _trilinear_arrays(_zero_ring(fld.data[c]), cx, cy, cz)
+                  ).astype(np.float32)
     return DisplacementField(out,
                              spacing=tuple(s / 2 for s in fld.spacing),
                              origin=fld.origin)

@@ -28,6 +28,36 @@ def trilinear(arr, p):
     return total
 
 
+def trilinear_arrays(arr, x, y, z, want_grad=False):
+    """Vectorized trilinear interpolation with zero outside the grid: each
+    corner is fetched through an inside mask, in the corner order and with
+    the accumulation the program's sampler must reproduce bit for bit."""
+    def gather(ix, iy, iz):
+        nx, ny, nz = arr.shape
+        inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny) & (iz >= 0) & (iz < nz)
+        out = np.zeros(ix.shape, dtype=np.float64)
+        out[inside] = arr[ix[inside], iy[inside], iz[inside]]
+        return out
+
+    x, y, z = (np.asarray(c, dtype=np.float64) for c in (x, y, z))
+    x0, y0, z0 = (np.floor(c).astype(np.int64) for c in (x, y, z))
+    fx, fy, fz = x - x0, y - y0, z - z0
+    val = np.zeros(x.shape)
+    gx, gy, gz = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+    for dx in (0, 1):
+        wx, sx = (fx, 1.0) if dx else (1.0 - fx, -1.0)
+        for dy in (0, 1):
+            wy, sy = (fy, 1.0) if dy else (1.0 - fy, -1.0)
+            for dz in (0, 1):
+                wz, sz = (fz, 1.0) if dz else (1.0 - fz, -1.0)
+                c = gather(x0 + dx, y0 + dy, z0 + dz)
+                val += wx * wy * wz * c
+                gx += sx * wy * wz * c
+                gy += wx * sy * wz * c
+                gz += wx * wy * sz * c
+    return (val, gx, gy, gz) if want_grad else val
+
+
 def warp(arr, u):
     out = np.zeros(arr.shape)
     for idx in np.ndindex(*arr.shape):

@@ -251,6 +251,19 @@ class TestCli:
         }[verb]
         assert cli(argv) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("doc", [
+        {"dims": [24, 24]},
+        {"dims": ["a", 24, 24]},
+        {"oars": [1]},
+        {"dims": [8, 8, 8], "spacing": [0, 1, 1]},
+    ])
+    def test_malformed_phantom_spec_is_validation_error(self, tmp_path, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert cli(["phantom", "--spec", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
     @pytest.mark.parametrize("change", [{"spacing": (2.0, 2.0, 2.0)},
                                         {"origin": (0.0, 0.0, 5.0)}])
     @pytest.mark.parametrize("which", ["moving", "body"])

@@ -9,6 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 import protoreg as pr
 from protoreg import io
+from protoreg.volgrid import _trilinear_arrays, _zero_ring
+
+import oracles
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -72,3 +75,28 @@ def test_zero_field_warp_is_identity(vol):
     out = pr.warp(vol, pr.zero_field(vol))
     assert out.data.tobytes() == vol.data.tobytes()
     assert (out.spacing, out.origin) == (vol.spacing, vol.origin)
+
+
+@st.composite
+def sample_points(draw, dims, count):
+    """count coordinates per axis: anywhere in +-1e3, near the grid, or
+    exactly on -1, 0, n - 1 and n, where a corner meets the zero ring."""
+    def axis(n):
+        return draw(st.lists(st.one_of(
+            st.sampled_from([-1.0, 0.0, n - 1.0, float(n)]),
+            st.floats(-1e3, 1e3), st.floats(-2.0, n + 1.0)),
+            min_size=count, max_size=count))
+    return tuple(np.array(axis(n)) for n in dims)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 7)] * 3), count=st.integers(1, 24),
+       want_grad=st.booleans(), data=st.data())
+def test_sampler_is_bit_identical_to_masked_gather(dims, count, want_grad, data):
+    arr = data.draw(arrays(np.float32, dims, elements=st.floats(-1e6, 1e6, width=32)))
+    x, y, z = data.draw(sample_points(dims, count))
+    got = _trilinear_arrays(_zero_ring(arr), x, y, z, want_grad=want_grad)
+    want = oracles.trilinear_arrays(arr, x, y, z, want_grad=want_grad)
+    for g, w in zip(got if want_grad else [got], want if want_grad else [want]):
+        # bytes, so a -0.0 against a 0.0 counts as a difference too
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

@@ -3,6 +3,7 @@ import pytest
 
 import protoreg as pr
 from protoreg.errors import ValidationError
+from protoreg.similarity import Objective
 
 import oracles
 from conftest import random_volume, lattice_safe_field
@@ -126,6 +127,15 @@ class TestTotalLoss:
         fld = lattice_safe_field(rng, (6, 6, 6))
         lb = pr.total_loss(a, b, fld, _full_mask((6, 6, 6)), 0.2)
         assert lb.total == pytest.approx(-lb.ncc + 0.2 * lb.smoothness, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_objective_total_equals_loss_total(self, rng, lam):
+        a = random_volume(rng, (6, 6, 6))
+        b = random_volume(rng, (6, 6, 6))
+        obj = Objective(a, b, _full_mask((6, 6, 6)), lam)
+        for _ in range(3):
+            u = rng.normal(0.0, 1.5, size=(3, 6, 6, 6))
+            assert obj.total(u) == obj.loss(u).total
 
     def test_degenerate_flagged(self, rng):
         a = pr.Volume(np.full((5, 5, 5), 1.0, dtype=np.float32))

@@ -3,6 +3,7 @@ import pytest
 
 import protoreg as pr
 from protoreg.errors import ValidationError
+from protoreg.volgrid import _trilinear_arrays, _zero_ring
 
 import oracles
 from conftest import random_volume, lattice_safe_field
@@ -29,6 +30,22 @@ class TestTrilinearSample:
         vol = random_volume(rng, (4, 4, 4))
         with pytest.raises(ValidationError):
             pr.trilinear_sample(vol, (np.nan, 0, 0))
+
+    def test_all_corners_outside_read_exact_zero(self):
+        # a coordinate below -1 or above n puts both corners of that axis
+        # outside; clamping the base index instead of each corner would
+        # pull the far corner back onto a real voxel
+        arr = np.full((4, 5, 6), 7.0, dtype=np.float32)
+        ringed = _zero_ring(arr)
+        inside = [1.25, 2.5, 3.75]
+        for axis, n in enumerate(arr.shape):
+            for c in (-1.5, -1.0 - 1e-9, -7.3, -1e3,
+                      n + 1e-9, n + 0.25, n + 5.5, 1e3):
+                p = [np.array([v]) for v in inside]
+                p[axis] = np.array([c])
+                val, gx, gy, gz = _trilinear_arrays(ringed, *p, want_grad=True)
+                for out in (val, gx, gy, gz):
+                    assert out.tobytes() == np.zeros(1).tobytes(), (axis, c)
 
     def test_matches_oracle_at_random_points(self, rng):
         vol = random_volume(rng, (6, 5, 4))
