@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 input/validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import condition, engine, io, metrics, priors, synth
 from .errors import ValidationError, _known_keys
-from .volgrid import pad_to_shape, same_grid
+from .volgrid import DisplacementField, pad_to_shape, same_grid
 
 logger = logging.getLogger("protoreg")
 
@@ -35,19 +34,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
-
-
-def _write_json(path, doc):
-    io._atomic_write(path, json.dumps(doc, sort_keys=True, indent=2).encode("utf-8"))
+def _read(path, field=False):
+    """The scalar volume at path, or with field the displacement field;
+    the other kind is a ValidationError."""
+    obj = io.read_volume(path)
+    if isinstance(obj, DisplacementField) != field:
+        want = "a 3-component field" if field else "a scalar volume"
+        raise ValidationError(f"{path} is not {want}")
+    return obj
 
 
 def _load_structures(args) -> priors.StructureSet | None:
-    ctv = io.read_volume(args.ctv) if getattr(args, "ctv", None) else None
-    body = io.read_volume(args.body) if getattr(args, "body", None) else None
-    oars = tuple(io.read_volume(p) for p in (getattr(args, "oars", None) or ()))
+    ctv = _read(args.ctv) if getattr(args, "ctv", None) else None
+    body = _read(args.body) if getattr(args, "body", None) else None
+    oars = tuple(_read(p) for p in (getattr(args, "oars", None) or ()))
     if ctv is None and body is None and not oars:
         return None
     ref = ctv or body or oars[0]
@@ -59,7 +59,8 @@ def _load_structures(args) -> priors.StructureSet | None:
 
 
 def _cmd_phantom(args) -> int:
-    doc = _known_keys(synth.PhantomSpec, _load_json(args.spec), "phantom spec")
+    doc = _known_keys(synth.PhantomSpec, io.read_json(args.spec, "phantom spec"),
+                      "phantom spec")
     spec = synth.PhantomSpec(**{k: tuple(v) if isinstance(v, list) else v
                                 for k, v in doc.items()})
     img, structures, dose = synth.make_phantom(spec)
@@ -76,7 +77,7 @@ def _cmd_phantom(args) -> int:
 
 def _cmd_priors(args) -> int:
     params = priors.PriorParams(**_known_keys(
-        priors.PriorParams, _load_json(args.params), "prior params")) \
+        priors.PriorParams, io.read_json(args.params, "prior params"), "prior params")) \
         if args.params else priors.PriorParams()
     structures = _load_structures(args)
     if structures is None:
@@ -85,7 +86,7 @@ def _cmd_priors(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     io.write_volume(os.path.join(args.out, "anatomy"), amap, kind="prior")
     if args.dose:
-        dose = io.read_volume(args.dose)
+        dose = _read(args.dose)
         rmap = priors.risk_map(dose, structures, params)
         fused = priors.fuse_priors(amap, rmap, params.fusion_alpha)
         io.write_volume(os.path.join(args.out, "risk"), rmap, kind="prior")
@@ -94,12 +95,12 @@ def _cmd_priors(args) -> int:
 
 
 def _cmd_register(args) -> int:
-    fixed = io.read_volume(args.fixed)
-    moving = io.read_volume(args.moving)
-    config = engine.RegConfig.from_dict(_load_json(args.config)) if args.config \
+    fixed = _read(args.fixed)
+    moving = _read(args.moving)
+    config = engine.RegConfig.from_dict(io.read_json(args.config, "config")) if args.config \
         else engine.RegConfig()
     structures = _load_structures(args)
-    dose = io.read_volume(args.dose) if args.dose else None
+    dose = _read(args.dose) if args.dose else None
     # padding only extends the high-index side, so every input must
     # already share one voxel size and one origin
     others = [moving, dose]
@@ -134,15 +135,15 @@ def _cmd_register(args) -> int:
         "translation": list(transform.translation),
         "center": list(transform.center),
     }
-    _write_json(os.path.join(args.out, "report.json"), doc)
-    _write_json(os.path.join(args.out, "timing.json"), report.timing())
+    io.write_json(os.path.join(args.out, "report.json"), doc)
+    io.write_json(os.path.join(args.out, "timing.json"), report.timing())
     return EXIT_OK
 
 
 def _cmd_warp(args) -> int:
     from .volgrid import warp as warp_image
-    fld = io.read_volume(args.field)
-    vol = io.read_volume(args.image or args.mask)
+    fld = _read(args.field, field=True)
+    vol = _read(args.image or args.mask)
     # the field holds voxel displacements of its own grid
     if not same_grid(vol, fld):
         raise ValidationError("field grid differs from input grid")
@@ -155,18 +156,18 @@ def _cmd_warp(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    fixed = io.read_volume(args.fixed)
-    warped = io.read_volume(args.warped)
-    mask = io.read_volume(args.mask) if args.mask else \
+    fixed = _read(args.fixed)
+    warped = _read(args.warped)
+    mask = _read(args.mask) if args.mask else \
         fixed.with_data(np.ones(fixed.dims, dtype=np.float32))
-    fld = io.read_volume(args.field) if args.field else None
-    truth = io.read_volume(args.truth) if args.truth else None
-    ctv_fixed = io.read_volume(args.ctv_fixed) if args.ctv_fixed else None
-    ctv_prop = io.read_volume(args.ctv_prop) if args.ctv_prop else None
+    fld = _read(args.field, field=True) if args.field else None
+    truth = _read(args.truth, field=True) if args.truth else None
+    ctv_fixed = _read(args.ctv_fixed) if args.ctv_fixed else None
+    ctv_prop = _read(args.ctv_prop) if args.ctv_prop else None
 
     doc = metrics.metric_report(fixed, warped, mask, fld, ctv_fixed, ctv_prop,
                                 truth, epe_mask=mask).to_dict()
-    _write_json(args.out, doc)
+    io.write_json(args.out, doc)
     if args.csv:
         line = ",".join(f"{k}={v}" for k, v in sorted(doc.items())
                         if not isinstance(v, dict))

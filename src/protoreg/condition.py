@@ -7,13 +7,13 @@ shift parameters applied as  out = in * (1 + gamma) + beta.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from . import io
+from .errors import ValidationError, _finite_number
 
 EMBED_DIM = 512
 SOURCES = ("anatomy", "diagnosis", "planning")
@@ -165,31 +165,53 @@ def pseudo_embedding(text: str, source: str = "anatomy", salt: int = 0) -> Embed
 # ---------------------------------------------------------------------------
 # file formats
 
+def _numbers(v, n=None) -> bool:
+    """Whether v is a JSON list of finite numbers, n of them if n is given."""
+    return (isinstance(v, list) and (n is None or len(v) == n)
+            and all(map(_finite_number, v)))
+
+
+def _document(path, what: str, required, optional=()) -> dict:
+    """The JSON object in path, holding every required key and no other
+    than the optional ones."""
+    doc = io.read_json(path, what)
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if unknown:
+        raise ValidationError(f"{what} file {path}: unknown keys {', '.join(unknown)}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValidationError(f"{what} file {path}: missing keys {', '.join(missing)}")
+    return doc
+
+
 def load_embedding(path) -> Embedding:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("dim") != EMBED_DIM:
-        raise ValidationError(f"embedding file {path}: dim must be {EMBED_DIM}")
+    """{"source": one of SOURCES (default "anatomy"), "dim": 512,
+    "values": 512 finite numbers}."""
+    doc = _document(path, "embedding", ("dim", "values"), ("source",))
+    if doc["dim"] != EMBED_DIM or not _numbers(doc["values"], EMBED_DIM):
+        raise ValidationError(
+            f"embedding file {path}: dim and values must hold {EMBED_DIM} finite numbers")
     return Embedding(np.asarray(doc["values"], dtype=np.float32),
                      source=doc.get("source", "anatomy"))
 
 
 def save_embedding(path, emb: Embedding) -> None:
-    doc = {"source": emb.source, "dim": EMBED_DIM,
-           "values": [float(v) for v in emb.values]}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
+    io.write_json(path, {"source": emb.source, "dim": EMBED_DIM,
+                         "values": [float(v) for v in emb.values]})
 
 
 def load_adapter(path) -> AdapterWeights:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return AdapterWeights(np.asarray(doc["matrix"], dtype=np.float64),
-                          np.asarray(doc["bias"], dtype=np.float64))
+    """{"matrix": 2C rows of 512 finite numbers, "bias": 2C finite numbers}."""
+    doc = _document(path, "adapter", ("matrix", "bias"))
+    matrix, bias = doc["matrix"], doc["bias"]
+    if not (isinstance(matrix, list) and all(_numbers(row, EMBED_DIM) for row in matrix)
+            and _numbers(bias)):
+        raise ValidationError(f"adapter file {path}: matrix must be rows of {EMBED_DIM} "
+                              "finite numbers and bias a list of finite numbers")
+    return AdapterWeights(np.asarray(matrix, dtype=np.float64),
+                          np.asarray(bias, dtype=np.float64))
 
 
 def save_adapter(path, w: AdapterWeights) -> None:
-    doc = {"matrix": [[float(v) for v in row] for row in w.matrix],
-           "bias": [float(v) for v in w.bias]}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
+    io.write_json(path, {"matrix": [[float(v) for v in row] for row in w.matrix],
+                         "bias": [float(v) for v in w.bias]})

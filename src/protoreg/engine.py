@@ -164,20 +164,21 @@ class RegReport:
 # descent shared by the rigid stages and the pyramid levels
 
 # fixed optimizer settings, not RegConfig keys: each pyramid level's Adam
-# step, epsilon and convergence window, and the depth of the rigid pyramid
+# step and epsilon, every descent's convergence window, and the depth of the
+# rigid pyramid
 LEVEL_STEP = 0.5       # voxels
 LEVEL_EPS = 1e-8
 LEVEL_WINDOW = 5
 RIGID_LEVELS = 3
 
 
-def _descend(loss, gradient, x, lr, iterations, eps, window, tol, scale=1.0):
+def _descend(loss, gradient, x, lr, iterations, eps, tol, scale=1.0):
     """Adam (betas 0.9, 0.999) from x with backtracking over the step
     factors 1, 1/2, 1/4, 1/8: the first trial whose loss is finite and not
     higher is taken, so the trajectory (initial loss, then one per
     iteration) never rises. scale multiplies each step per component.
     Stops after `iterations`, or once the loss changed by less than tol,
-    relative, over `window` iterations (tol 0 never stops early). Returns
+    relative, over LEVEL_WINDOW iterations (tol 0 never stops early). Returns
     (x, trajectory)."""
     cur = loss(x)
     if not math.isfinite(cur):
@@ -200,8 +201,8 @@ def _descend(loss, gradient, x, lr, iterations, eps, window, tol, scale=1.0):
                 x, cur = cand, val
                 break
         trajectory.append(cur)
-        if len(trajectory) > window:
-            prev = trajectory[-1 - window]
+        if len(trajectory) > LEVEL_WINDOW:
+            prev = trajectory[-1 - LEVEL_WINDOW]
             if abs(prev - cur) / max(abs(prev), 1e-12) < tol:
                 break
     return x, trajectory
@@ -303,7 +304,7 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
         lr = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
         # tol 0: a rigid stage always runs its full budget
         params, _ = _descend(loss, gradient, params, lr, iters,
-                             eps=1e-12, window=1, tol=0.0)
+                             eps=1e-12, tol=0.0)
     transform = RigidTransform(rotation=tuple(params[:3]),
                                translation=tuple(params[3:]), center=center)
     return transform, resample_rigid(moving, fixed, transform)
@@ -411,7 +412,7 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
             lambda d: obj.gradient(up_data + d),
             np.zeros((3,) + f_l.dims), LEVEL_STEP,
             config.iterations[min(step, len(config.iterations) - 1)],
-            LEVEL_EPS, LEVEL_WINDOW, config.convergence_tol, scale=gate_levels[li])
+            LEVEL_EPS, config.convergence_tol, scale=gate_levels[li])
         phi = compose_additive(up, DisplacementField(
             delta.astype(np.float32), spacing=f_l.spacing, origin=f_l.origin))
         level_reports.append(LevelReport(

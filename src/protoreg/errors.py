@@ -5,6 +5,8 @@ everything else unexpected -> 3. JSON objects that become dataclasses
 pass through _known_keys first, so a misspelt key or a value of the wrong
 JSON type is a ValidationError.
 """
+import math
+import numbers
 from dataclasses import fields
 
 
@@ -42,3 +44,11 @@ def _json_kind(value):
         if isinstance(value, types):
             return kind
     return None
+
+
+def _finite_number(x) -> bool:
+    """Whether x is a finite real number; a bool is not a number here."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:       # an integer beyond the float range
+        return False

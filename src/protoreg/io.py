@@ -1,9 +1,11 @@
-"""Bit-exact volume / field serialization.
+"""Bit-exact volume / field serialization, and the package's JSON documents.
 
 Each object is stored as two files: `<path>.json` (canonical header,
 sorted keys) and `<path>.raw` (little-endian float32, x-fastest voxel
-order, vector components interleaved per voxel for fields). Writes are
-atomic (temp file + rename).
+order, vector components interleaved per voxel for fields). Headers and
+every other JSON document (spec, params, config, embedding, adapter,
+report) are read through read_json; the other documents are written
+through write_json. Writes are atomic (temp file + rename).
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, _json_kind
 from .volgrid import DisplacementField, Volume
 
 DTYPE = "f32le"
@@ -33,6 +35,31 @@ def _atomic_write(path: str, payload: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object in file path; what names the document in errors.
+    Bytes that are not UTF-8, text that is not JSON and JSON that is not
+    an object raise FormatError."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise OSError(f"failed reading {what} {str(path)!r}: {e}") from e
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} {path} is not UTF-8: {e}") from e
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"{what} {path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} {path} must be a JSON object")
+    return doc
+
+
+def write_json(path, doc: dict) -> None:
+    """Write doc as JSON with sorted keys, indented by 2, atomically."""
+    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2).encode("utf-8"))
 
 
 def _header(obj, kind: str) -> dict:
@@ -70,14 +97,7 @@ def write_volume(path: str, obj, kind: str = "image") -> None:
 
 def read_volume(path: str):
     """Read a Volume or DisplacementField written by write_volume."""
-    try:
-        with open(path + ".json", "r", encoding="utf-8") as f:
-            header = json.load(f)
-    except OSError as e:
-        raise OSError(f"failed reading {path!r}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}.json is not valid JSON: {e}") from e
-
+    header = read_json(path + ".json", "volume header")
     for key in ("dims", "spacing", "origin", "components", "dtype", "order"):
         if key not in header:
             raise FormatError(f"{path}.json missing field {key!r}")
@@ -86,11 +106,13 @@ def read_volume(path: str):
     if header["order"] != ORDER:
         raise FormatError(f"unsupported order {header['order']!r}")
     components = header["components"]
-    if components not in (1, 3):
-        raise FormatError(f"components must be 1 or 3, got {components}")
-    dims = tuple(int(d) for d in header["dims"])
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise FormatError(f"bad dims {dims}")
+    if not (_json_kind(components) == "integer" and components in (1, 3)):
+        raise FormatError(f"components must be 1 or 3, got {components!r}")
+    dims = header["dims"]
+    if not (isinstance(dims, list) and len(dims) == 3
+            and all(_json_kind(d) == "integer" and d >= 1 for d in dims)):
+        raise FormatError(f"dims must be 3 integers >= 1, got {dims!r}")
+    dims = tuple(dims)
 
     try:
         with open(path + ".raw", "rb") as f:
@@ -102,10 +124,13 @@ def read_volume(path: str):
         raise FormatError(
             f"{path}.raw has {len(raw)} bytes, expected {expected}")
     flat = np.frombuffer(raw, dtype="<f4")
-    spacing = tuple(header["spacing"])
-    origin = tuple(header["origin"])
     if components == 3:
-        data = flat.reshape((3,) + dims, order="F")
-        return DisplacementField(data.copy(), spacing=spacing, origin=origin)
-    data = flat.reshape(dims, order="F")
-    return Volume(data.copy(), spacing=spacing, origin=origin)
+        cls, shape = DisplacementField, (3,) + dims
+    else:
+        cls, shape = Volume, dims
+    # the grid types check the data and the spacing and origin values
+    try:
+        return cls(flat.reshape(shape, order="F").copy(),
+                   spacing=header["spacing"], origin=header["origin"])
+    except ValidationError as e:
+        raise FormatError(f"{path}: {e}") from e

@@ -14,18 +14,32 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _finite_number
 
 logger = logging.getLogger(__name__)
 
 Triple = tuple[float, float, float]
 
 
-def _as_triple(v) -> tuple:
-    t = tuple(v)
-    if len(t) != 3:
-        raise ValidationError(f"expected 3 components, got {len(t)}")
-    return t
+def _finite_triple(v, name: str) -> tuple:
+    """v as 3 floats; anything but 3 finite real numbers is a ValidationError."""
+    try:
+        t = tuple(v)
+    except TypeError:
+        t = ()
+    if not (len(t) == 3 and all(map(_finite_number, t))):
+        raise ValidationError(f"{name} must be 3 finite numbers, got {v!r}")
+    return tuple(float(x) for x in t)
+
+
+def _check_grid(obj) -> None:
+    """Check a Volume's or DisplacementField's spacing (3 finite numbers
+    > 0) and origin (3 finite numbers) and store them as float tuples."""
+    spacing = _finite_triple(obj.spacing, "spacing")
+    if any(s <= 0 for s in spacing):
+        raise ValidationError(f"spacing must be strictly positive, got {spacing}")
+    object.__setattr__(obj, "spacing", spacing)
+    object.__setattr__(obj, "origin", _finite_triple(obj.origin, "origin"))
 
 
 @dataclass(frozen=True)
@@ -42,12 +56,8 @@ class Volume:
             raise ValidationError(f"volume data must be 3-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("volume contains non-finite values")
-        sp = _as_triple(self.spacing)
-        if any(s <= 0 for s in sp):
-            raise ValidationError(f"spacing must be strictly positive, got {sp}")
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in sp))
-        object.__setattr__(self, "origin", tuple(float(o) for o in _as_triple(self.origin)))
+        _check_grid(self)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -71,12 +81,8 @@ class DisplacementField:
             raise ValidationError(f"field data must have shape (3, nx, ny, nz), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("field contains non-finite values")
-        sp = _as_triple(self.spacing)
-        if any(s <= 0 for s in sp):
-            raise ValidationError(f"spacing must be strictly positive, got {sp}")
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in sp))
-        object.__setattr__(self, "origin", tuple(float(o) for o in _as_triple(self.origin)))
+        _check_grid(self)
 
     @property
     def dims(self) -> tuple[int, int, int]:

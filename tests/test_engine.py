@@ -146,30 +146,31 @@ class TestDescend:
     def test_trajectory_and_window_rule(self):
         x0 = np.zeros(4)
         x, traj = engine._descend(_bowl, _bowl_gradient, x0, 0.1, 200,
-                                  1e-8, 5, 1e-5)
+                                  1e-8, 1e-5)
         assert traj[0] == _bowl(x0)
         assert traj[-1] == _bowl(x)
         assert np.all(np.diff(traj) <= 0.0)
         assert np.abs(x - C).max() < 0.01
         # stopped early, by the window rule
         assert len(traj) < 200 + 1
-        assert abs(traj[-6] - traj[-1]) / abs(traj[-6]) < 1e-5
+        prev = traj[-1 - engine.LEVEL_WINDOW]
+        assert abs(prev - traj[-1]) / abs(prev) < 1e-5
 
     def test_rigid_rule_runs_full_budget(self):
         # started at the minimum the loss never changes, so only tol 0
         # keeps the descent going
         _, traj = engine._descend(_bowl, _bowl_gradient, C.copy(), 0.1, 30,
-                                  1e-12, 1, 0.0)
+                                  1e-12, 0.0)
         assert traj == [1.0] * 31
         _, traj = engine._descend(_bowl, _bowl_gradient, C.copy(), 0.1, 30,
-                                  1e-12, 5, 1e-5)
-        assert len(traj) == 6
+                                  1e-12, 1e-5)
+        assert len(traj) == engine.LEVEL_WINDOW + 1
 
     def test_non_finite_trials_rejected(self):
         def loss(x):
             return math.inf if x[0] > 0.5 else _bowl(x)
         x, traj = engine._descend(loss, _bowl_gradient, np.zeros(4), 0.1, 50,
-                                  1e-8, 5, 0.0)
+                                  1e-8, 0.0)
         assert x[0] <= 0.5
         assert all(math.isfinite(v) for v in traj)
         assert np.all(np.diff(traj) <= 0.0)
@@ -177,7 +178,7 @@ class TestDescend:
     def test_non_finite_initial_loss_raises(self):
         with pytest.raises(ValidationError, match="non-finite"):
             engine._descend(lambda x: math.nan, _bowl_gradient, np.zeros(4),
-                            0.1, 10, 1e-8, 5, 1e-5)
+                            0.1, 10, 1e-8, 1e-5)
 
 
 class TestRegister:

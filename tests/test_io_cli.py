@@ -119,6 +119,65 @@ def _write_spec(path, dims=(24, 24, 24)):
     return path
 
 
+# Malformed JSON documents: (the CLI option that reads it, case name,
+# contents). Bytes are written as they are, anything else as JSON; a "header"
+# dict is merged into a valid volume header, where None deletes the key.
+ROW = [0.0] * 512
+MALFORMED = [
+    *[(doc, name, bad) for doc in ("spec", "params", "config", "embeddings",
+                                   "adapter", "header")
+      for name, bad in (("bad-json", b"{broken"), ("non-utf8", b'{"seed": "\xff"}'),
+                        ("utf8-bom", b"\xef\xbb\xbf{}"), ("empty", b""))],
+    ("spec", "list", [1, 2]), ("spec", "unknown-key", {"nope": 1}),
+    ("spec", "string-seed", {"seed": "7"}), ("spec", "float-dims", {"dims": [24.5, 24, 24]}),
+    ("params", "string", "text"), ("params", "unknown-key", {"nope": 1}),
+    ("params", "string-sigma", {"sigma_mm": "5"}),
+    ("config", "null", None), ("config", "unknown-key", {"nope": 1}),
+    ("config", "bool-levels", {"levels": True}),
+    ("embeddings", "list", ROW),
+    ("embeddings", "string-values", {"dim": 512, "values": ["0"] * 512}),
+    ("embeddings", "bool-values", {"dim": 512, "values": [True] * 512}),
+    ("embeddings", "short-values", {"dim": 512, "values": ROW[1:]}),
+    ("embeddings", "object-values", {"dim": 512, "values": {"a": 1}}),
+    ("embeddings", "nan-value", {"dim": 512, "values": [float("nan")] + ROW[1:]}),
+    ("embeddings", "huge-int-value", {"dim": 512, "values": [10 ** 400] + ROW[1:]}),
+    ("embeddings", "missing-values", {"dim": 512}),
+    ("embeddings", "missing-dim", {"values": ROW}),
+    ("embeddings", "unknown-key", {"dim": 512, "values": ROW, "nope": 1}),
+    ("embeddings", "list-source", {"dim": 512, "values": ROW, "source": ["anatomy"]}),
+    ("adapter", "list", [ROW]),
+    ("adapter", "string-matrix", {"matrix": [["0"] * 512] * 2, "bias": [0.0, 0.0]}),
+    ("adapter", "ragged-matrix", {"matrix": [ROW, ROW[:3]], "bias": [0.0, 0.0]}),
+    ("adapter", "inf-matrix", {"matrix": [ROW, [float("inf")] + ROW[1:]],
+                               "bias": [0.0, 0.0]}),
+    ("adapter", "huge-int-bias", {"matrix": [ROW] * 2, "bias": [10 ** 400, 0]}),
+    ("adapter", "string-bias", {"matrix": [ROW] * 2, "bias": ["0", "0"]}),
+    ("adapter", "number-bias", {"matrix": [ROW] * 2, "bias": 0.0}),
+    ("adapter", "short-bias", {"matrix": [ROW] * 2, "bias": [0.0]}),
+    ("adapter", "odd-rows", {"matrix": [ROW] * 3, "bias": [0.0] * 3}),
+    ("adapter", "missing-matrix", {"bias": [0.0, 0.0]}),
+    ("adapter", "missing-bias", {"matrix": [ROW] * 2}),
+    ("adapter", "unknown-key", {"matrix": [ROW] * 2, "bias": [0.0, 0.0], "nope": 1}),
+    ("header", "list", [1]), ("header", "missing-dims", {"dims": None}),
+    ("header", "missing-dtype", {"dtype": None}),
+    ("header", "float-dims", {"dims": [24.7, 24, 24]}),
+    ("header", "number-dims", {"dims": 24}), ("header", "two-dims", {"dims": [24, 24]}),
+    ("header", "string-dim", {"dims": [24, 24, "24"]}),
+    ("header", "bool-components", {"components": True}),
+    ("header", "field-components", {"components": 3}),
+    ("header", "string-components", {"components": "1"}),
+    ("header", "list-dtype", {"dtype": ["f32le"]}),
+    ("header", "string-spacing", {"spacing": ["a", 1, 1]}),
+    ("header", "nan-spacing", {"spacing": [float("nan"), 1, 1]}),
+    ("header", "zero-spacing", {"spacing": [0, 1, 1]}),
+    ("header", "number-spacing", {"spacing": 1}),
+    ("header", "string-origin", {"origin": ["x", 0, 0]}),
+    ("header", "inf-origin", {"origin": [0, float("inf"), 0]}),
+    ("header", "two-origin", {"origin": [0, 0]}),
+    ("header", "missing-origin", {"origin": None}),
+]
+
+
 @pytest.fixture()
 def phantom_dir(tmp_path):
     spec = _write_spec(tmp_path / "spec.json")
@@ -250,6 +309,58 @@ class TestCli:
             "phantom": ["phantom", "--spec", str(path), "--out", out],
         }[verb]
         assert cli(argv) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("document,contents", [
+        pytest.param(doc, contents, id=f"{doc}-{name}") for doc, name, contents in MALFORMED])
+    def test_malformed_document_is_validation_error(self, phantom_dir, tmp_path,
+                                                    capsys, document, contents):
+        path = tmp_path / "doc.json"
+        out = tmp_path / "o"
+        ph = {name: str(phantom_dir / name) for name in ("image", "ctv")}
+        register = ["register", "--fixed", ph["image"], "--moving", ph["image"]]
+        argv = {
+            "spec": ["phantom", "--spec", str(path)],
+            "params": ["priors", "--ctv", ph["ctv"], "--params", str(path)],
+            "config": register + ["--config", str(path)],
+            "embeddings": register + ["--embeddings", str(path)],
+            "adapter": register + ["--adapter", str(path)],
+            "header": ["warp", "--image", str(tmp_path / "doc"),
+                       "--field", str(tmp_path / "fld")],
+        }[document] + ["--out", str(out)]
+        if document == "header":
+            img = io.read_volume(ph["image"])
+            io.write_volume(str(tmp_path / "doc"), img, kind="image")
+            io.write_volume(str(tmp_path / "fld"), pr.zero_field(img), kind="field")
+            if isinstance(contents, dict):
+                header = json.loads(path.read_text())
+                header.update(contents)
+                contents = {k: v for k, v in header.items() if v is not None}
+        path.write_bytes(contents if isinstance(contents, bytes)
+                         else json.dumps(contents).encode())
+        assert cli(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "Traceback" not in err
+        assert not list(tmp_path.glob("o*"))
+
+    @pytest.mark.parametrize("verb,image,field", [
+        ("warp", "image", "image"),      # a scalar volume as the field
+        ("warp", "fld", "fld"),          # a field as the image
+        ("metrics", "image", "image"),   # --field
+        ("metrics", "fld", "image"),     # --truth
+    ])
+    def test_volume_kind_mismatch_is_validation_error(self, phantom_dir, tmp_path,
+                                                      verb, image, field):
+        img = io.read_volume(str(phantom_dir / "image"))
+        io.write_volume(str(tmp_path / "fld"), pr.zero_field(img), kind="field")
+        paths = {"image": str(phantom_dir / "image"), "fld": str(tmp_path / "fld")}
+        out = str(tmp_path / "o")
+        if verb == "warp":
+            argv = ["warp", "--image", paths[image], "--field", paths[field], "--out", out]
+        else:
+            argv = ["metrics", "--fixed", paths["image"], "--warped", paths["image"],
+                    "--field", paths[image], "--truth", paths[field], "--out", out]
+        assert cli(argv) == EXIT_VALIDATION
+        assert not list(tmp_path.glob("o*"))
 
     @pytest.mark.parametrize("doc", [
         {"dims": [24, 24]},

@@ -1,4 +1,5 @@
 """Property tests for the grid algebra and serialization."""
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import protoreg as pr
 from protoreg import io
+from protoreg.errors import ValidationError
 from protoreg.volgrid import _trilinear_arrays, _zero_ring
 
 import oracles
@@ -43,6 +45,53 @@ def test_read_write_round_trip_is_identity(obj):
     assert type(back) is type(obj)
     assert back.data.tobytes() == obj.data.tobytes()
     assert (back.dims, back.spacing, back.origin) == (obj.dims, obj.spacing, obj.origin)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+# near misses of the three-element dims, spacing and origin
+json_triples = st.lists(st.one_of(st.integers(-3, 40), st.floats(), st.booleans(),
+                                  st.text(max_size=2)), min_size=2, max_size=4)
+HEADER_KEYS = ("dims", "spacing", "origin", "components", "dtype", "order", "kind")
+DELETE = object()
+
+
+@st.composite
+def header_mutations(draw):
+    """(key, value) pairs to set (a DELETE value deletes the key), or the
+    bytes that replace the whole header."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40) | st.text(max_size=40).map(str.encode))
+    keys = st.sampled_from(HEADER_KEYS) | st.text(max_size=6)
+    values = st.just(DELETE) | json_values | json_triples
+    return draw(st.lists(st.tuples(keys, values), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=st.one_of(grids(), grids(field=True)), mutation=header_mutations())
+def test_read_volume_rejects_mutated_headers_cleanly(obj, mutation):
+    kind = "field" if isinstance(obj, pr.DisplacementField) else "image"
+    with tempfile.TemporaryDirectory() as d:
+        path = str(Path(d) / "v")
+        io.write_volume(path, obj, kind=kind)
+        if isinstance(mutation, bytes):
+            text = mutation
+        else:
+            header = json.loads(Path(path + ".json").read_text())
+            for key, value in mutation:
+                if value is DELETE:
+                    header.pop(key, None)
+                else:
+                    header[key] = value
+            text = json.dumps(header).encode()
+        Path(path + ".json").write_bytes(text)
+        try:
+            io.read_volume(path)
+        except (ValidationError, OSError):
+            pass
 
 
 @SETTINGS

@@ -283,3 +283,22 @@ class TestTypeInvariants:
     def test_field_shape_checked(self):
         with pytest.raises(ValidationError):
             pr.DisplacementField(np.zeros((2, 4, 4, 4), dtype=np.float32))
+
+    @pytest.mark.parametrize("cls,shape", [(pr.Volume, (2, 2, 2)),
+                                           (pr.DisplacementField, (3, 2, 2, 2))])
+    @pytest.mark.parametrize("grid", [
+        {"spacing": ("a", 1, 1)}, {"spacing": (np.nan, 1.0, 1.0)},
+        {"spacing": (True, 1, 1)}, {"spacing": (1.0, 1.0)}, {"spacing": 1.0},
+        {"spacing": (10 ** 400, 1, 1)},
+        {"origin": ("x", 0, 0)}, {"origin": (0.0, np.inf, 0.0)},
+        {"origin": (0.0, 0.0, 0.0, 0.0)},
+    ])
+    def test_spacing_and_origin_must_be_three_finite_numbers(self, cls, shape, grid):
+        with pytest.raises(ValidationError):
+            cls(np.zeros(shape, dtype=np.float32), **grid)
+
+    def test_spacing_and_origin_stored_as_floats(self):
+        vol = pr.Volume(np.zeros((2, 2, 2), dtype=np.float32),
+                        spacing=np.array([1, 2, 3]), origin=[0, -1, 2.5])
+        assert vol.spacing == (1.0, 2.0, 3.0) and vol.origin == (0.0, -1.0, 2.5)
+        assert all(type(v) is float for v in vol.spacing + vol.origin)
