@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import ValidationError, _finite_number
+from .errors import ValidationError, _values
 
 EMBED_DIM = 512
 SOURCES = ("anatomy", "diagnosis", "planning")
@@ -165,12 +165,6 @@ def pseudo_embedding(text: str, source: str = "anatomy", salt: int = 0) -> Embed
 # ---------------------------------------------------------------------------
 # file formats
 
-def _numbers(v, n=None) -> bool:
-    """Whether v is a JSON list of finite numbers, n of them if n is given."""
-    return (isinstance(v, list) and (n is None or len(v) == n)
-            and all(map(_finite_number, v)))
-
-
 def _document(path, what: str, required, optional=()) -> dict:
     """The JSON object in path, holding every required key and no other
     than the optional ones."""
@@ -188,10 +182,10 @@ def load_embedding(path) -> Embedding:
     """{"source": one of SOURCES (default "anatomy"), "dim": 512,
     "values": 512 finite numbers}."""
     doc = _document(path, "embedding", ("dim", "values"), ("source",))
-    if doc["dim"] != EMBED_DIM or not _numbers(doc["values"], EMBED_DIM):
-        raise ValidationError(
-            f"embedding file {path}: dim and values must hold {EMBED_DIM} finite numbers")
-    return Embedding(np.asarray(doc["values"], dtype=np.float32),
+    if doc["dim"] != EMBED_DIM:
+        raise ValidationError(f"embedding file {path}: dim must be {EMBED_DIM}")
+    values = _values(doc["values"], f"embedding file {path}: values", EMBED_DIM)
+    return Embedding(np.asarray(values, dtype=np.float32),
                      source=doc.get("source", "anatomy"))
 
 
@@ -203,11 +197,11 @@ def save_embedding(path, emb: Embedding) -> None:
 def load_adapter(path) -> AdapterWeights:
     """{"matrix": 2C rows of 512 finite numbers, "bias": 2C finite numbers}."""
     doc = _document(path, "adapter", ("matrix", "bias"))
-    matrix, bias = doc["matrix"], doc["bias"]
-    if not (isinstance(matrix, list) and all(_numbers(row, EMBED_DIM) for row in matrix)
-            and _numbers(bias)):
-        raise ValidationError(f"adapter file {path}: matrix must be rows of {EMBED_DIM} "
-                              "finite numbers and bias a list of finite numbers")
+    if not isinstance(doc["matrix"], list):
+        raise ValidationError(f"adapter file {path}: matrix must be a list of rows")
+    matrix = [_values(row, f"adapter file {path}: matrix row", EMBED_DIM)
+              for row in doc["matrix"]]
+    bias = _values(doc["bias"], f"adapter file {path}: bias")
     return AdapterWeights(np.asarray(matrix, dtype=np.float64),
                           np.asarray(bias, dtype=np.float64))
 

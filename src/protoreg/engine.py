@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .condition import AdapterWeights, adapter, film, FeatureGrid, mean_embedding
-from .errors import ValidationError, _known_keys
+from .errors import ValidationError, _check_numbers, _integer, _known_keys, _values
 from .metrics import fold_fraction
 from .priors import PriorParams, StructureSet, anatomy_map, fuse_priors, gate, risk_map
 # total_loss and loss_gradient stay bound here so per-layer tracers can wrap them
@@ -62,13 +62,10 @@ class RigidTransform:
     center: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        for t in (self.rotation, self.translation, self.center):
-            if len(t) != 3 or not all(math.isfinite(v) for v in t):
-                raise ValidationError("rigid transform parameters must be 3 finite values")
-        object.__setattr__(self, "rotation",
-                           tuple(_wrap_angle(float(a)) for a in self.rotation))
-        object.__setattr__(self, "translation", tuple(float(v) for v in self.translation))
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
+        for name in ("rotation", "translation", "center"):
+            values = tuple(float(v) for v in _values(getattr(self, name), name, 3))
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "rotation", tuple(map(_wrap_angle, self.rotation)))
 
     def matrix(self) -> np.ndarray:
         Rx, Ry, Rz = _axis_rotations(self.rotation)
@@ -80,7 +77,6 @@ class RegConfig:
     levels: int = 5
     iterations: tuple = (40, 60, 80, 100, 100)   # coarse -> fine
     lambda_smooth: float = 0.2
-    prior_weight_kappa: float = 1.0
     use_anatomy: bool = False
     use_risk: bool = False
     use_gate: bool = False
@@ -90,22 +86,20 @@ class RegConfig:
     rigid_iterations: tuple = (150, 75)
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.levels < 1:
             raise ValidationError("levels must be >= 1")
-        if len(self.iterations) == 0 or not 1 <= len(self.rigid_iterations) <= 2:
+        iterations = _values(self.iterations, "iterations", ok=_integer)
+        rigid_iterations = _values(self.rigid_iterations, "rigid_iterations", ok=_integer)
+        if len(iterations) == 0 or not 1 <= len(rigid_iterations) <= 2:
             raise ValidationError("iterations must be nonempty and rigid_iterations must "
                                   "hold 1 or 2 budgets, one per rigid stage")
-        budgets = (*self.iterations, *self.rigid_iterations)
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                   for i in budgets):
-            raise ValidationError("iteration counts must be integers")
-        if any(i < 0 for i in budgets):
+        if min(iterations + rigid_iterations) < 0:
             raise ValidationError("iteration counts must be >= 0")
         if self.lambda_smooth < 0:
             raise ValidationError("lambda_smooth must be >= 0")
-        object.__setattr__(self, "iterations", tuple(int(i) for i in self.iterations))
-        object.__setattr__(self, "rigid_iterations",
-                           tuple(int(i) for i in self.rigid_iterations))
+        object.__setattr__(self, "iterations", tuple(int(i) for i in iterations))
+        object.__setattr__(self, "rigid_iterations", tuple(int(i) for i in rigid_iterations))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -405,8 +399,7 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
             flags.append(f"mask_degenerate_at_level_{li + 1}")
         up = upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)
         up_data = up.data.astype(np.float64)
-        obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=prior_levels[li],
-                        kappa=config.prior_weight_kappa)
+        obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=prior_levels[li])
         delta, trajectory = _descend(
             lambda d: obj.total(up_data + d),
             lambda d: obj.gradient(up_data + d),

@@ -3,10 +3,12 @@
 The CLI maps these onto its exit codes: ValidationError -> 2,
 everything else unexpected -> 3. JSON objects that become dataclasses
 pass through _known_keys first, so a misspelt key or a value of the wrong
-JSON type is a ValidationError.
+JSON type is a ValidationError. This module alone decides what counts as a
+number (_finite_number), an integer (_integer) or a list of them (_values).
 """
 import math
 import numbers
+import reprlib
 from dataclasses import fields
 
 
@@ -52,3 +54,33 @@ def _finite_number(x) -> bool:
         return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:       # an integer beyond the float range
         return False
+
+
+def _integer(x) -> bool:
+    """Whether x is an integer that is also a finite number, so one that
+    fits in a float; a bool is not an integer here."""
+    return isinstance(x, numbers.Integral) and _finite_number(x)
+
+
+def _values(v, name: str, n=None, ok=_finite_number) -> tuple:
+    """v as a tuple of values that each pass ok, n of them if n is given;
+    anything else is a ValidationError that names v."""
+    try:
+        t = None if isinstance(v, (str, dict)) else tuple(v)
+    except TypeError:
+        t = None
+    if t is None or (n is not None and len(t) != n) or not all(map(ok, t)):
+        what = "integers" if ok is _integer else "finite numbers"
+        raise ValidationError(f"{name} must be {n or 'a list of'} {what}, got {reprlib.repr(v)}")
+    return t
+
+
+def _check_numbers(obj) -> None:
+    """Check every field of the dataclass obj whose default is a number:
+    an integer default takes an integer, a float default a finite number."""
+    for f in fields(obj):
+        ok = {"integer": _integer, "number": _finite_number}.get(_json_kind(f.default))
+        value = getattr(obj, f.name)
+        if ok is not None and not ok(value):
+            what = "an integer" if ok is _integer else "a finite number"
+            raise ValidationError(f"{f.name} must be {what}, got {reprlib.repr(value)}")

@@ -15,8 +15,8 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, _json_kind
-from .volgrid import DisplacementField, Volume
+from .errors import FormatError, ValidationError, _integer
+from .volgrid import DisplacementField, Volume, _grid_dims
 
 DTYPE = "f32le"
 ORDER = "x-fastest"
@@ -106,13 +106,12 @@ def read_volume(path: str):
     if header["order"] != ORDER:
         raise FormatError(f"unsupported order {header['order']!r}")
     components = header["components"]
-    if not (_json_kind(components) == "integer" and components in (1, 3)):
+    if not (_integer(components) and components in (1, 3)):
         raise FormatError(f"components must be 1 or 3, got {components!r}")
-    dims = header["dims"]
-    if not (isinstance(dims, list) and len(dims) == 3
-            and all(_json_kind(d) == "integer" and d >= 1 for d in dims)):
-        raise FormatError(f"dims must be 3 integers >= 1, got {dims!r}")
-    dims = tuple(dims)
+    try:
+        dims = _grid_dims(header["dims"])
+    except ValidationError as e:
+        raise FormatError(f"{path}.json: {e}") from e
 
     try:
         with open(path + ".raw", "rb") as f:

@@ -8,12 +8,12 @@ multiplicative update gate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_numbers
 from .volgrid import Volume, same_grid
 
 __all__ = [
@@ -72,6 +72,7 @@ class PriorParams:
     gate_floor: float = 0.5
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.sigma_mm <= 0:
             raise ValidationError("sigma_mm must be > 0")
         if self.band_mm < 0:

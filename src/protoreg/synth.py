@@ -6,16 +6,14 @@ across platforms and processes.
 """
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_numbers, _finite_number, _values
 from .priors import StructureSet
-from .volgrid import DisplacementField, Volume
+from .volgrid import DisplacementField, Volume, _grid_dims, _grid_spacing
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -46,20 +44,6 @@ def counter_normal(seed: int, start: int, count: int) -> np.ndarray:
     return out[:count]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _check_triple(v, name: str, ok) -> None:
-    if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(ok(x) for x in v)):
-        kind = "integers" if ok is _is_int else "numbers"
-        raise ValidationError(f"{name} must be 3 {kind}")
-
-
 @dataclass(frozen=True)
 class PhantomSpec:
     dims: tuple = (64, 64, 64)
@@ -75,19 +59,16 @@ class PhantomSpec:
     seed: int = 7
 
     def __post_init__(self):
-        _check_triple(self.dims, "dims", _is_int)
-        if any(n < 1 for n in self.dims):
-            raise ValidationError("dims must be >= 1")
-        _check_triple(self.spacing, "spacing", _is_number)
-        if not all(0 < s < math.inf for s in self.spacing):
-            raise ValidationError("spacing must be finite and > 0")
-        _check_triple(self.body_semi_axes_mm, "body_semi_axes_mm", _is_number)
-        _check_triple(self.ctv_center_mm, "ctv_center_mm", _is_number)
+        _check_numbers(self)
+        _grid_dims(self.dims)
+        _grid_spacing(self.spacing)
+        _values(self.body_semi_axes_mm, "body_semi_axes_mm", 3)
+        _values(self.ctv_center_mm, "ctv_center_mm", 3)
         for oar in self.oars:
             if not (isinstance(oar, (list, tuple)) and len(oar) == 2
-                    and _is_number(oar[1])):
+                    and _finite_number(oar[1])):
                 raise ValidationError("each OAR must be a (center_mm, radius_mm) pair")
-            _check_triple(oar[0], "OAR center_mm", _is_number)
+            _values(oar[0], "OAR center_mm", 3)
         if self.ctv_radius_mm <= 0 or self.texture_corr_mm <= 0:
             raise ValidationError("radii and correlation length must be > 0")
         if any(r <= 0 for (_, r) in self.oars):
@@ -103,6 +84,7 @@ class FieldSpec:
     seed: int = 11
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.max_displacement < 0:
             raise ValidationError("max displacement must be >= 0")
         if self.smoothing_width <= 0:

@@ -14,82 +14,74 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, _finite_number
+from .errors import ValidationError, _integer, _values
 
 logger = logging.getLogger(__name__)
 
 Triple = tuple[float, float, float]
 
 
-def _finite_triple(v, name: str) -> tuple:
-    """v as 3 floats; anything but 3 finite real numbers is a ValidationError."""
-    try:
-        t = tuple(v)
-    except TypeError:
-        t = ()
-    if not (len(t) == 3 and all(map(_finite_number, t))):
-        raise ValidationError(f"{name} must be 3 finite numbers, got {v!r}")
-    return tuple(float(x) for x in t)
+def _grid_dims(v) -> tuple:
+    """v as a grid's voxel counts: 3 integers >= 1."""
+    dims = _values(v, "dims", 3, _integer)
+    if min(dims) < 1:
+        raise ValidationError(f"dims must be >= 1, got {dims}")
+    return tuple(int(d) for d in dims)
 
 
-def _check_grid(obj) -> None:
-    """Check a Volume's or DisplacementField's spacing (3 finite numbers
-    > 0) and origin (3 finite numbers) and store them as float tuples."""
-    spacing = _finite_triple(obj.spacing, "spacing")
-    if any(s <= 0 for s in spacing):
+def _grid_spacing(v) -> tuple:
+    """v as a grid's voxel size in mm: 3 finite numbers > 0, as floats."""
+    spacing = tuple(float(s) for s in _values(v, "spacing", 3))
+    if min(spacing) <= 0:
         raise ValidationError(f"spacing must be strictly positive, got {spacing}")
-    object.__setattr__(obj, "spacing", spacing)
-    object.__setattr__(obj, "origin", _finite_triple(obj.origin, "origin"))
+    return spacing
 
 
 @dataclass(frozen=True)
-class Volume:
+class _Grid:
+    """float32 data over a 3-D grid, after the subclass's leading axes, with
+    the grid's spacing and origin in mm. The data must be finite and hold
+    at least 1 voxel per axis."""
+
+    data: np.ndarray
+    spacing: Triple = (1.0, 1.0, 1.0)
+    origin: Triple = (0.0, 0.0, 0.0)
+
+    # class attributes, not fields: the leading axes' shape, and the whole
+    # shape as error messages spell it
+    _lead, _shape = (), "(nx, ny, nz)"
+
+    def __post_init__(self):
+        arr = np.asarray(self.data, dtype=np.float32)
+        k = len(self._lead)
+        if arr.ndim != k + 3 or arr.shape[:k] != self._lead or 0 in arr.shape:
+            raise ValidationError(f"{type(self).__name__} data must have shape "
+                                  f"{self._shape}, each axis >= 1, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{type(self).__name__} data contains non-finite values")
+        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "spacing", _grid_spacing(self.spacing))
+        origin = _values(self.origin, "origin", 3)
+        object.__setattr__(self, "origin", tuple(float(o) for o in origin))
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.data.shape[len(self._lead):]
+
+    def with_data(self, data: np.ndarray):
+        return replace(self, data=np.asarray(data, dtype=np.float32))
+
+
+@dataclass(frozen=True)
+class Volume(_Grid):
     """Scalar 3D grid with physical spacing (mm)."""
 
-    data: np.ndarray                      # (nx, ny, nz) float32
-    spacing: Triple = (1.0, 1.0, 1.0)
-    origin: Triple = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise ValidationError(f"volume data must be 3-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("volume contains non-finite values")
-        object.__setattr__(self, "data", arr)
-        _check_grid(self)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    def with_data(self, data: np.ndarray) -> "Volume":
-        return replace(self, data=np.asarray(data, dtype=np.float32))
-
 
 @dataclass(frozen=True)
-class DisplacementField:
+class DisplacementField(_Grid):
     """Per-voxel displacement vectors, voxel units of the owning grid."""
 
-    data: np.ndarray                      # (3, nx, ny, nz) float32
-    spacing: Triple = (1.0, 1.0, 1.0)
-    origin: Triple = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
-        if arr.ndim != 4 or arr.shape[0] != 3:
-            raise ValidationError(f"field data must have shape (3, nx, ny, nz), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("field contains non-finite values")
-        object.__setattr__(self, "data", arr)
-        _check_grid(self)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape[1:]
-
-    def with_data(self, data: np.ndarray) -> "DisplacementField":
-        return replace(self, data=np.asarray(data, dtype=np.float32))
+    _lead, _shape = (3,), "(3, nx, ny, nz)"
 
 
 def same_grid(*grids) -> bool:

@@ -76,6 +76,10 @@ class TestRigidAlign:
         with pytest.raises(ValidationError):
             pr.rigid_align(img, img, empty)
 
+    def test_non_numeric_transform_rejected(self):
+        with pytest.raises(ValidationError):
+            pr.RigidTransform(rotation=("a", 0, 0))
+
 
 @pytest.fixture(scope="module")
 def rigid_levels():
@@ -384,6 +388,12 @@ class TestRegConfig:
                        {"iterations": (40, 1.5)}):
             with pytest.raises(ValidationError):
                 pr.RegConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"levels": 1.5}, {"convergence_tol": math.nan}, {"lambda_smooth": 10 ** 400}])
+    def test_non_integer_or_non_finite_numbers_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            pr.RegConfig(**kwargs)
 
     @pytest.mark.parametrize("doc,kind", [
         ({"use_anatomy": "no"}, "boolean"), ({"levels": True}, "integer"),

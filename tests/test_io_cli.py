@@ -175,6 +175,17 @@ MALFORMED = [
     ("header", "inf-origin", {"origin": [0, float("inf"), 0]}),
     ("header", "two-origin", {"origin": [0, 0]}),
     ("header", "missing-origin", {"origin": None}),
+    # numbers that are not finite or do not fit in a float
+    ("config", "nan-convergence-tol", {"convergence_tol": float("nan")}),
+    ("params", "nan-gate-center", {"gate_center": float("nan")}),
+    ("spec", "inf-dose-tau", {"dose_tau_mm": float("inf")}),
+    ("spec", "inf-texture-corr", {"texture_corr_mm": float("inf")}),
+    ("spec", "huge-int-ctv-radius", {"ctv_radius_mm": 10 ** 400}),
+    ("config", "huge-int-lambda", {"lambda_smooth": 10 ** 400}),
+    ("spec", "huge-int-spacing", {"spacing": [1, 1, 10 ** 400]}),
+    ("spec", "inf-body-semi-axis", {"dims": [16, 16, 16], "ctv_radius_mm": 2.0,
+                                    "ctv_center_mm": [0, 0, 0], "oars": [],
+                                    "body_semi_axes_mm": [6, float("inf"), 6]}),
 ]
 
 
@@ -294,6 +305,8 @@ class TestCli:
         ("register", {"prior_params": {"sigma_mm": "5"}}),
         ("phantom", {"seed": "7"}),
         ("register", {"use_anatomy": "no"}),
+        # a removed key
+        ("register", {"prior_weight_kappa": 1.0}),
     ])
     def test_bad_config_is_validation_error(self, phantom_dir, tmp_path,
                                             verb, doc):

@@ -1,7 +1,8 @@
-"""Property tests for the grid algebra and serialization."""
+"""Property tests for the grid algebra, serialization and config checks."""
 import json
 import math
 import tempfile
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import protoreg as pr
 from protoreg import io
-from protoreg.errors import ValidationError
+from protoreg.errors import ValidationError, _finite_number, _known_keys
 from protoreg.volgrid import _trilinear_arrays, _zero_ring
 
 import oracles
@@ -149,3 +150,76 @@ def test_sampler_is_bit_identical_to_masked_gather(dims, count, want_grad, data)
     for g, w in zip(got if want_grad else [got], want if want_grad else [want]):
         # bytes, so a -0.0 against a 0.0 counts as a difference too
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+# JSON numbers, including what Python's JSON parser takes beyond the
+# standard: NaN, +-Infinity and integers too large for a float
+json_numbers = st.one_of(
+    st.integers(1, 40), st.floats(0.5, 50.0), st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400]))
+config_values = st.recursive(
+    st.none() | st.booleans() | json_numbers | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10)
+
+
+def shaped_like(default):
+    """JSON values nested as default is, each number drawn anew."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, (int, float)):
+        return json_numbers
+    return st.tuples(*map(shaped_like, default)).map(list)
+
+
+def config_docs(cls):
+    """JSON objects over the keys of the dataclass cls, each value drawn
+    either shaped like the key's default or as any JSON value."""
+    def entry(f):
+        shaped = (config_docs(pr.PriorParams) if f.name == "prior_params"
+                  else shaped_like(f.default))
+        return st.tuples(st.just(f.name), shaped | config_values)
+    return st.lists(st.sampled_from(fields(cls)).flatmap(entry), max_size=6).map(dict)
+
+
+def _phantom_spec(doc):
+    # the CLI's path: top-level lists become tuples
+    doc = _known_keys(pr.PhantomSpec, doc, "phantom spec")
+    return pr.PhantomSpec(**{k: tuple(v) if isinstance(v, list) else v
+                             for k, v in doc.items()})
+
+
+def _leaves(obj):
+    if is_dataclass(obj):
+        for f in fields(obj):
+            yield from _leaves(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+BUILDS = {
+    "config": (config_docs(pr.RegConfig), pr.RegConfig.from_dict),
+    "prior params": (config_docs(pr.PriorParams), lambda d: pr.PriorParams(
+        **_known_keys(pr.PriorParams, d, "prior params"))),
+    "phantom spec": (config_docs(pr.PhantomSpec), _phantom_spec),
+    "field spec": (config_docs(pr.FieldSpec), lambda d: pr.FieldSpec(
+        **_known_keys(pr.FieldSpec, d, "field spec"))),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), what=st.sampled_from(sorted(BUILDS)))
+def test_config_builds_hold_only_finite_numbers(data, what):
+    # objects are only built, never run: a drawn dims could ask for terabytes
+    docs, build = BUILDS[what]
+    doc = data.draw(docs)
+    try:
+        obj = build(doc)
+    except ValidationError:
+        return
+    for leaf in _leaves(obj):
+        assert isinstance(leaf, bool) or _finite_number(leaf), (what, doc, leaf)

@@ -284,6 +284,10 @@ class TestTypeInvariants:
         with pytest.raises(ValidationError):
             pr.DisplacementField(np.zeros((2, 4, 4, 4), dtype=np.float32))
 
+    def test_field_needs_a_voxel_per_axis(self):
+        with pytest.raises(ValidationError):
+            pr.DisplacementField(np.zeros((3, 0, 4, 4)))
+
     @pytest.mark.parametrize("cls,shape", [(pr.Volume, (2, 2, 2)),
                                            (pr.DisplacementField, (3, 2, 2, 2))])
     @pytest.mark.parametrize("grid", [
