@@ -6,6 +6,7 @@ across platforms and processes.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,9 @@ class PhantomSpec:
         _check_numbers(self)
         _grid_dims(self.dims)
         _grid_spacing(self.spacing)
-        _values(self.body_semi_axes_mm, "body_semi_axes_mm", 3)
+        if min(_values(self.body_semi_axes_mm, "body_semi_axes_mm", 3)) <= 0:
+            raise ValidationError(f"body_semi_axes_mm must be > 0, "
+                                  f"got {self.body_semi_axes_mm}")
         _values(self.ctv_center_mm, "ctv_center_mm", 3)
         for oar in self.oars:
             if not (isinstance(oar, (list, tuple)) and len(oar) == 2
@@ -75,6 +78,12 @@ class PhantomSpec:
             raise ValidationError("OAR radii must be > 0")
         if self.dose_max <= 0 or self.dose_tau_mm <= 0:
             raise ValidationError("dose model parameters must be > 0")
+        # the dose divides by tau^2; float * float overflows to inf where
+        # ** raises
+        tau2 = float(self.dose_tau_mm) * float(self.dose_tau_mm)
+        if not sys.float_info.min <= tau2 < float("inf"):
+            raise ValidationError(f"dose_tau_mm squared must be a normal float, "
+                                  f"got dose_tau_mm {self.dose_tau_mm!r}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,9 @@ def _sphere(xx, yy, zz, center, radius):
             + (zz - center[2]) ** 2) <= radius ** 2
 
 
+# a tiny semi-axis or tau can overflow a squared distance ratio to inf,
+# which is the right limit (outside the body, zero dose)
+@np.errstate(over="ignore")
 def make_phantom(spec: PhantomSpec):
     """Build (image, structures, dose) on the spec's grid.
 

@@ -129,12 +129,35 @@ def _corner_offsets(c: np.ndarray, n: int, stride: int):
     return frac, (o0, o1)
 
 
+# points per pass of the sampler: its ~20 float64 temporaries of this
+# length stay in cache, where whole-grid ones at 64^3 do not
+_CHUNK = 32768
+
+
 def _trilinear_arrays(ringed: np.ndarray, x, y, z, want_grad: bool = False):
     """Vectorized trilinear interpolation with zero border, from an array
-    built by _zero_ring.
+    built by _zero_ring, at coordinates x, y, z of one shape.
 
     Returns value, or (value, dv/dx, dv/dy, dv/dz) when want_grad is set;
     derivatives are with respect to the continuous voxel coordinate.
+    The points are sampled in chunks of _CHUNK; each point's arithmetic
+    does not depend on the chunking, so neither do the output bits.
+    """
+    shape = np.shape(x)
+    x, y, z = (np.asarray(c).ravel() for c in (x, y, z))
+    outs = [np.zeros(x.size) for _ in range(4 if want_grad else 1)]
+    for s in range(0, x.size, _CHUNK):
+        part = slice(s, s + _CHUNK)
+        val, *grad = (o[part] for o in outs)
+        _trilinear_chunk(ringed, x[part], y[part], z[part], val, grad)
+    outs = [o.reshape(shape) for o in outs]
+    return tuple(outs) if want_grad else outs[0]
+
+
+def _trilinear_chunk(ringed: np.ndarray, x, y, z, val, grad):
+    """_trilinear_arrays on 1-D coordinates, added into the zeroed array
+    val and, when grad holds them, into dv/dx, dv/dy, dv/dz.
+
     Corners are summed in the order (dx, dy, dz) as wx * wy * wz * c, and
     each derivative term as +-(product of the other two weights) * c with
     the sign applied exactly, so the bits equal those of gathering each
@@ -148,11 +171,8 @@ def _trilinear_arrays(ringed: np.ndarray, x, y, z, want_grad: bool = False):
     fz, oz = _corner_offsets(np.asarray(z, dtype=np.float64), nz, 1)
     wxs, wys, wzs = (1.0 - fx, fx), (1.0 - fy, fy), (1.0 - fz, fz)
 
-    val = np.zeros(fx.shape, dtype=np.float64)
-    if want_grad:
-        gx = np.zeros_like(val)
-        gy = np.zeros_like(val)
-        gz = np.zeros_like(val)
+    if grad:
+        gx, gy, gz = grad
     for dx in (0, 1):
         wx = wxs[dx]
         for dy in (0, 1):
@@ -163,15 +183,12 @@ def _trilinear_arrays(ringed: np.ndarray, x, y, z, want_grad: bool = False):
                 wz = wzs[dz]
                 c = flat.take(oxy + oz[dz], mode="clip")   # always in range
                 val += wxy * wz * c
-                if want_grad:
+                if grad:
                     # a low corner's -1 scales exactly: subtracting
                     # wy * wz * c gives the bits of adding (-1 * wy) * wz * c
                     (np.add if dx else np.subtract)(gx, wy * wz * c, out=gx)
                     (np.add if dy else np.subtract)(gy, wx * wz * c, out=gy)
                     (np.add if dz else np.subtract)(gz, wxy * c, out=gz)
-    if want_grad:
-        return val, gx, gy, gz
-    return val
 
 
 def trilinear_sample(vol: Volume, p) -> float:
@@ -179,8 +196,15 @@ def trilinear_sample(vol: Volume, p) -> float:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (3,) or not np.all(np.isfinite(p)):
         raise ValidationError(f"bad sample coordinate {p!r}")
-    return float(_trilinear_arrays(_zero_ring(vol.data),
-                                   p[0:1], p[1:2], p[2:3])[0])
+    # sample the <= 2x2x2 block of voxels from floor(p), clamped into the
+    # grid, with p shifted by the block's origin: the shift is exact
+    # wherever a corner is inside the grid, and an axis whose corners are
+    # both outside reads zeros either way, so the bits are those of
+    # sampling the whole grid
+    lo = np.clip(np.floor(p), 0, np.array(vol.dims) - 1).astype(np.int64)
+    block = vol.data[lo[0]:lo[0] + 2, lo[1]:lo[1] + 2, lo[2]:lo[2] + 2]
+    q = p - lo
+    return float(_trilinear_arrays(_zero_ring(block), q[0:1], q[1:2], q[2:3])[0])
 
 
 def _identity_coords(dims):

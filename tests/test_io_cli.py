@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -187,6 +188,20 @@ MALFORMED = [
                                     "ctv_center_mm": [0, 0, 0], "oars": [],
                                     "body_semi_axes_mm": [6, float("inf"), 6]}),
 ]
+
+
+@pytest.mark.parametrize("key, value", [("body_semi_axes_mm", [0, 6, 7]),
+                                        ("dose_tau_mm", 1e-200)])
+def test_degenerate_phantom_spec_names_key(tmp_path, capsys, key, value):
+    path = _write_spec(tmp_path / "spec.json", dims=(16, 16, 16))
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli(["phantom", "--spec", str(path), "--out", str(tmp_path / "ph")])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and key in err
+    assert not (tmp_path / "ph").exists()
 
 
 @pytest.fixture()

@@ -4,13 +4,14 @@ import math
 import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import protoreg as pr
-from protoreg import io
+from protoreg import io, volgrid
 from protoreg.errors import ValidationError, _finite_number, _known_keys
 from protoreg.volgrid import _trilinear_arrays, _zero_ring
 
@@ -147,9 +148,30 @@ def test_sampler_is_bit_identical_to_masked_gather(dims, count, want_grad, data)
     x, y, z = data.draw(sample_points(dims, count))
     got = _trilinear_arrays(_zero_ring(arr), x, y, z, want_grad=want_grad)
     want = oracles.trilinear_arrays(arr, x, y, z, want_grad=want_grad)
+    _assert_same_bits(got, want, want_grad)
+
+
+def _assert_same_bits(got, want, want_grad):
     for g, w in zip(got if want_grad else [got], want if want_grad else [want]):
         # bytes, so a -0.0 against a 0.0 counts as a difference too
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 7)] * 3), chunk=st.integers(1, 7),
+       shape=st.lists(st.integers(1, 4), min_size=2, max_size=3).map(tuple),
+       want_grad=st.booleans(), data=st.data())
+def test_sampler_bits_do_not_depend_on_chunking(dims, chunk, shape, want_grad, data):
+    # a chunk of a few points splits a multi-axis set of coordinates into
+    # many chunks and a ragged last one
+    arr = data.draw(arrays(np.float32, dims, elements=st.floats(-1e6, 1e6, width=32)))
+    x, y, z = (c.reshape(shape) for c in
+               data.draw(sample_points(dims, math.prod(shape))))
+    with mock.patch.object(volgrid, "_CHUNK", chunk):
+        got = _trilinear_arrays(_zero_ring(arr), x, y, z, want_grad=want_grad)
+    want = oracles.trilinear_arrays(arr, x, y, z, want_grad=want_grad)
+    _assert_same_bits(got, want, want_grad)
 
 
 # JSON numbers, including what Python's JSON parser takes beyond the

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,27 @@ class TestMakePhantom:
                               ctv_radius_mm=3.0, oars=())
         with pytest.raises(ValidationError):
             pr.make_phantom(spec)
+
+    @pytest.mark.parametrize("key, value", [
+        ("body_semi_axes_mm", (0.0, 6.0, 7.0)),
+        ("body_semi_axes_mm", (7.0, -6.0, 7.0)),
+        ("dose_tau_mm", 1e-200),        # tau^2 underflows
+        ("dose_tau_mm", 1e200),         # tau^2 overflows
+    ])
+    def test_degenerate_geometry_rejected_by_key(self, key, value):
+        with pytest.raises(ValidationError, match=key):
+            pr.PhantomSpec(**{key: value})
+
+    def test_tiny_dose_tau_builds_without_warnings(self):
+        # tau^2 is normal, but distance^2 / (2 tau^2) overflows: zero dose
+        spec = pr.PhantomSpec(dims=(16, 16, 16), body_semi_axes_mm=(7.0, 6.0, 7.0),
+                              ctv_center_mm=(1.0, 0.5, -0.5), ctv_radius_mm=2.0,
+                              oars=(), dose_tau_mm=1.5e-154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, st, dose = pr.make_phantom(spec)
+        assert np.all(dose.data[st.ctv.data > 0] == spec.dose_max)
+        assert dose.data.min() == 0.0
 
 
 class TestMakeSmoothField:

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,37 @@ class TestTrilinearSample:
             p = rng.uniform(-1.5, 6.5, size=3)
             assert pr.trilinear_sample(vol, p) == pytest.approx(
                 oracles.trilinear(vol.data, p), abs=1e-6)
+
+    def test_bits_equal_oracle_on_edges_and_outside(self, rng):
+        # signed data, so a zero weight on a negative voxel gives -0.0
+        vol = pr.Volume(rng.normal(size=(4, 3, 5)).astype(np.float32))
+        axes = [[-1e300, -1.5, -1.0, -0.25, 0.0, 0.5, n - 1.0, n - 0.75,
+                 float(n), n + 0.5, 1e300, rng.uniform(-2.0, n + 1.0)]
+                for n in vol.dims]
+        for p in itertools.product(*axes):
+            got = pr.trilinear_sample(vol, p)
+            want = oracles.trilinear(vol.data, p)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), p
+
+
+class TestSamplerMemory:
+    @pytest.mark.parametrize("want_grad", [False, True])
+    def test_temporaries_stay_bounded_at_64(self, want_grad):
+        # the sampler works through cache-sized chunks of points, so its
+        # scratch arrays do not grow with the grid (34 MB when unchunked)
+        r = np.random.default_rng(0)
+        n = 64
+        ringed = _zero_ring(r.random((n, n, n), dtype=np.float32))
+        x, y, z = (c + r.normal(0.0, 2.0, c.shape) for c in np.meshgrid(
+            *[np.arange(n, dtype=np.float64)] * 3, indexing="ij"))
+        tracemalloc.start()
+        try:
+            out = _trilinear_arrays(ringed, x, y, z, want_grad=want_grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(o.nbytes for o in (out if want_grad else (out,)))
+        assert peak - kept < 8 * 2**20
 
 
 class TestWarp:
