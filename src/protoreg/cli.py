@@ -15,7 +15,7 @@ import numpy as np
 
 from . import condition, engine, io, metrics, priors, synth
 from .errors import ValidationError, _known_keys
-from .volgrid import DisplacementField, pad_to_shape, same_grid
+from .volgrid import DisplacementField, pad_to_shape
 
 logger = logging.getLogger("protoreg")
 
@@ -144,9 +144,6 @@ def _cmd_warp(args) -> int:
     from .volgrid import warp as warp_image
     fld = _read(args.field, field=True)
     vol = _read(args.image or args.mask)
-    # the field holds voxel displacements of its own grid
-    if not same_grid(vol, fld):
-        raise ValidationError("field grid differs from input grid")
     if args.image:
         out, kind = warp_image(vol, fld), "image"
     else:

@@ -126,6 +126,11 @@ class LevelReport:
     final_loss: float
     trajectory: tuple
     wall_time_s: float
+    # the level's descent counters (see _descend)
+    stop_reason: str
+    evaluations: dict
+    accepted: dict
+    rejected: int
 
 
 @dataclass(frozen=True)
@@ -158,48 +163,98 @@ class RegReport:
 # descent shared by the rigid stages and the pyramid levels
 
 # fixed optimizer settings, not RegConfig keys: each pyramid level's Adam
-# step and epsilon, every descent's convergence window, and the depth of the
-# rigid pyramid
+# step and epsilon, every descent's convergence window, the depth of the
+# rigid pyramid, the line search's ladder of step factors and the number of
+# consecutive first-trial accepts after which it moves one rung up
 LEVEL_STEP = 0.5       # voxels
 LEVEL_EPS = 1e-8
 LEVEL_WINDOW = 5
 RIGID_LEVELS = 3
+STEP_FACTORS = (1.0, 0.5, 0.25, 0.125)
+STEP_UP_AFTER = 3
 
 
-def _descend(loss, gradient, x, lr, iterations, eps, tol, scale=1.0):
-    """Adam (betas 0.9, 0.999) from x with backtracking over the step
-    factors 1, 1/2, 1/4, 1/8: the first trial whose loss is finite and not
-    higher is taken, so the trajectory (initial loss, then one per
-    iteration) never rises. scale multiplies each step per component.
+def _descend(loss, evaluate, x, lr, iterations, eps, tol, scale=1.0):
+    """Adam (betas 0.9, 0.999) from x with backtracking down STEP_FACTORS:
+    the first trial whose loss is finite and not higher is taken, so the
+    trajectory (initial loss, then one per iteration) never rises.
+
+    Each iteration starts at the factor taken last, and one rung higher
+    after STEP_UP_AFTER consecutive first-trial accepts. The first trial is
+    scored by evaluate(x) -> (loss, gradient), so when it is taken its
+    gradient drives the next iteration; later trials are scored by
+    loss(x) alone. An iteration that takes no trial keeps x, the start
+    factor and the gradient. scale multiplies each step per component.
     Stops after `iterations`, or once the loss changed by less than tol,
-    relative, over LEVEL_WINDOW iterations (tol 0 never stops early). Returns
-    (x, trajectory)."""
-    cur = loss(x)
+    relative, over LEVEL_WINDOW iterations (tol 0 never stops early).
+
+    Returns (x, trajectory, counters). The counters are deterministic:
+    stop_reason ("converged" by the window rule, or "iteration_cap"); the
+    evaluations, as `fused` first trials, `value` later trials and
+    `gradient` evaluations of the current iterate (the start, and after a
+    later trial is taken); the iterations that took each factor
+    (`accepted`, keyed "1" to "0.125") and those that took none
+    (`rejected`)."""
+    cur, g = evaluate(x)
     if not math.isfinite(cur):
         raise ValidationError("non-finite loss at the start of a descent")
     trajectory = [cur]
+    n_value, n_gradient, rejected = 0, 1, 0
+    accepted = [0] * len(STEP_FACTORS)
+    start, streak = 0, 0
+    stop_reason = "iteration_cap"
     beta1, beta2 = 0.9, 0.999
     m1 = np.zeros_like(x)
     m2 = np.zeros_like(x)
     for it in range(iterations):
-        g = gradient(x)
+        if g is None:
+            _, g = evaluate(x)
+            n_gradient += 1
         m1 = beta1 * m1 + (1.0 - beta1) * g
         m2 = beta2 * m2 + (1.0 - beta2) * g * g
-        mh = m1 / (1.0 - beta1 ** (it + 1))
-        vh = m2 / (1.0 - beta2 ** (it + 1))
-        step = lr * mh / (np.sqrt(vh) + eps) * scale
-        for f in (1.0, 0.5, 0.25, 0.125):
-            cand = x - f * step
-            val = loss(cand)
+        step = (lr * (m1 / (1.0 - beta1 ** (it + 1)))
+                / (np.sqrt(m2 / (1.0 - beta2 ** (it + 1))) + eps) * scale)
+        taken = None
+        for k in range(start, len(STEP_FACTORS)):
+            cand = x - STEP_FACTORS[k] * step
+            if k == start:
+                val, cand_g = evaluate(cand)
+            else:
+                val = loss(cand)
+                n_value += 1
             if math.isfinite(val) and val <= cur:
-                x, cur = cand, val
+                taken = k
                 break
+            cand_g = None      # free it before the value-only trials
+        if taken is None:
+            rejected += 1
+            streak = 0
+        else:
+            x, cur = cand, val
+            accepted[taken] += 1
+            if taken == start:
+                g = cand_g
+                streak += 1
+                if streak == STEP_UP_AFTER:
+                    start, streak = max(start - 1, 0), 0
+            else:
+                g = None
+                start, streak = taken, 0
         trajectory.append(cur)
         if len(trajectory) > LEVEL_WINDOW:
             prev = trajectory[-1 - LEVEL_WINDOW]
             if abs(prev - cur) / max(abs(prev), 1e-12) < tol:
+                stop_reason = "converged"
                 break
-    return x, trajectory
+    counters = {
+        "stop_reason": stop_reason,
+        # one fused first trial per iteration
+        "evaluations": {"fused": len(trajectory) - 1, "value": n_value,
+                        "gradient": n_gradient},
+        "accepted": {format(f, "g"): n for f, n in zip(STEP_FACTORS, accepted)},
+        "rejected": rejected,
+    }
+    return x, trajectory, counters
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +292,9 @@ def resample_rigid(moving: Volume, like: Volume, t: RigidTransform) -> Volume:
 
 
 def _rigid_evaluator(obj: Objective, center):
-    """(loss, gradient) of the rigid parameters p = (rx, ry, rz, tx, ty, tz).
-    The loss is obj (at lambda 0) on the displacement field
+    """(loss, evaluate) of the rigid parameters p = (rx, ry, rz, tx, ty,
+    tz), evaluate returning the loss and its gradient from one warp. The
+    loss is obj (at lambda 0) on the displacement field
     u(x) = voxel(T(x)) - x that T(x) = R (x - c) + c + t induces on obj's
     fixed grid, i.e. -maskedNCC of the rigidly resampled moving image. The
     gradient chains dL/du through T: per mm, dL/dt is the voxel sum of
@@ -254,15 +310,15 @@ def _rigid_evaluator(obj: Objective, center):
     def loss(p):
         return obj.total(field(p))
 
-    def gradient(p):
-        g = obj.gradient(field(p))
+    def evaluate(p):
+        total, g = obj.evaluate(field(p))
         g /= spacing
         moments = np.einsum("axyz,bxyz->ab", g, rel)
         Rx, Ry, Rz = _axis_rotations(p[:3])
         d_rot = [float((dR * moments).sum()) for dR in
                  (Rz @ Ry @ _KX @ Rx, Rz @ _KY @ Ry @ Rx, _KZ @ Rz @ Ry @ Rx)]
-        return np.array(d_rot + [float(v) for v in g.sum(axis=(1, 2, 3))])
-    return loss, gradient
+        return total, np.array(d_rot + [float(v) for v in g.sum(axis=(1, 2, 3))])
+    return loss, evaluate
 
 
 def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
@@ -292,13 +348,13 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
         w = (k_l.data > 0.5).astype(np.float32)
         if w.sum() < 2:
             w = np.ones_like(w)
-        loss, gradient = _rigid_evaluator(Objective(f_l, m_l, k_l.with_data(w), 0.0),
+        loss, evaluate = _rigid_evaluator(Objective(f_l, m_l, k_l.with_data(w), 0.0),
                                           center)
         iters = config.rigid_iterations[min(stage_idx, len(config.rigid_iterations) - 1)]
         lr = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
         # tol 0: a rigid stage always runs its full budget
-        params, _ = _descend(loss, gradient, params, lr, iters,
-                             eps=1e-12, tol=0.0)
+        params, _, _ = _descend(loss, evaluate, params, lr, iters,
+                                eps=1e-12, tol=0.0)
     transform = RigidTransform(rotation=tuple(params[:3]),
                                translation=tuple(params[3:]), center=center)
     return transform, resample_rigid(moving, fixed, transform)
@@ -309,8 +365,6 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
 
 def warp_contour(mask: Volume, fld: DisplacementField) -> Volume:
     """Warp a binary mask as a real image and re-binarize at 0.5."""
-    if mask.dims != fld.dims:
-        raise ValidationError("mask/field dims differ")
     warped = warp(mask, fld)
     return mask.with_data((warped.data >= 0.5).astype(np.float32))
 
@@ -400,9 +454,9 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         up = upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)
         up_data = up.data.astype(np.float64)
         obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=prior_levels[li])
-        delta, trajectory = _descend(
+        delta, trajectory, counters = _descend(
             lambda d: obj.total(up_data + d),
-            lambda d: obj.gradient(up_data + d),
+            lambda d: obj.evaluate(up_data + d),
             np.zeros((3,) + f_l.dims), LEVEL_STEP,
             config.iterations[min(step, len(config.iterations) - 1)],
             LEVEL_EPS, config.convergence_tol, scale=gate_levels[li])
@@ -412,7 +466,7 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
             level=li + 1, dims=f_l.dims, iterations_used=len(trajectory) - 1,
             initial_loss=trajectory[0], final_loss=trajectory[-1],
             trajectory=tuple(trajectory),
-            wall_time_s=time.perf_counter() - t0))
+            wall_time_s=time.perf_counter() - t0, **counters))
 
     # the finest level's objective, with the mask that level ran on
     final = obj.loss(phi.data)

@@ -158,11 +158,15 @@ class Objective:
         """loss(u).total, without computing S(u) when lambda is 0."""
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
         ncc, _, _ = _ncc_core(self._fixed, self._warp(u), self._w)
+        return self._total(ncc, u)
+
+    def _total(self, ncc: float, u: np.ndarray) -> float:
         smooth = _smoothness(u) if self.lambda_smooth else 0.0
         return -ncc + self.lambda_smooth * smooth
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        """Analytic dL/du in float64, rounded to float32 precision.
+    def evaluate(self, u: np.ndarray):
+        """(total(u), dL/du) from one warp; the total has the bits of
+        total(u), the gradient is float64 rounded to float32 precision.
 
         NCC part: dNCC/d(warped intensity) chained through the trilinear
         interpolant's spatial derivative at x + u. Smoothness part: exact
@@ -172,6 +176,7 @@ class Objective:
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
         b, gx, gy, gz = self._warp(u, want_grad=True)
         ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._fixed, b, self._w)
+        total = self._total(ncc, u)
         if self.lambda_smooth == 0.0:
             grad = np.zeros_like(u)
         else:
@@ -182,7 +187,7 @@ class Objective:
             grad[0] -= dncc_db * gx
             grad[1] -= dncc_db * gy
             grad[2] -= dncc_db * gz
-        return grad.astype(np.float32).astype(np.float64)
+        return total, grad.astype(np.float32).astype(np.float64)
 
 
 def _objective(fixed, moving, fld, mask, lambda_smooth, weights, kappa):
@@ -203,8 +208,8 @@ def loss_gradient(fixed: Volume, moving: Volume, fld: DisplacementField,
                   mask: Volume, lambda_smooth: float = 0.2,
                   weights: Volume | None = None,
                   kappa: float = 1.0) -> DisplacementField:
-    """Analytic dL/du (see Objective.gradient) as a field on fld's grid."""
+    """Analytic dL/du (see Objective.evaluate) as a field on fld's grid."""
     g = _objective(fixed, moving, fld, mask, lambda_smooth, weights,
-                   kappa).gradient(fld.data)
+                   kappa).evaluate(fld.data)[1]
     return DisplacementField(g.astype(np.float32), spacing=fld.spacing,
                              origin=fld.origin)

@@ -219,8 +219,9 @@ def _identity_coords(dims):
 
 def warp(moving: Volume, fld: DisplacementField) -> Volume:
     """Resample moving at x + u(x); implements the warped-image operator."""
-    if moving.dims != fld.dims:
-        raise ValidationError(f"warp dims mismatch: {moving.dims} vs {fld.dims}")
+    # the field holds voxel displacements of its own grid
+    if not same_grid(moving, fld):
+        raise ValidationError("field grid differs from input grid")
     if np.all(fld.data == 0):
         return moving  # bit-exact identity
     xx, yy, zz = _identity_coords(moving.dims)
@@ -256,11 +257,12 @@ def downsample_avg(vol: Volume) -> Volume:
 
 def build_pyramid(vol: Volume, levels: int) -> tuple:
     """Repeated average pooling, finest level first; the level count is
-    clipped so every axis keeps at least 2 voxels at the coarsest level."""
+    clipped so every axis keeps at least 4 voxels at the coarsest level
+    (a grid with an axis under 4 voxels is not pooled)."""
     if levels < 1:
         raise ValidationError(f"level count must be >= 1, got {levels}")
-    # ceil(n / 2**(L-1)) >= 2 holds for L <= ceil(log2(n))
-    max_levels = max(1, (min(vol.dims) - 1).bit_length())
+    # ceil(n / 2**(L-1)) >= 4 holds for 2**(L-1) <= (n - 1) // 3
+    max_levels = max(1, ((min(vol.dims) - 1) // 3).bit_length())
     if levels > max_levels:
         logger.warning("pyramid reduced from %d to %d levels for dims %s",
                        levels, max_levels, vol.dims)

@@ -106,9 +106,10 @@ class TestRigidObjective:
     def test_gradient_vs_finite_differences(self, rigid_levels, n):
         center, levels = rigid_levels
         fixed, moving, mask = levels[n]
-        loss, gradient = engine._rigid_evaluator(
+        loss, evaluate = engine._rigid_evaluator(
             pr.similarity.Objective(fixed, moving, mask, 0.0), center)
-        g = gradient(RIGID_PARAMS)
+        value, g = evaluate(RIGID_PARAMS)
+        assert value == loss(RIGID_PARAMS)
         h = np.array([1e-3] * 3 + [0.1] * 3)        # rad, mm
         fd = np.empty(6)
         for j in range(6):
@@ -142,15 +143,47 @@ def _bowl(x):
     return float(((x - C) ** 2).sum()) + 1.0
 
 
-def _bowl_gradient(x):
-    return 2.0 * (x - C)
+def _bowl_evaluate(x):
+    return _bowl(x), 2.0 * (x - C)
+
+
+def _plain_descend(loss, gradient, x, lr, iterations, eps):
+    """_descend's step rule at tol 0, evaluated plainly: a fresh gradient
+    every iteration and every trial scored by loss alone."""
+    cur = loss(x)
+    trajectory = [cur]
+    m1 = np.zeros_like(x)
+    m2 = np.zeros_like(x)
+    start, streak = 0, 0
+    for it in range(iterations):
+        g = gradient(x)
+        m1 = 0.9 * m1 + (1.0 - 0.9) * g
+        m2 = 0.999 * m2 + (1.0 - 0.999) * g * g
+        step = (lr * (m1 / (1.0 - 0.9 ** (it + 1)))
+                / (np.sqrt(m2 / (1.0 - 0.999 ** (it + 1))) + eps) * 1.0)
+        for k in range(start, len(engine.STEP_FACTORS)):
+            cand = x - engine.STEP_FACTORS[k] * step
+            val = loss(cand)
+            if math.isfinite(val) and val <= cur:
+                x, cur = cand, val
+                if k > start:
+                    start, streak = k, 0
+                else:
+                    streak += 1
+                    if streak == engine.STEP_UP_AFTER:
+                        start, streak = max(start - 1, 0), 0
+                break
+        else:
+            streak = 0
+        trajectory.append(cur)
+    return x, trajectory
 
 
 class TestDescend:
     def test_trajectory_and_window_rule(self):
         x0 = np.zeros(4)
-        x, traj = engine._descend(_bowl, _bowl_gradient, x0, 0.1, 200,
-                                  1e-8, 1e-5)
+        x, traj, counters = engine._descend(_bowl, _bowl_evaluate, x0, 0.1, 200,
+                                            1e-8, 1e-5)
         assert traj[0] == _bowl(x0)
         assert traj[-1] == _bowl(x)
         assert np.all(np.diff(traj) <= 0.0)
@@ -159,30 +192,98 @@ class TestDescend:
         assert len(traj) < 200 + 1
         prev = traj[-1 - engine.LEVEL_WINDOW]
         assert abs(prev - traj[-1]) / abs(prev) < 1e-5
+        assert counters["stop_reason"] == "converged"
+        assert sum(counters["accepted"].values()) + counters["rejected"] == len(traj) - 1
 
     def test_rigid_rule_runs_full_budget(self):
         # started at the minimum the loss never changes, so only tol 0
         # keeps the descent going
-        _, traj = engine._descend(_bowl, _bowl_gradient, C.copy(), 0.1, 30,
-                                  1e-12, 0.0)
+        _, traj, counters = engine._descend(_bowl, _bowl_evaluate, C.copy(), 0.1, 30,
+                                            1e-12, 0.0)
         assert traj == [1.0] * 31
-        _, traj = engine._descend(_bowl, _bowl_gradient, C.copy(), 0.1, 30,
-                                  1e-12, 1e-5)
+        assert counters["stop_reason"] == "iteration_cap"
+        _, traj, counters = engine._descend(_bowl, _bowl_evaluate, C.copy(), 0.1, 30,
+                                            1e-12, 1e-5)
         assert len(traj) == engine.LEVEL_WINDOW + 1
+        assert counters["stop_reason"] == "converged"
 
     def test_non_finite_trials_rejected(self):
         def loss(x):
             return math.inf if x[0] > 0.5 else _bowl(x)
-        x, traj = engine._descend(loss, _bowl_gradient, np.zeros(4), 0.1, 50,
-                                  1e-8, 0.0)
+        def evaluate(x):
+            return loss(x), _bowl_evaluate(x)[1]
+        x, traj, _ = engine._descend(loss, evaluate, np.zeros(4), 0.1, 50,
+                                     1e-8, 0.0)
         assert x[0] <= 0.5
         assert all(math.isfinite(v) for v in traj)
         assert np.all(np.diff(traj) <= 0.0)
 
     def test_non_finite_initial_loss_raises(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            engine._descend(lambda x: math.nan, _bowl_gradient, np.zeros(4),
-                            0.1, 10, 1e-8, 1e-5)
+            engine._descend(lambda x: math.nan, lambda x: (math.nan, x),
+                            np.zeros(4), 0.1, 10, 1e-8, 1e-5)
+
+
+    def test_fused_trials_match_the_plain_rule(self, small_phantom):
+        # reusing a taken first trial's gradient, and the one of an
+        # all-rejected iteration, changes no bit of the descent
+        img, st, _ = small_phantom
+        g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.0, 4.0, 3),
+                                 envelope=st.body.data.astype(np.float64))
+        obj = similarity.Objective(pr.warp(img, g), img, st.body, 0.2)
+        x0 = np.zeros((3,) + img.dims)
+        x, traj, counters = engine._descend(obj.total, obj.evaluate, x0,
+                                            engine.LEVEL_STEP, 25, engine.LEVEL_EPS, 0.0)
+        want_x, want_traj = _plain_descend(obj.total, lambda u: obj.evaluate(u)[1],
+                                           x0, engine.LEVEL_STEP, 25, engine.LEVEL_EPS)
+        assert x.tobytes() == want_x.tobytes()
+        assert traj == want_traj
+        # both paths ran: taken first trials and taken later ones
+        ev = counters["evaluations"]
+        assert ev["fused"] == 25 and ev["value"] > 0 and 1 < ev["gradient"] < 25
+
+    def test_rejected_iteration_reuses_its_gradient(self):
+        x0 = np.zeros(4)
+        at_start = []
+
+        def evaluate(x):
+            at_start.append(np.array_equal(x, x0))
+            return (1.0 if at_start[-1] else 2.0), 2.0 * (x - C)
+        x, traj, counters = engine._descend(lambda x: 2.0, evaluate, x0, 0.1, 6,
+                                            1e-8, 0.0)
+        assert np.array_equal(x, x0) and traj == [1.0] * 7
+        # one gradient at the start, then only each iteration's first trial
+        assert at_start == [True] + [False] * 6
+        assert counters["evaluations"] == {"fused": 6, "value": 18, "gradient": 1}
+        assert counters["rejected"] == 6
+        assert counters["stop_reason"] == "iteration_cap"
+
+    def test_start_factor_stays_then_steps_up(self):
+        # loss -x[0] with gradient -1, so Adam steps by about +1 and a
+        # trial's factor is its distance from the current x; allowed[i] is
+        # the largest factor iteration i accepts
+        allowed = [0.25, 1, 1, 1, 1, 1, 1, 0.5, 1, 1, 1]
+        tried = []                              # (iteration, factor)
+        state = {"x": 0.0, "taken": 0}
+
+        def loss(c):
+            f = c[0] - state["x"]
+            if abs(f) < 1e-9:                   # the current x itself
+                return -c[0]
+            f = min(engine.STEP_FACTORS, key=lambda s: abs(s - f))
+            it = state["taken"]
+            tried.append((it, f))
+            if f > allowed[it]:
+                return math.inf
+            state["x"], state["taken"] = c[0], it + 1
+            return -c[0]
+
+        _, _, counters = engine._descend(loss, lambda c: (loss(c), -np.ones(1)),
+                                         np.zeros(1), 1.0, len(allowed), 1e-12, 0.0)
+        first = [next(f for i, f in tried if i == it) for it in range(len(allowed))]
+        assert first == [1, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 0.5]
+        assert counters["accepted"] == {"1": 0, "0.5": 7, "0.25": 4, "0.125": 0}
+        assert counters["evaluations"] == {"fused": 11, "value": 3, "gradient": 3}
 
 
 class TestRegister:
@@ -207,6 +308,17 @@ class TestRegister:
             assert lvl.final_loss <= lvl.initial_loss + 1e-12
             assert np.all(np.diff(lvl.trajectory) <= 1e-12)
             assert len(lvl.trajectory) <= FAST.iterations[-1] + 1
+
+    def test_level_counters_add_up(self, small_phantom):
+        img, st, _ = small_phantom
+        g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.0, 4.0, 3),
+                                 envelope=st.body.data.astype(np.float64))
+        _, rep = pr.register(pr.warp(img, g), img, FAST, structures=st)
+        for lvl in rep.to_dict()["levels"]:
+            assert lvl["stop_reason"] in ("converged", "iteration_cap")
+            assert sum(lvl["accepted"].values()) + lvl["rejected"] == lvl["iterations_used"]
+            # every iteration scores exactly one fused first trial
+            assert lvl["evaluations"]["fused"] == lvl["iterations_used"]
 
     def test_determinism(self, small_phantom):
         img, st, _ = small_phantom
@@ -268,26 +380,27 @@ class TestRegister:
             pr.register(img, other)
 
     def test_default_levels_on_16_cubed(self):
-        # a fifth level would be 1^3, which leaves the mask a single voxel
+        # a fourth level would be 2^3, under the pyramid's 4-voxel floor
         spec = replace(pr.PhantomSpec(), dims=(16, 16, 16), spacing=(2.0, 2.0, 2.0))
         img, st, _ = pr.make_phantom(spec)
-        moving = pr.warp(img, pr.make_smooth_field(img.dims, pr.FieldSpec(1.0, 3.0, 5)))
+        moving = pr.warp(img, pr.make_smooth_field(
+            img.dims, pr.FieldSpec(1.0, 3.0, 5), spacing=img.spacing))
         fld, rep = pr.register(img, moving, pr.RegConfig(), structures=st)
         assert fld.dims == img.dims
-        assert "levels_reduced_to_4" in rep.flags
-        assert [lv.dims for lv in rep.levels] == [(2, 2, 2), (4, 4, 4), (8, 8, 8),
-                                                  (16, 16, 16)]
+        assert "levels_reduced_to_3" in rep.flags
+        assert [lv.dims for lv in rep.levels] == [(4, 4, 4), (8, 8, 8), (16, 16, 16)]
 
     @pytest.mark.parametrize("config,want", [
         # the last budget repeats for extra levels, coarse to fine ...
         (pr.RegConfig(levels=3, iterations=(2, 3), convergence_tol=0.0), [2, 3, 3]),
         # ... and budgets beyond the clipped level count go unused
-        (pr.RegConfig(iterations=(1, 2, 3, 4, 5), convergence_tol=0.0), [1, 2, 3, 4]),
+        (pr.RegConfig(iterations=(1, 2, 3, 4, 5), convergence_tol=0.0), [1, 2, 3]),
     ], ids=["last-repeats", "extra-unused"])
     def test_iteration_schedule(self, config, want):
         spec = replace(pr.PhantomSpec(), dims=(16, 16, 16), spacing=(2.0, 2.0, 2.0))
         img, st, _ = pr.make_phantom(spec)
-        moving = pr.warp(img, pr.make_smooth_field(img.dims, pr.FieldSpec(1.0, 3.0, 5)))
+        moving = pr.warp(img, pr.make_smooth_field(
+            img.dims, pr.FieldSpec(1.0, 3.0, 5), spacing=img.spacing))
         _, rep = pr.register(img, moving, config, structures=st)
         assert [lv.iterations_used for lv in rep.levels] == want
 
@@ -299,7 +412,8 @@ class TestRegister:
         body = np.zeros(img.dims, dtype=np.float32)
         body[8, 8, 8] = 1.0
         st = pr.StructureSet(ctv=img.with_data(body), body=img.with_data(body))
-        moving = pr.warp(img, pr.make_smooth_field(img.dims, pr.FieldSpec(1.0, 3.0, 5)))
+        moving = pr.warp(img, pr.make_smooth_field(
+            img.dims, pr.FieldSpec(1.0, 3.0, 5), spacing=img.spacing))
         _, rep = pr.register(img, moving, pr.RegConfig(levels=2, iterations=(5, 5)),
                              structures=st)
         assert "mask_degenerate_at_level_2" in rep.flags
@@ -311,7 +425,8 @@ class TestRegister:
         def no_trial(self, u):
             raise AssertionError("a trial was evaluated")
         monkeypatch.setattr(similarity.Objective, "loss", no_trial)
-        monkeypatch.setattr(similarity.Objective, "gradient", no_trial)
+        monkeypatch.setattr(similarity.Objective, "total", no_trial)
+        monkeypatch.setattr(similarity.Objective, "evaluate", no_trial)
         vol = pr.Volume(rng.random((32, 32, 1)).astype(np.float32))
         with pytest.raises(ValidationError,
                            match="smoothness needs at least 2 voxels per axis"):

@@ -97,16 +97,17 @@ def test_read_volume_rejects_mutated_headers_cleanly(obj, mutation):
 
 
 @SETTINGS
-@given(dims=st.tuples(*[st.integers(2, 40)] * 3), levels=st.integers(1, 8))
-def test_pyramid_levels_keep_two_voxels_and_ceil_halve(dims, levels):
+@given(dims=st.tuples(*[st.integers(1, 40)] * 3), levels=st.integers(1, 8))
+def test_pyramid_levels_keep_four_voxels_and_ceil_halve(dims, levels):
     pyr = pr.build_pyramid(pr.Volume(np.zeros(dims, dtype=np.float32)), levels)
     assert 1 <= len(pyr) <= levels
     assert pyr[0].dims == dims
     for fine, coarse in zip(pyr, pyr[1:]):
         assert coarse.dims == tuple(math.ceil(d / 2) for d in fine.dims)
-    assert all(min(lv.dims) >= 2 for lv in pyr)
-    # clipped only where one more level would leave an axis a single voxel
-    assert len(pyr) == levels or min(math.ceil(d / 2) for d in pyr[-1].dims) < 2
+    # a grid with an axis under 4 voxels is not pooled
+    assert len(pyr) == 1 or all(min(lv.dims) >= 4 for lv in pyr)
+    # clipped only where one more level would leave an axis under 4 voxels
+    assert len(pyr) == levels or min(math.ceil(d / 2) for d in pyr[-1].dims) < 4
 
 
 @SETTINGS

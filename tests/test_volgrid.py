@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestWarp:
         fld = pr.DisplacementField(np.zeros((3, 5, 4, 4), dtype=np.float32))
         with pytest.raises(ValidationError):
             pr.warp(vol, fld)
+
+    @pytest.mark.parametrize("change", [{"spacing": (2.0, 1.0, 1.0)},
+                                        {"origin": (0.0, 0.0, 3.0)}])
+    def test_field_on_another_grid_of_equal_dims_rejected(self, rng, change):
+        # the field's voxel displacements mean nothing on another voxel grid
+        vol = random_volume(rng, (4, 4, 4))
+        fld = replace(pr.zero_field(vol), **change)
+        with pytest.raises(ValidationError, match="field grid differs from input grid"):
+            pr.warp(vol, fld)
+        with pytest.raises(ValidationError, match="field grid differs from input grid"):
+            pr.warp_contour(vol, fld)
 
 
 class TestDownsampleAvg:
@@ -266,9 +278,11 @@ class TestBuildPyramid:
         assert [l.dims[0] for l in pyr] == [64, 32, 16, 8, 4]
 
     def test_ceil_halving_odd_dims(self, rng):
-        vol = random_volume(rng, (48, 32, 32))
+        vol = random_volume(rng, (48, 35, 32))
         pyr = pr.build_pyramid(vol, 5)
-        assert pyr[4].dims == (3, 2, 2)
+        # 35 -> 18 -> 9 -> 5; a fifth level would leave the last axis 2 voxels
+        assert [lv.dims for lv in pyr] == [(48, 35, 32), (24, 18, 16), (12, 9, 8),
+                                           (6, 5, 4)]
 
     def test_zero_levels_rejected(self, rng):
         with pytest.raises(ValidationError):
@@ -277,8 +291,8 @@ class TestBuildPyramid:
     def test_too_many_levels_reduced_with_warning(self, rng, caplog):
         vol = random_volume(rng, (8, 8, 8))
         pyr = pr.build_pyramid(vol, 6)
-        assert len(pyr) == 3            # 8, 4, 2: a fourth level would be 1^3
-        assert "reduced from 6 to 3 levels" in caplog.text
+        assert len(pyr) == 2            # 8, 4: a third level would be 2^3
+        assert "reduced from 6 to 2 levels" in caplog.text
 
 
 class TestPadToShape:
