@@ -1,11 +1,12 @@
 """Rigid pre-alignment and the coarse-to-fine variational optimizer.
 
 The deformable solver minimizes -maskedNCC + lambda * smoothness over a
-pyramid, refining a residual field per level and composing additively
-with the upsampled coarser field. Prior maps can reweight the similarity
-term and gate the raw updates; a FiLM stage can modulate the fused prior.
-Only loss-improving iterates are accepted, so the per-level loss sequence
-is monotone by construction.
+pyramid: each level descends on the whole field, starting from the
+upsampled field of the coarser level, and returns the field it scored
+last. Prior maps can reweight the similarity term and gate the raw
+updates; a FiLM stage can modulate the fused prior. Only loss-improving
+iterates are accepted, so the per-level loss sequence is monotone by
+construction.
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ from .priors import PriorParams, StructureSet, anatomy_map, fuse_priors, gate, r
 # total_loss and loss_gradient stay bound here so per-layer tracers can wrap them
 from .similarity import LossBreakdown, Objective, loss_gradient, total_loss
 from .volgrid import (DisplacementField, Volume, _identity_coords,
-                      _trilinear_arrays, _zero_ring, build_pyramid,
-                      compose_additive, same_grid, upsample_field, warp,
-                      zero_field)
+                      _trilinear_arrays, _zero_ring, build_pyramid, same_grid,
+                      upsample_field, warp, zero_field)
 
 
 def _wrap_angle(a: float) -> float:
@@ -174,17 +174,18 @@ STEP_FACTORS = (1.0, 0.5, 0.25, 0.125)
 STEP_UP_AFTER = 3
 
 
-def _descend(loss, evaluate, x, lr, iterations, eps, tol, scale=1.0):
+def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     """Adam (betas 0.9, 0.999) from x with backtracking down STEP_FACTORS:
     the first trial whose loss is finite and not higher is taken, so the
     trajectory (initial loss, then one per iteration) never rises.
 
+    evaluate(x, want_grad) returns (loss, gradient if want_grad else None).
     Each iteration starts at the factor taken last, and one rung higher
     after STEP_UP_AFTER consecutive first-trial accepts. The first trial is
-    scored by evaluate(x) -> (loss, gradient), so when it is taken its
-    gradient drives the next iteration; later trials are scored by
-    loss(x) alone. An iteration that takes no trial keeps x, the start
-    factor and the gradient. scale multiplies each step per component.
+    scored with its gradient, so when it is taken that gradient drives the
+    next iteration; later trials are scored by their loss alone. An
+    iteration that takes no trial keeps x, the start factor and the
+    gradient. scale multiplies each step per component.
     Stops after `iterations`, or once the loss changed by less than tol,
     relative, over LEVEL_WINDOW iterations (tol 0 never stops early).
 
@@ -195,7 +196,7 @@ def _descend(loss, evaluate, x, lr, iterations, eps, tol, scale=1.0):
     later trial is taken); the iterations that took each factor
     (`accepted`, keyed "1" to "0.125") and those that took none
     (`rejected`)."""
-    cur, g = evaluate(x)
+    cur, g = evaluate(x, True)
     if not math.isfinite(cur):
         raise ValidationError("non-finite loss at the start of a descent")
     trajectory = [cur]
@@ -208,7 +209,7 @@ def _descend(loss, evaluate, x, lr, iterations, eps, tol, scale=1.0):
     m2 = np.zeros_like(x)
     for it in range(iterations):
         if g is None:
-            _, g = evaluate(x)
+            _, g = evaluate(x, True)
             n_gradient += 1
         m1 = beta1 * m1 + (1.0 - beta1) * g
         m2 = beta2 * m2 + (1.0 - beta2) * g * g
@@ -217,11 +218,8 @@ def _descend(loss, evaluate, x, lr, iterations, eps, tol, scale=1.0):
         taken = None
         for k in range(start, len(STEP_FACTORS)):
             cand = x - STEP_FACTORS[k] * step
-            if k == start:
-                val, cand_g = evaluate(cand)
-            else:
-                val = loss(cand)
-                n_value += 1
+            val, cand_g = evaluate(cand, k == start)
+            n_value += int(k > start)
             if math.isfinite(val) and val <= cur:
                 taken = k
                 break
@@ -292,8 +290,8 @@ def resample_rigid(moving: Volume, like: Volume, t: RigidTransform) -> Volume:
 
 
 def _rigid_evaluator(obj: Objective, center):
-    """(loss, evaluate) of the rigid parameters p = (rx, ry, rz, tx, ty,
-    tz), evaluate returning the loss and its gradient from one warp. The
+    """evaluate(p, want_grad) of the rigid parameters p = (rx, ry, rz, tx,
+    ty, tz): the loss and, when asked, its gradient from one warp. The
     loss is obj (at lambda 0) on the displacement field
     u(x) = voxel(T(x)) - x that T(x) = R (x - c) + c + t induces on obj's
     fixed grid, i.e. -maskedNCC of the rigidly resampled moving image. The
@@ -307,18 +305,17 @@ def _rigid_evaluator(obj: Objective, center):
         Rx, Ry, Rz = _axis_rotations([_wrap_angle(float(a)) for a in p[:3]])
         return voxels(Rz @ Ry @ Rx, p[3:]) - ident
 
-    def loss(p):
-        return obj.total(field(p))
-
-    def evaluate(p):
-        total, g = obj.evaluate(field(p))
+    def evaluate(p, want_grad=False):
+        total, g = obj.evaluate(field(p), want_grad)
+        if g is None:
+            return total, None
         g /= spacing
         moments = np.einsum("axyz,bxyz->ab", g, rel)
         Rx, Ry, Rz = _axis_rotations(p[:3])
         d_rot = [float((dR * moments).sum()) for dR in
                  (Rz @ Ry @ _KX @ Rx, Rz @ _KY @ Ry @ Rx, _KZ @ Rz @ Ry @ Rx)]
         return total, np.array(d_rot + [float(v) for v in g.sum(axis=(1, 2, 3))])
-    return loss, evaluate
+    return evaluate
 
 
 def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
@@ -348,13 +345,11 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
         w = (k_l.data > 0.5).astype(np.float32)
         if w.sum() < 2:
             w = np.ones_like(w)
-        loss, evaluate = _rigid_evaluator(Objective(f_l, m_l, k_l.with_data(w), 0.0),
-                                          center)
+        evaluate = _rigid_evaluator(Objective(f_l, m_l, k_l.with_data(w), 0.0), center)
         iters = config.rigid_iterations[min(stage_idx, len(config.rigid_iterations) - 1)]
         lr = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
         # tol 0: a rigid stage always runs its full budget
-        params, _, _ = _descend(loss, evaluate, params, lr, iters,
-                                eps=1e-12, tol=0.0)
+        params, _, _ = _descend(evaluate, params, lr, iters, eps=1e-12, tol=0.0)
     transform = RigidTransform(rotation=tuple(params[:3]),
                                translation=tuple(params[3:]), center=center)
     return transform, resample_rigid(moving, fixed, transform)
@@ -452,16 +447,13 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
             k_l = k_l.with_data(np.ones(f_l.dims, dtype=np.float32))
             flags.append(f"mask_degenerate_at_level_{li + 1}")
         up = upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)
-        up_data = up.data.astype(np.float64)
         obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=prior_levels[li])
-        delta, trajectory, counters = _descend(
-            lambda d: obj.total(up_data + d),
-            lambda d: obj.evaluate(up_data + d),
-            np.zeros((3,) + f_l.dims), LEVEL_STEP,
+        x, trajectory, counters = _descend(
+            obj.evaluate, up.data.astype(np.float64), LEVEL_STEP,
             config.iterations[min(step, len(config.iterations) - 1)],
             LEVEL_EPS, config.convergence_tol, scale=gate_levels[li])
-        phi = compose_additive(up, DisplacementField(
-            delta.astype(np.float32), spacing=f_l.spacing, origin=f_l.origin))
+        # the last accepted trial, which evaluate scored at float32 precision
+        phi = up.with_data(x)
         level_reports.append(LevelReport(
             level=li + 1, dims=f_l.dims, iterations_used=len(trajectory) - 1,
             initial_loss=trajectory[0], final_loss=trajectory[-1],

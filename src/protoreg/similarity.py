@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .volgrid import (DisplacementField, Volume, _identity_coords,
-                      _trilinear_arrays, _zero_ring)
+                      _trilinear_arrays, _zero_ring, same_grid)
 
 VAR_EPS = 1e-12
 
@@ -76,14 +76,21 @@ def masked_ncc(fixed: Volume, warped: Volume, mask: Volume,
     return ncc
 
 
-def _smoothness(u: np.ndarray) -> float:
+def _smoothness(u: np.ndarray, want_grad: bool = False):
+    """S(u) and, when asked, its adjoint 2/N * (D^T D) u (else None), from
+    one pass over the nine forward differences."""
     n = float(np.prod(u.shape[1:]))
     total = 0.0
+    grad = np.zeros_like(u) if want_grad else None
     for c in range(3):
         for ax in range(3):
             d = np.diff(u[c], axis=ax)
             total += float((d * d).sum())
-    return total / n
+            if want_grad:
+                lead = (slice(None),) * ax
+                grad[c][lead + (slice(0, -1),)] -= d
+                grad[c][lead + (slice(1, None),)] += d
+    return total / n, None if grad is None else (2.0 / n) * grad
 
 
 def smoothness(fld: DisplacementField) -> float:
@@ -91,23 +98,7 @@ def smoothness(fld: DisplacementField) -> float:
     three components along all three axes (voxel units)."""
     if min(fld.dims) < 2:
         raise ValidationError("smoothness needs at least 2 voxels per axis")
-    return _smoothness(fld.data.astype(np.float64))
-
-
-def _smoothness_gradient(u: np.ndarray) -> np.ndarray:
-    """Adjoint of the forward-difference energy: 2/N * (D^T D) u."""
-    n = float(np.prod(u.shape[1:]))
-    grad = np.zeros_like(u)
-    for c in range(3):
-        for ax in range(3):
-            d = np.diff(u[c], axis=ax)
-            lo = [slice(None)] * 3
-            hi = [slice(None)] * 3
-            lo[ax] = slice(0, -1)
-            hi[ax] = slice(1, None)
-            grad[c][tuple(lo)] -= d
-            grad[c][tuple(hi)] += d
-    return (2.0 / n) * grad
+    return _smoothness(fld.data.astype(np.float64))[0]
 
 
 class Objective:
@@ -124,8 +115,8 @@ class Objective:
     def __init__(self, fixed: Volume, moving: Volume, mask: Volume,
                  lambda_smooth: float = 0.2, weights: Volume | None = None,
                  kappa: float = 1.0):
-        if fixed.dims != moving.dims:
-            raise ValidationError("image/field grids differ")
+        if not same_grid(fixed, moving, mask, *(() if weights is None else (weights,))):
+            raise ValidationError("fixed, moving, mask and weights grids differ")
         self._w = _weights(fixed, mask, weights, kappa)
         if min(fixed.dims) < 2:
             raise ValidationError("smoothness needs at least 2 voxels per axis")
@@ -147,43 +138,36 @@ class Objective:
         """The loss of trial field u; smoothness is S(u) even at lambda 0."""
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
         ncc, degenerate, _ = _ncc_core(self._fixed, self._warp(u), self._w)
-        smooth = _smoothness(u)
+        smooth, _ = _smoothness(u)
         return LossBreakdown(ncc=ncc, smoothness=smooth,
                              lambda_smooth=self.lambda_smooth,
                              total=-ncc + self.lambda_smooth * smooth,
                              masked_voxels=self._masked_voxels,
                              degenerate=degenerate)
 
-    def total(self, u: np.ndarray) -> float:
-        """loss(u).total, without computing S(u) when lambda is 0."""
-        u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        ncc, _, _ = _ncc_core(self._fixed, self._warp(u), self._w)
-        return self._total(ncc, u)
-
-    def _total(self, ncc: float, u: np.ndarray) -> float:
-        smooth = _smoothness(u) if self.lambda_smooth else 0.0
-        return -ncc + self.lambda_smooth * smooth
-
-    def evaluate(self, u: np.ndarray):
-        """(total(u), dL/du) from one warp; the total has the bits of
-        total(u), the gradient is float64 rounded to float32 precision.
+    def evaluate(self, u: np.ndarray, want_grad: bool = False):
+        """(loss(u).total, dL/du or None) from one warp. S(u) is skipped
+        when lambda is 0; the gradient, asked for by want_grad, is float64
+        rounded to float32 precision.
 
         NCC part: dNCC/d(warped intensity) chained through the trilinear
         interpolant's spatial derivative at x + u. Smoothness part: exact
         adjoint of the forward-difference energy, so the finite-difference
-        check holds by construction; skipped when lambda is 0.
+        check holds by construction.
         """
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        b, gx, gy, gz = self._warp(u, want_grad=True)
+        warped = self._warp(u, want_grad)
+        b = warped[0] if want_grad else warped
         ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._fixed, b, self._w)
-        total = self._total(ncc, u)
-        if self.lambda_smooth == 0.0:
-            grad = np.zeros_like(u)
-        else:
-            grad = self.lambda_smooth * _smoothness_gradient(u)
+        smooth, grad = _smoothness(u, want_grad) if self.lambda_smooth else (0.0, None)
+        total = -ncc + self.lambda_smooth * smooth
+        if not want_grad:
+            return total, None
+        grad = np.zeros_like(u) if grad is None else self.lambda_smooth * grad
         if not degenerate:
             # d(NCC)/d b_j = w_j * (A_j - NCC * sqrt(Saa/Sbb) * B_j) / sqrt(Saa*Sbb)
             dncc_db = self._w * (A - (s_ab / s_bb) * B) / np.sqrt(s_aa * s_bb)
+            _, gx, gy, gz = warped
             grad[0] -= dncc_db * gx
             grad[1] -= dncc_db * gy
             grad[2] -= dncc_db * gz
@@ -191,7 +175,7 @@ class Objective:
 
 
 def _objective(fixed, moving, fld, mask, lambda_smooth, weights, kappa):
-    if fixed.dims != fld.dims:
+    if not same_grid(fixed, fld):
         raise ValidationError("image/field grids differ")
     return Objective(fixed, moving, mask, lambda_smooth, weights, kappa)
 
@@ -210,6 +194,6 @@ def loss_gradient(fixed: Volume, moving: Volume, fld: DisplacementField,
                   kappa: float = 1.0) -> DisplacementField:
     """Analytic dL/du (see Objective.evaluate) as a field on fld's grid."""
     g = _objective(fixed, moving, fld, mask, lambda_smooth, weights,
-                   kappa).evaluate(fld.data)[1]
+                   kappa).evaluate(fld.data, want_grad=True)[1]
     return DisplacementField(g.astype(np.float32), spacing=fld.spacing,
                              origin=fld.origin)

@@ -108,6 +108,29 @@ def smoothness(u):
     return total / (nx * ny * nz)
 
 
+def smoothness_two_pass(u):
+    """The forward-difference energy and its adjoint 2/N * (D^T D) u, each
+    from its own pass over the nine differences: the order of every sum
+    and update that a fused pass must reproduce bit for bit."""
+    n = float(np.prod(u.shape[1:]))
+    total = 0.0
+    for c in range(3):
+        for ax in range(3):
+            d = np.diff(u[c], axis=ax)
+            total += float((d * d).sum())
+    grad = np.zeros_like(u)
+    for c in range(3):
+        for ax in range(3):
+            d = np.diff(u[c], axis=ax)
+            lo = [slice(None)] * 3
+            hi = [slice(None)] * 3
+            lo[ax] = slice(0, -1)
+            hi[ax] = slice(1, None)
+            grad[c][tuple(lo)] -= d
+            grad[c][tuple(hi)] += d
+    return total / n, (2.0 / n) * grad
+
+
 def signed_distance(mask, spacing):
     """All-pairs signed distance: each voxel to the nearest voxel center of
     the opposite phase, negative inside."""

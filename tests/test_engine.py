@@ -106,9 +106,12 @@ class TestRigidObjective:
     def test_gradient_vs_finite_differences(self, rigid_levels, n):
         center, levels = rigid_levels
         fixed, moving, mask = levels[n]
-        loss, evaluate = engine._rigid_evaluator(
+        evaluate = engine._rigid_evaluator(
             pr.similarity.Objective(fixed, moving, mask, 0.0), center)
-        value, g = evaluate(RIGID_PARAMS)
+
+        def loss(p):
+            return evaluate(p)[0]
+        value, g = evaluate(RIGID_PARAMS, True)
         assert value == loss(RIGID_PARAMS)
         h = np.array([1e-3] * 3 + [0.1] * 3)        # rad, mm
         fd = np.empty(6)
@@ -129,9 +132,10 @@ class TestRigidObjective:
         t = pr.RigidTransform(rotation=tuple(RIGID_PARAMS[:3]),
                               translation=tuple(RIGID_PARAMS[3:]), center=center)
         want = -pr.masked_ncc(fixed, resample_rigid(moving, fixed, t), mask)
-        loss, _ = engine._rigid_evaluator(
+        evaluate = engine._rigid_evaluator(
             pr.similarity.Objective(fixed, moving, mask, 0.0), center)
-        got = loss(RIGID_PARAMS)
+        got, none = evaluate(RIGID_PARAMS)
+        assert none is None
         assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -143,8 +147,8 @@ def _bowl(x):
     return float(((x - C) ** 2).sum()) + 1.0
 
 
-def _bowl_evaluate(x):
-    return _bowl(x), 2.0 * (x - C)
+def _bowl_evaluate(x, want_grad=False):
+    return _bowl(x), 2.0 * (x - C) if want_grad else None
 
 
 def _plain_descend(loss, gradient, x, lr, iterations, eps):
@@ -182,7 +186,7 @@ def _plain_descend(loss, gradient, x, lr, iterations, eps):
 class TestDescend:
     def test_trajectory_and_window_rule(self):
         x0 = np.zeros(4)
-        x, traj, counters = engine._descend(_bowl, _bowl_evaluate, x0, 0.1, 200,
+        x, traj, counters = engine._descend(_bowl_evaluate, x0, 0.1, 200,
                                             1e-8, 1e-5)
         assert traj[0] == _bowl(x0)
         assert traj[-1] == _bowl(x)
@@ -198,11 +202,11 @@ class TestDescend:
     def test_rigid_rule_runs_full_budget(self):
         # started at the minimum the loss never changes, so only tol 0
         # keeps the descent going
-        _, traj, counters = engine._descend(_bowl, _bowl_evaluate, C.copy(), 0.1, 30,
+        _, traj, counters = engine._descend(_bowl_evaluate, C.copy(), 0.1, 30,
                                             1e-12, 0.0)
         assert traj == [1.0] * 31
         assert counters["stop_reason"] == "iteration_cap"
-        _, traj, counters = engine._descend(_bowl, _bowl_evaluate, C.copy(), 0.1, 30,
+        _, traj, counters = engine._descend(_bowl_evaluate, C.copy(), 0.1, 30,
                                             1e-12, 1e-5)
         assert len(traj) == engine.LEVEL_WINDOW + 1
         assert counters["stop_reason"] == "converged"
@@ -210,17 +214,16 @@ class TestDescend:
     def test_non_finite_trials_rejected(self):
         def loss(x):
             return math.inf if x[0] > 0.5 else _bowl(x)
-        def evaluate(x):
-            return loss(x), _bowl_evaluate(x)[1]
-        x, traj, _ = engine._descend(loss, evaluate, np.zeros(4), 0.1, 50,
-                                     1e-8, 0.0)
+        def evaluate(x, want_grad=False):
+            return loss(x), _bowl_evaluate(x, want_grad)[1]
+        x, traj, _ = engine._descend(evaluate, np.zeros(4), 0.1, 50, 1e-8, 0.0)
         assert x[0] <= 0.5
         assert all(math.isfinite(v) for v in traj)
         assert np.all(np.diff(traj) <= 0.0)
 
     def test_non_finite_initial_loss_raises(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            engine._descend(lambda x: math.nan, lambda x: (math.nan, x),
+            engine._descend(lambda x, want_grad: (math.nan, x),
                             np.zeros(4), 0.1, 10, 1e-8, 1e-5)
 
 
@@ -232,9 +235,10 @@ class TestDescend:
                                  envelope=st.body.data.astype(np.float64))
         obj = similarity.Objective(pr.warp(img, g), img, st.body, 0.2)
         x0 = np.zeros((3,) + img.dims)
-        x, traj, counters = engine._descend(obj.total, obj.evaluate, x0,
-                                            engine.LEVEL_STEP, 25, engine.LEVEL_EPS, 0.0)
-        want_x, want_traj = _plain_descend(obj.total, lambda u: obj.evaluate(u)[1],
+        x, traj, counters = engine._descend(obj.evaluate, x0, engine.LEVEL_STEP, 25,
+                                            engine.LEVEL_EPS, 0.0)
+        want_x, want_traj = _plain_descend(lambda u: obj.evaluate(u)[0],
+                                           lambda u: obj.evaluate(u, True)[1],
                                            x0, engine.LEVEL_STEP, 25, engine.LEVEL_EPS)
         assert x.tobytes() == want_x.tobytes()
         assert traj == want_traj
@@ -246,11 +250,12 @@ class TestDescend:
         x0 = np.zeros(4)
         at_start = []
 
-        def evaluate(x):
+        def evaluate(x, want_grad=False):
+            if not want_grad:
+                return 2.0, None
             at_start.append(np.array_equal(x, x0))
             return (1.0 if at_start[-1] else 2.0), 2.0 * (x - C)
-        x, traj, counters = engine._descend(lambda x: 2.0, evaluate, x0, 0.1, 6,
-                                            1e-8, 0.0)
+        x, traj, counters = engine._descend(evaluate, x0, 0.1, 6, 1e-8, 0.0)
         assert np.array_equal(x, x0) and traj == [1.0] * 7
         # one gradient at the start, then only each iteration's first trial
         assert at_start == [True] + [False] * 6
@@ -278,8 +283,9 @@ class TestDescend:
             state["x"], state["taken"] = c[0], it + 1
             return -c[0]
 
-        _, _, counters = engine._descend(loss, lambda c: (loss(c), -np.ones(1)),
-                                         np.zeros(1), 1.0, len(allowed), 1e-12, 0.0)
+        _, _, counters = engine._descend(
+            lambda c, want_grad: (loss(c), -np.ones(1) if want_grad else None),
+            np.zeros(1), 1.0, len(allowed), 1e-12, 0.0)
         first = [next(f for i, f in tried if i == it) for it in range(len(allowed))]
         assert first == [1, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 0.5]
         assert counters["accepted"] == {"1": 0, "0.5": 7, "0.25": 4, "0.125": 0}
@@ -361,6 +367,22 @@ class TestRegister:
         assert "film_applied" in rep.flags
         assert rep.final.total <= rep.levels[0].initial_loss + 1.0
 
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_returns_the_field_it_scored(self, small_phantom, guided):
+        # the finest level's last accepted trial is the returned field, so
+        # the final loss is that level's last trajectory entry, bit for bit
+        img, st, dose = small_phantom
+        g = pr.make_smooth_field(img.dims, pr.FieldSpec(1.5, 4.0, 9),
+                                 envelope=st.body.data.astype(np.float64))
+        cfg = pr.RegConfig(levels=3, iterations=(10, 15, 20), use_anatomy=guided,
+                           use_risk=guided, use_gate=guided, use_film=guided)
+        fld, rep = pr.register(pr.warp(img, g), img, cfg, structures=st, dose=dose,
+                               embeddings=(pr.pseudo_embedding("oropharynx"),),
+                               adapter_weights=pr.AdapterWeights.random(1))
+        assert ("film_applied" in rep.flags) == guided
+        assert rep.levels[-1].iterations_used > 0
+        assert rep.final.total == rep.levels[-1].final_loss
+
     def test_missing_dose_rejected(self, small_phantom):
         img, st, _ = small_phantom
         cfg = pr.RegConfig(use_risk=True)
@@ -422,10 +444,9 @@ class TestRegister:
         assert rep.final.masked_voxels == 16 ** 3
 
     def test_flat_grid_rejected_before_any_iteration(self, rng, monkeypatch):
-        def no_trial(self, u):
+        def no_trial(self, u, want_grad=False):
             raise AssertionError("a trial was evaluated")
         monkeypatch.setattr(similarity.Objective, "loss", no_trial)
-        monkeypatch.setattr(similarity.Objective, "total", no_trial)
         monkeypatch.setattr(similarity.Objective, "evaluate", no_trial)
         vol = pr.Volume(rng.random((32, 32, 1)).astype(np.float32))
         with pytest.raises(ValidationError,

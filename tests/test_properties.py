@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import protoreg as pr
-from protoreg import io, volgrid
+from protoreg import io, similarity, volgrid
 from protoreg.errors import ValidationError, _finite_number, _known_keys
 from protoreg.volgrid import _trilinear_arrays, _zero_ring
 
@@ -246,3 +246,14 @@ def test_config_builds_hold_only_finite_numbers(data, what):
         return
     for leaf in _leaves(obj):
         assert isinstance(leaf, bool) or _finite_number(leaf), (what, doc, leaf)
+
+
+@SETTINGS
+@given(u=st.tuples(*[st.integers(2, 7)] * 3).flatmap(
+    lambda dims: arrays(np.float64, (3,) + dims, elements=st.floats(-1e3, 1e3))))
+def test_fused_smoothness_matches_two_passes(u):
+    energy, grad = similarity._smoothness(u, True)
+    want_energy, want_grad = oracles.smoothness_two_pass(u)
+    assert energy == want_energy == similarity._smoothness(u)[0]
+    assert grad.tobytes() == want_grad.tobytes()
+    assert similarity._smoothness(u)[1] is None

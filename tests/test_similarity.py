@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,13 +137,30 @@ class TestTotalLoss:
         obj = Objective(a, b, _full_mask((6, 6, 6)), lam)
         for _ in range(3):
             u = rng.normal(0.0, 1.5, size=(3, 6, 6, 6))
-            assert obj.total(u) == obj.loss(u).total
+            total, grad = obj.evaluate(u, True)
+            assert total == obj.evaluate(u)[0] == obj.loss(u).total
+            assert grad.shape == u.shape and obj.evaluate(u)[1] is None
 
     def test_degenerate_flagged(self, rng):
         a = pr.Volume(np.full((5, 5, 5), 1.0, dtype=np.float32))
         b = random_volume(rng, (5, 5, 5))
         lb = pr.total_loss(a, b, pr.zero_field(a), _full_mask((5, 5, 5)), 0.2)
         assert lb.degenerate and lb.ncc == 0.0
+
+
+@pytest.mark.parametrize("which", ["moving", "mask", "weights", "fld"])
+@pytest.mark.parametrize("change", [{"spacing": (2.0, 2.0, 2.0)},
+                                    {"origin": (0.0, 0.0, 5.0)}])
+def test_loss_refuses_inputs_on_another_grid(rng, which, change):
+    # equal dims are not one grid: warp refuses such a pair, so must the loss
+    a = random_volume(rng, (6, 6, 6))
+    args = dict(fixed=a, moving=random_volume(rng, (6, 6, 6)),
+                fld=lattice_safe_field(rng, (6, 6, 6)), mask=_full_mask((6, 6, 6)),
+                weights=random_volume(rng, (6, 6, 6)))
+    args[which] = replace(args[which], **change)
+    for fn in (pr.total_loss, pr.loss_gradient):
+        with pytest.raises(ValidationError, match="grids differ"):
+            fn(**args)
 
 
 def _fd_gradient(fixed, moving, u, mask, lam, weights, kappa, h=1e-3):
