@@ -8,7 +8,8 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .errors import ValidationError
-from .volgrid import DisplacementField, Volume, jacobian_det
+from .similarity import masked_ncc
+from .volgrid import DisplacementField, Volume, jacobian_det, same_grid
 
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
@@ -36,15 +37,10 @@ class MetricReport:
         return {k: v for k, v in d.items() if v is not None}
 
 
-def _require_same_grid(a: Volume, b) -> None:
-    if a.dims != b.dims:
-        raise ValidationError(f"grids differ: {a.dims} vs {b.dims}")
-
-
 def mse(fixed: Volume, warped: Volume, mask: Volume) -> float:
     """Mean squared intensity difference over masked voxels."""
-    _require_same_grid(fixed, warped)
-    _require_same_grid(fixed, mask)
+    if not same_grid(fixed, warped, mask):
+        raise ValidationError("fixed, warped and mask grids differ")
     m = mask.data > 0
     if not m.any():
         raise ValidationError("mask is empty")
@@ -65,8 +61,8 @@ def ssim(fixed: Volume, warped: Volume, mask: Volume) -> float:
     Uniform 7^3 windows, clipped at the faces; dynamic range is the
     fixed image's masked max - min.
     """
-    _require_same_grid(fixed, warped)
-    _require_same_grid(fixed, mask)
+    if not same_grid(fixed, warped, mask):
+        raise ValidationError("fixed, warped and mask grids differ")
     m = mask.data > 0
     if not m.any():
         raise ValidationError("mask is empty")
@@ -91,11 +87,11 @@ def ssim(fixed: Volume, warped: Volume, mask: Volume) -> float:
 
 def relvoldiff(ctv_fixed: Volume, ctv_propagated: Volume) -> float:
     """100 * |V_ref - V_prop| / V_ref using physical voxel volume."""
-    _require_same_grid(ctv_fixed, ctv_propagated)
-    vv_ref = float(np.prod(ctv_fixed.spacing))
-    vv_prop = float(np.prod(ctv_propagated.spacing))
-    v_ref = float((ctv_fixed.data > 0).sum()) * vv_ref
-    v_prop = float((ctv_propagated.data > 0).sum()) * vv_prop
+    if not same_grid(ctv_fixed, ctv_propagated):
+        raise ValidationError("CTV grids differ")
+    voxel = float(np.prod(ctv_fixed.spacing))
+    v_ref = float((ctv_fixed.data > 0).sum()) * voxel
+    v_prop = float((ctv_propagated.data > 0).sum()) * voxel
     if v_ref == 0.0:
         raise ValidationError("reference CTV is empty")
     return 100.0 * abs(v_ref - v_prop) / v_ref
@@ -104,13 +100,11 @@ def relvoldiff(ctv_fixed: Volume, ctv_propagated: Volume) -> float:
 def endpoint_error(fld: DisplacementField, truth: DisplacementField,
                    mask: Volume | None = None) -> EndpointStats:
     """Stats of the per-voxel Euclidean norm of (field - truth), voxels."""
-    if fld.dims != truth.dims:
-        raise ValidationError(f"field dims differ: {fld.dims} vs {truth.dims}")
+    if not same_grid(fld, truth, mask):
+        raise ValidationError("field, truth and mask grids differ")
     d = fld.data.astype(np.float64) - truth.data.astype(np.float64)
     err = np.sqrt((d * d).sum(axis=0))
     if mask is not None:
-        if mask.dims != fld.dims:
-            raise ValidationError("mask dims differ from field dims")
         err = err[mask.data > 0]
         if err.size == 0:
             raise ValidationError("mask is empty")
@@ -136,8 +130,11 @@ def metric_report(fixed: Volume, warped: Volume, mask: Volume,
                   epe_mask: Volume | None = None) -> MetricReport:
     """Image similarity inside mask; with a field, its fold fraction and,
     given the true field, the endpoint error inside epe_mask; with both
-    CTVs, their relative volume difference."""
-    from .similarity import masked_ncc
+    CTVs, their relative volume difference. Every input given must lie on
+    the fixed image's grid."""
+    if not same_grid(fixed, warped, mask, fld, truth, epe_mask, ctv_fixed,
+                     ctv_propagated):
+        raise ValidationError("metric inputs lie on different grids")
     has_ctvs = ctv_fixed is not None and ctv_propagated is not None
     # keyword arguments are evaluated in order: NCC, MSE, SSIM, fold
     # fraction, EPE, relvoldiff, so the first failing check is always the same

@@ -163,7 +163,7 @@ def risk_map(dose: Volume, structures: StructureSet, params: PriorParams) -> Vol
 
 def fuse_priors(anatomy: Volume, risk: Volume, alpha: float) -> Volume:
     """Convex blend alpha * anatomy + (1 - alpha) * risk."""
-    if anatomy.dims != risk.dims:
+    if not same_grid(anatomy, risk):
         raise ValidationError("prior grids differ")
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError("alpha must lie in [0, 1]")

@@ -29,18 +29,14 @@ class LossBreakdown:
     degenerate: bool = False
 
 
-def _weights(fixed: Volume, mask: Volume, prior: Volume | None,
-             kappa: float) -> np.ndarray:
-    if fixed.dims != mask.dims:
-        raise ValidationError("mask grid differs from image grid")
+def _weights(mask: Volume, prior: Volume | None) -> np.ndarray:
+    """NCC weights mask * (1 + prior); the callers have checked the grids."""
     m = mask.data.astype(np.float64)
     if int((m > 0).sum()) < 2:
         raise ValidationError("mask must contain at least 2 voxels")
     if prior is None:
         return m
-    if prior.dims != fixed.dims:
-        raise ValidationError("prior grid differs from image grid")
-    return m * (1.0 + kappa * prior.data.astype(np.float64))
+    return m * (1.0 + prior.data.astype(np.float64))
 
 
 def _fixed_side(a: np.ndarray, w: np.ndarray):
@@ -65,12 +61,12 @@ def _ncc_core(fixed_side, b: np.ndarray, w: np.ndarray):
 
 
 def masked_ncc(fixed: Volume, warped: Volume, mask: Volume,
-               weights: Volume | None = None, kappa: float = 1.0) -> float:
+               weights: Volume | None = None) -> float:
     """Global NCC over foreground voxels; 0 when a masked variance
     degenerates (flag available through total_loss)."""
-    if fixed.dims != warped.dims:
-        raise ValidationError("image grids differ")
-    w = _weights(fixed, mask, weights, kappa)
+    if not same_grid(fixed, warped, mask, weights):
+        raise ValidationError("fixed, warped, mask and weights grids differ")
+    w = _weights(mask, weights)
     ncc, _, _ = _ncc_core(_fixed_side(fixed.data.astype(np.float64), w),
                           warped.data.astype(np.float64), w)
     return ncc
@@ -113,11 +109,10 @@ class Objective:
     """
 
     def __init__(self, fixed: Volume, moving: Volume, mask: Volume,
-                 lambda_smooth: float = 0.2, weights: Volume | None = None,
-                 kappa: float = 1.0):
-        if not same_grid(fixed, moving, mask, *(() if weights is None else (weights,))):
+                 lambda_smooth: float = 0.2, weights: Volume | None = None):
+        if not same_grid(fixed, moving, mask, weights):
             raise ValidationError("fixed, moving, mask and weights grids differ")
-        self._w = _weights(fixed, mask, weights, kappa)
+        self._w = _weights(mask, weights)
         if min(fixed.dims) < 2:
             raise ValidationError("smoothness needs at least 2 voxels per axis")
         self.fixed, self.moving = fixed, moving
@@ -174,26 +169,25 @@ class Objective:
         return total, grad.astype(np.float32).astype(np.float64)
 
 
-def _objective(fixed, moving, fld, mask, lambda_smooth, weights, kappa):
+def _objective(fixed, moving, fld, mask, lambda_smooth, weights):
     if not same_grid(fixed, fld):
         raise ValidationError("image/field grids differ")
-    return Objective(fixed, moving, mask, lambda_smooth, weights, kappa)
+    return Objective(fixed, moving, mask, lambda_smooth, weights)
 
 
 def total_loss(fixed: Volume, moving: Volume, fld: DisplacementField,
                mask: Volume, lambda_smooth: float = 0.2,
-               weights: Volume | None = None, kappa: float = 1.0) -> LossBreakdown:
+               weights: Volume | None = None) -> LossBreakdown:
     """Evaluate -NCC + lambda * smoothness for the warped moving image."""
-    return _objective(fixed, moving, fld, mask, lambda_smooth, weights,
-                      kappa).loss(fld.data)
+    return _objective(fixed, moving, fld, mask, lambda_smooth,
+                      weights).loss(fld.data)
 
 
 def loss_gradient(fixed: Volume, moving: Volume, fld: DisplacementField,
                   mask: Volume, lambda_smooth: float = 0.2,
-                  weights: Volume | None = None,
-                  kappa: float = 1.0) -> DisplacementField:
+                  weights: Volume | None = None) -> DisplacementField:
     """Analytic dL/du (see Objective.evaluate) as a field on fld's grid."""
-    g = _objective(fixed, moving, fld, mask, lambda_smooth, weights,
-                   kappa).evaluate(fld.data, want_grad=True)[1]
+    g = _objective(fixed, moving, fld, mask, lambda_smooth,
+                   weights).evaluate(fld.data, want_grad=True)[1]
     return DisplacementField(g.astype(np.float32), spacing=fld.spacing,
                              origin=fld.origin)

@@ -85,8 +85,9 @@ class DisplacementField(_Grid):
 
 
 def same_grid(*grids) -> bool:
-    """Whether all volumes or fields share dims, spacing and origin."""
-    return len({(g.dims, g.spacing, g.origin) for g in grids}) == 1
+    """Whether all volumes or fields share dims, spacing and origin; None
+    arguments (absent optional inputs) are skipped."""
+    return len({(g.dims, g.spacing, g.origin) for g in grids if g is not None}) <= 1
 
 
 def zero_field(like: Volume | DisplacementField) -> DisplacementField:
@@ -303,7 +304,12 @@ def upsample_field(fld: DisplacementField, target_dims) -> DisplacementField:
 
 
 def compose_additive(up: DisplacementField, residual: DisplacementField) -> DisplacementField:
-    """Voxel-wise sum of the upsampled coarse field and the fine residual."""
+    """Voxel-wise sum of the upsampled coarse field and the fine residual.
+
+    Only dims are checked: the sum is voxel-wise algebra, and acceptance
+    criterion 7 adds upsample_field's output (half the spacing) to a field
+    on the default grid.
+    """
     if up.dims != residual.dims:
         raise ValidationError(f"compose dims mismatch: {up.dims} vs {residual.dims}")
     return up.with_data(up.data + residual.data)

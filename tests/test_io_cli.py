@@ -283,6 +283,23 @@ class TestCli:
         line = capsys.readouterr().out.strip()
         assert "ncc_pct=" in line and "mse=" in line
 
+    def test_metrics_refuses_warped_on_another_spacing(self, phantom_dir, tmp_path,
+                                                       capsys):
+        # same dims, 2 mm voxels: not the fixed image's grid
+        spec = _write_spec(tmp_path / "coarse.json")
+        doc = json.loads(spec.read_text())
+        spec.write_text(json.dumps(dict(doc, spacing=[2, 2, 2])))
+        assert cli(["phantom", "--spec", str(spec), "--out",
+                    str(tmp_path / "coarse")]) == EXIT_OK
+        capsys.readouterr()
+        rc = cli(["metrics", "--fixed", str(phantom_dir / "image"),
+                  "--warped", str(tmp_path / "coarse" / "image"),
+                  "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert cli(["phantom", "--nope", "x"]) == EXIT_USAGE
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,47 @@ class TestMetricReport:
         fld = pr.zero_field(a)
         with pytest.raises(ValidationError, match="at least 2 voxels"):
             pr.metric_report(a, a, empty, fld, truth=fld, epe_mask=empty)
+
+
+# each scorer with the inputs it combines; every input must share the first
+# one's grid (dims, spacing and origin), as warp and the loss require
+_GRID_CASES = {
+    "masked_ncc": (lambda v: pr.masked_ncc(v["fixed"], v["warped"], v["mask"],
+                                           v["weights"]),
+                   ("warped", "mask", "weights")),
+    "mse": (lambda v: pr.mse(v["fixed"], v["warped"], v["mask"]),
+            ("warped", "mask")),
+    "ssim": (lambda v: pr.ssim(v["fixed"], v["warped"], v["mask"]),
+             ("warped", "mask")),
+    "relvoldiff": (lambda v: pr.relvoldiff(v["ctv_fixed"], v["ctv_prop"]),
+                   ("ctv_prop",)),
+    "endpoint_error": (lambda v: pr.endpoint_error(v["fld"], v["truth"],
+                                                   mask=v["mask"]),
+                       ("truth", "mask")),
+    "fuse_priors": (lambda v: pr.fuse_priors(v["weights"], v["warped"], 0.5),
+                    ("warped",)),
+    "metric_report": (lambda v: pr.metric_report(
+        v["fixed"], v["warped"], v["mask"], v["fld"], v["ctv_fixed"],
+        v["ctv_prop"], v["truth"], epe_mask=v["mask"]),
+        ("warped", "mask", "fld", "truth", "ctv_fixed", "ctv_prop")),
+}
+
+
+@pytest.mark.parametrize("name,which", [(name, which)
+                                        for name, (_, moved) in _GRID_CASES.items()
+                                        for which in moved])
+@pytest.mark.parametrize("change", [{"spacing": (2.0, 2.0, 2.0)},
+                                    {"origin": (0.0, 0.0, 5.0)}])
+def test_scorers_refuse_inputs_on_another_grid(rng, name, which, change):
+    dims = (8, 8, 8)
+    ctv = np.zeros(dims, dtype=np.float32)
+    ctv[2:6, 2:6, 2:6] = 1.0
+    v = dict(fixed=random_volume(rng, dims), warped=random_volume(rng, dims),
+             mask=_full_mask(dims), weights=random_volume(rng, dims),
+             ctv_fixed=pr.Volume(ctv), ctv_prop=pr.Volume(np.roll(ctv, 1, axis=0)),
+             fld=lattice_safe_field(rng, dims), truth=lattice_safe_field(rng, dims))
+    call, _ = _GRID_CASES[name]
+    call(v)                                   # one grid: scored
+    v[which] = replace(v[which], **change)
+    with pytest.raises(ValidationError, match="grid"):
+        call(v)

@@ -43,7 +43,7 @@ class TestMaskedNcc:
         b = random_volume(rng, (6, 6, 6))
         m = pr.Volume((rng.random((6, 6, 6)) > 0.4).astype(np.float32))
         p = pr.Volume(rng.random((6, 6, 6)).astype(np.float32))
-        got = pr.masked_ncc(a, b, m, weights=p, kappa=1.0)
+        got = pr.masked_ncc(a, b, m, weights=p)
         want = oracles.masked_ncc(a.data, b.data,
                                   m.data.astype(np.float64) * (1.0 + p.data))
         assert got == pytest.approx(want, abs=1e-6)
@@ -163,7 +163,7 @@ def test_loss_refuses_inputs_on_another_grid(rng, which, change):
             fn(**args)
 
 
-def _fd_gradient(fixed, moving, u, mask, lam, weights, kappa, h=1e-3):
+def _fd_gradient(fixed, moving, u, mask, lam, weights, h=1e-3):
     fd = np.zeros(u.shape)
     for c in range(3):
         for idx in np.ndindex(*u.shape[1:]):
@@ -173,10 +173,10 @@ def _fd_gradient(fixed, moving, u, mask, lam, weights, kappa, h=1e-3):
             um[(c,) + idx] -= h
             lp = pr.total_loss(fixed, moving,
                                pr.DisplacementField(up.astype(np.float32)),
-                               mask, lam, weights=weights, kappa=kappa).total
+                               mask, lam, weights=weights).total
             lm = pr.total_loss(fixed, moving,
                                pr.DisplacementField(um.astype(np.float32)),
-                               mask, lam, weights=weights, kappa=kappa).total
+                               mask, lam, weights=weights).total
             fd[(c,) + idx] = (lp - lm) / (2 * h)
     return fd
 
@@ -196,8 +196,8 @@ def check_gradient(seed, n, with_mask, with_weights, lam):
         if with_weights else None
     fld = lattice_safe_field(rng, (n, n, n))
     g = pr.loss_gradient(fixed, moving, fld, mask, lam,
-                         weights=weights, kappa=1.0).data.astype(np.float64)
-    fd = _fd_gradient(fixed, moving, fld.data, mask, lam, weights, 1.0)
+                         weights=weights).data.astype(np.float64)
+    fd = _fd_gradient(fixed, moving, fld.data, mask, lam, weights)
     scale = np.abs(fd).max()
     rel = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)),
                                       1e-4 * scale)
