@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 input/validation error,
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 
@@ -16,8 +15,6 @@ import numpy as np
 from . import condition, engine, io, metrics, priors, synth
 from .errors import ValidationError, _known_keys
 from .volgrid import DisplacementField, pad_to_shape
-
-logger = logging.getLogger("protoreg")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -231,7 +228,6 @@ _COMMANDS = {
 
 
 def cli(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

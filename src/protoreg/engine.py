@@ -4,9 +4,9 @@ The deformable solver minimizes -maskedNCC + lambda * smoothness over a
 pyramid: each level descends on the whole field, starting from the
 upsampled field of the coarser level, and returns the field it scored
 last. Prior maps can reweight the similarity term and gate the raw
-updates; a FiLM stage can modulate the fused prior. Only loss-improving
-iterates are accepted, so the per-level loss sequence is monotone by
-construction.
+updates; a FiLM stage can modulate the fused prior. An iterate is
+accepted only if it does not raise the loss, so the per-level loss
+sequence never rises by construction.
 """
 from __future__ import annotations
 
@@ -98,6 +98,9 @@ class RegConfig:
             raise ValidationError("iteration counts must be >= 0")
         if self.lambda_smooth < 0:
             raise ValidationError("lambda_smooth must be >= 0")
+        if (self.use_gate or self.use_film) and not (self.use_anatomy or self.use_risk):
+            # both act on the fused prior, so without one they would do nothing
+            raise ValidationError("use_gate and use_film require use_anatomy or use_risk")
         object.__setattr__(self, "iterations", tuple(int(i) for i in iterations))
         object.__setattr__(self, "rigid_iterations", tuple(int(i) for i in rigid_iterations))
 
@@ -128,7 +131,7 @@ class LevelReport:
     wall_time_s: float
     # the level's descent counters (see _descend)
     stop_reason: str
-    evaluations: dict
+    evaluations: int
     accepted: dict
     rejected: int
 
@@ -179,28 +182,24 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     the first trial whose loss is finite and not higher is taken, so the
     trajectory (initial loss, then one per iteration) never rises.
 
-    evaluate(x, want_grad) returns (loss, gradient if want_grad else None).
-    Each iteration starts at the factor taken last, and one rung higher
-    after STEP_UP_AFTER consecutive first-trial accepts. The first trial is
-    scored with its gradient, so when it is taken that gradient drives the
-    next iteration; later trials are scored by their loss alone. An
-    iteration that takes no trial keeps x, the start factor and the
-    gradient. scale multiplies each step per component.
+    evaluate(x) returns (loss, gradient) from one warp, so the trial taken
+    hands its gradient to the next iteration. Each iteration starts at the
+    factor taken last, and one rung higher after STEP_UP_AFTER consecutive
+    first-trial accepts. An iteration that takes no trial keeps x, the
+    start factor and the gradient. scale multiplies each step per component.
     Stops after `iterations`, or once the loss changed by less than tol,
     relative, over LEVEL_WINDOW iterations (tol 0 never stops early).
 
     Returns (x, trajectory, counters). The counters are deterministic:
     stop_reason ("converged" by the window rule, or "iteration_cap"); the
-    evaluations, as `fused` first trials, `value` later trials and
-    `gradient` evaluations of the current iterate (the start, and after a
-    later trial is taken); the iterations that took each factor
+    calls to evaluate (`evaluations`); the iterations that took each factor
     (`accepted`, keyed "1" to "0.125") and those that took none
     (`rejected`)."""
-    cur, g = evaluate(x, True)
+    cur, g = evaluate(x)
     if not math.isfinite(cur):
         raise ValidationError("non-finite loss at the start of a descent")
     trajectory = [cur]
-    n_value, n_gradient, rejected = 0, 1, 0
+    evaluations, rejected = 1, 0
     accepted = [0] * len(STEP_FACTORS)
     start, streak = 0, 0
     stop_reason = "iteration_cap"
@@ -208,9 +207,6 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     m1 = np.zeros_like(x)
     m2 = np.zeros_like(x)
     for it in range(iterations):
-        if g is None:
-            _, g = evaluate(x, True)
-            n_gradient += 1
         m1 = beta1 * m1 + (1.0 - beta1) * g
         m2 = beta2 * m2 + (1.0 - beta2) * g * g
         step = (lr * (m1 / (1.0 - beta1 ** (it + 1)))
@@ -218,25 +214,23 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
         taken = None
         for k in range(start, len(STEP_FACTORS)):
             cand = x - STEP_FACTORS[k] * step
-            val, cand_g = evaluate(cand, k == start)
-            n_value += int(k > start)
+            val, cand_g = evaluate(cand)
+            evaluations += 1
             if math.isfinite(val) and val <= cur:
                 taken = k
                 break
-            cand_g = None      # free it before the value-only trials
+            cand_g = None      # free it before the next trial
         if taken is None:
             rejected += 1
             streak = 0
         else:
-            x, cur = cand, val
+            x, cur, g = cand, val, cand_g
             accepted[taken] += 1
             if taken == start:
-                g = cand_g
                 streak += 1
                 if streak == STEP_UP_AFTER:
                     start, streak = max(start - 1, 0), 0
             else:
-                g = None
                 start, streak = taken, 0
         trajectory.append(cur)
         if len(trajectory) > LEVEL_WINDOW:
@@ -246,9 +240,7 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
                 break
     counters = {
         "stop_reason": stop_reason,
-        # one fused first trial per iteration
-        "evaluations": {"fused": len(trajectory) - 1, "value": n_value,
-                        "gradient": n_gradient},
+        "evaluations": evaluations,
         "accepted": {format(f, "g"): n for f, n in zip(STEP_FACTORS, accepted)},
         "rejected": rejected,
     }
@@ -290,13 +282,13 @@ def resample_rigid(moving: Volume, like: Volume, t: RigidTransform) -> Volume:
 
 
 def _rigid_evaluator(obj: Objective, center):
-    """evaluate(p, want_grad) of the rigid parameters p = (rx, ry, rz, tx,
-    ty, tz): the loss and, when asked, its gradient from one warp. The
-    loss is obj (at lambda 0) on the displacement field
-    u(x) = voxel(T(x)) - x that T(x) = R (x - c) + c + t induces on obj's
-    fixed grid, i.e. -maskedNCC of the rigidly resampled moving image. The
-    gradient chains dL/du through T: per mm, dL/dt is the voxel sum of
-    dL/dT(x) and dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>."""
+    """evaluate(p) of the rigid parameters p = (rx, ry, rz, tx, ty, tz):
+    the loss and its gradient from one warp. The loss is obj (at lambda 0)
+    on the displacement field u(x) = voxel(T(x)) - x that
+    T(x) = R (x - c) + c + t induces on obj's fixed grid, i.e. -maskedNCC
+    of the rigidly resampled moving image. The gradient chains dL/du
+    through T: per mm, dL/dt is the voxel sum of dL/dT(x) and
+    dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>."""
     ident, rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center)
     spacing = np.array(obj.moving.spacing).reshape(3, 1, 1, 1)
 
@@ -305,10 +297,8 @@ def _rigid_evaluator(obj: Objective, center):
         Rx, Ry, Rz = _axis_rotations([_wrap_angle(float(a)) for a in p[:3]])
         return voxels(Rz @ Ry @ Rx, p[3:]) - ident
 
-    def evaluate(p, want_grad=False):
-        total, g = obj.evaluate(field(p), want_grad)
-        if g is None:
-            return total, None
+    def evaluate(p):
+        total, g = obj.evaluate(field(p))
         g /= spacing
         moments = np.einsum("axyz,bxyz->ab", g, rel)
         Rx, Ry, Rz = _axis_rotations(p[:3])

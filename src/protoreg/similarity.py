@@ -140,10 +140,9 @@ class Objective:
                              masked_voxels=self._masked_voxels,
                              degenerate=degenerate)
 
-    def evaluate(self, u: np.ndarray, want_grad: bool = False):
-        """(loss(u).total, dL/du or None) from one warp. S(u) is skipped
-        when lambda is 0; the gradient, asked for by want_grad, is float64
-        rounded to float32 precision.
+    def evaluate(self, u: np.ndarray):
+        """(loss(u).total, dL/du) from one warp. S(u) is skipped when lambda
+        is 0; the gradient is float64 rounded to float32 precision.
 
         NCC part: dNCC/d(warped intensity) chained through the trilinear
         interpolant's spatial derivative at x + u. Smoothness part: exact
@@ -151,18 +150,14 @@ class Objective:
         check holds by construction.
         """
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        warped = self._warp(u, want_grad)
-        b = warped[0] if want_grad else warped
+        b, gx, gy, gz = self._warp(u, want_grad=True)
         ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._fixed, b, self._w)
-        smooth, grad = _smoothness(u, want_grad) if self.lambda_smooth else (0.0, None)
+        smooth, grad = _smoothness(u, True) if self.lambda_smooth else (0.0, None)
         total = -ncc + self.lambda_smooth * smooth
-        if not want_grad:
-            return total, None
         grad = np.zeros_like(u) if grad is None else self.lambda_smooth * grad
         if not degenerate:
             # d(NCC)/d b_j = w_j * (A_j - NCC * sqrt(Saa/Sbb) * B_j) / sqrt(Saa*Sbb)
             dncc_db = self._w * (A - (s_ab / s_bb) * B) / np.sqrt(s_aa * s_bb)
-            _, gx, gy, gz = warped
             grad[0] -= dncc_db * gx
             grad[1] -= dncc_db * gy
             grad[2] -= dncc_db * gz
@@ -188,6 +183,6 @@ def loss_gradient(fixed: Volume, moving: Volume, fld: DisplacementField,
                   weights: Volume | None = None) -> DisplacementField:
     """Analytic dL/du (see Objective.evaluate) as a field on fld's grid."""
     g = _objective(fixed, moving, fld, mask, lambda_smooth,
-                   weights).evaluate(fld.data, want_grad=True)[1]
+                   weights).evaluate(fld.data)[1]
     return DisplacementField(g.astype(np.float32), spacing=fld.spacing,
                              origin=fld.origin)

@@ -8,15 +8,12 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError, _integer, _values
-
-logger = logging.getLogger(__name__)
 
 Triple = tuple[float, float, float]
 
@@ -259,17 +256,14 @@ def downsample_avg(vol: Volume) -> Volume:
 def build_pyramid(vol: Volume, levels: int) -> tuple:
     """Repeated average pooling, finest level first; the level count is
     clipped so every axis keeps at least 4 voxels at the coarsest level
-    (a grid with an axis under 4 voxels is not pooled)."""
+    (a grid with an axis under 4 voxels is not pooled). The clip is not
+    logged: register records it as a levels_reduced_to_N flag."""
     if levels < 1:
         raise ValidationError(f"level count must be >= 1, got {levels}")
     # ceil(n / 2**(L-1)) >= 4 holds for 2**(L-1) <= (n - 1) // 3
     max_levels = max(1, ((min(vol.dims) - 1) // 3).bit_length())
-    if levels > max_levels:
-        logger.warning("pyramid reduced from %d to %d levels for dims %s",
-                       levels, max_levels, vol.dims)
-        levels = max_levels
     out = [vol]
-    for _ in range(levels - 1):
+    for _ in range(min(levels, max_levels) - 1):
         out.append(downsample_avg(out[-1]))
     return tuple(out)
 

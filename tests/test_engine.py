@@ -111,7 +111,7 @@ class TestRigidObjective:
 
         def loss(p):
             return evaluate(p)[0]
-        value, g = evaluate(RIGID_PARAMS, True)
+        value, g = evaluate(RIGID_PARAMS)
         assert value == loss(RIGID_PARAMS)
         h = np.array([1e-3] * 3 + [0.1] * 3)        # rad, mm
         fd = np.empty(6)
@@ -134,8 +134,8 @@ class TestRigidObjective:
         want = -pr.masked_ncc(fixed, resample_rigid(moving, fixed, t), mask)
         evaluate = engine._rigid_evaluator(
             pr.similarity.Objective(fixed, moving, mask, 0.0), center)
-        got, none = evaluate(RIGID_PARAMS)
-        assert none is None
+        got, g = evaluate(RIGID_PARAMS)
+        assert g.shape == (6,)
         assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -147,8 +147,8 @@ def _bowl(x):
     return float(((x - C) ** 2).sum()) + 1.0
 
 
-def _bowl_evaluate(x, want_grad=False):
-    return _bowl(x), 2.0 * (x - C) if want_grad else None
+def _bowl_evaluate(x):
+    return _bowl(x), 2.0 * (x - C)
 
 
 def _plain_descend(loss, gradient, x, lr, iterations, eps):
@@ -211,11 +211,21 @@ class TestDescend:
         assert len(traj) == engine.LEVEL_WINDOW + 1
         assert counters["stop_reason"] == "converged"
 
+    def test_evaluations_count_the_calls(self):
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            return _bowl_evaluate(x)
+        _, traj, counters = engine._descend(evaluate, np.zeros(4), 0.1, 200,
+                                            1e-8, 1e-5)
+        assert counters["evaluations"] == len(calls) >= len(traj)
+
     def test_non_finite_trials_rejected(self):
         def loss(x):
             return math.inf if x[0] > 0.5 else _bowl(x)
-        def evaluate(x, want_grad=False):
-            return loss(x), _bowl_evaluate(x, want_grad)[1]
+        def evaluate(x):
+            return loss(x), _bowl_evaluate(x)[1]
         x, traj, _ = engine._descend(evaluate, np.zeros(4), 0.1, 50, 1e-8, 0.0)
         assert x[0] <= 0.5
         assert all(math.isfinite(v) for v in traj)
@@ -223,7 +233,7 @@ class TestDescend:
 
     def test_non_finite_initial_loss_raises(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            engine._descend(lambda x, want_grad: (math.nan, x),
+            engine._descend(lambda x: (math.nan, x),
                             np.zeros(4), 0.1, 10, 1e-8, 1e-5)
 
 
@@ -237,29 +247,28 @@ class TestDescend:
         x0 = np.zeros((3,) + img.dims)
         x, traj, counters = engine._descend(obj.evaluate, x0, engine.LEVEL_STEP, 25,
                                             engine.LEVEL_EPS, 0.0)
-        want_x, want_traj = _plain_descend(lambda u: obj.evaluate(u)[0],
-                                           lambda u: obj.evaluate(u, True)[1],
+        want_x, want_traj = _plain_descend(lambda u: obj.loss(u).total,
+                                           lambda u: obj.evaluate(u)[1],
                                            x0, engine.LEVEL_STEP, 25, engine.LEVEL_EPS)
         assert x.tobytes() == want_x.tobytes()
         assert traj == want_traj
-        # both paths ran: taken first trials and taken later ones
-        ev = counters["evaluations"]
-        assert ev["fused"] == 25 and ev["value"] > 0 and 1 < ev["gradient"] < 25
+        # every iteration took a trial, so each call beyond the start and
+        # one per iteration was a rejected trial before a later one was taken
+        assert sum(counters["accepted"].values()) == 25
+        assert counters["evaluations"] > 1 + 25
 
     def test_rejected_iteration_reuses_its_gradient(self):
         x0 = np.zeros(4)
         at_start = []
 
-        def evaluate(x, want_grad=False):
-            if not want_grad:
-                return 2.0, None
+        def evaluate(x):
             at_start.append(np.array_equal(x, x0))
             return (1.0 if at_start[-1] else 2.0), 2.0 * (x - C)
         x, traj, counters = engine._descend(evaluate, x0, 0.1, 6, 1e-8, 0.0)
         assert np.array_equal(x, x0) and traj == [1.0] * 7
-        # one gradient at the start, then only each iteration's first trial
-        assert at_start == [True] + [False] * 6
-        assert counters["evaluations"] == {"fused": 6, "value": 18, "gradient": 1}
+        # the start is scored once, then only the trials, four per iteration
+        assert at_start == [True] + [False] * 24
+        assert counters["evaluations"] == 25
         assert counters["rejected"] == 6
         assert counters["stop_reason"] == "iteration_cap"
 
@@ -284,12 +293,13 @@ class TestDescend:
             return -c[0]
 
         _, _, counters = engine._descend(
-            lambda c, want_grad: (loss(c), -np.ones(1) if want_grad else None),
+            lambda c: (loss(c), -np.ones(1)),
             np.zeros(1), 1.0, len(allowed), 1e-12, 0.0)
         first = [next(f for i, f in tried if i == it) for it in range(len(allowed))]
         assert first == [1, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 0.5]
         assert counters["accepted"] == {"1": 0, "0.5": 7, "0.25": 4, "0.125": 0}
-        assert counters["evaluations"] == {"fused": 11, "value": 3, "gradient": 3}
+        # the start, then the 14 trials: one per iteration and 3 rejected
+        assert counters["evaluations"] == 15
 
 
 class TestRegister:
@@ -315,16 +325,27 @@ class TestRegister:
             assert np.all(np.diff(lvl.trajectory) <= 1e-12)
             assert len(lvl.trajectory) <= FAST.iterations[-1] + 1
 
-    def test_level_counters_add_up(self, small_phantom):
+    def test_level_counters_add_up(self, small_phantom, monkeypatch):
         img, st, _ = small_phantom
         g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.0, 4.0, 3),
                                  envelope=st.body.data.astype(np.float64))
+        shapes = []
+        scored = similarity.Objective.evaluate
+
+        def counted(self, u):
+            shapes.append(u.shape)
+            return scored(self, u)
+        monkeypatch.setattr(similarity.Objective, "evaluate", counted)
         _, rep = pr.register(pr.warp(img, g), img, FAST, structures=st)
-        for lvl in rep.to_dict()["levels"]:
+        levels = rep.to_dict()["levels"]
+        for lvl in levels:
             assert lvl["stop_reason"] in ("converged", "iteration_cap")
             assert sum(lvl["accepted"].values()) + lvl["rejected"] == lvl["iterations_used"]
-            # every iteration scores exactly one fused first trial
-            assert lvl["evaluations"]["fused"] == lvl["iterations_used"]
+            # the start, then at least one trial per iteration
+            assert type(lvl["evaluations"]) is int
+            assert lvl["evaluations"] > lvl["iterations_used"]
+            assert lvl["evaluations"] == shapes.count((3, *lvl["dims"]))
+        assert sum(lvl["evaluations"] for lvl in levels) == len(shapes)
 
     def test_determinism(self, small_phantom):
         img, st, _ = small_phantom
@@ -444,7 +465,7 @@ class TestRegister:
         assert rep.final.masked_voxels == 16 ** 3
 
     def test_flat_grid_rejected_before_any_iteration(self, rng, monkeypatch):
-        def no_trial(self, u, want_grad=False):
+        def no_trial(self, u):
             raise AssertionError("a trial was evaluated")
         monkeypatch.setattr(similarity.Objective, "loss", no_trial)
         monkeypatch.setattr(similarity.Objective, "evaluate", no_trial)
@@ -524,6 +545,15 @@ class TestRegConfig:
                        {"iterations": (40, 1.5)}):
             with pytest.raises(ValidationError):
                 pr.RegConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"use_gate": True}, {"use_film": True}, {"use_gate": True, "use_film": True}])
+    def test_gate_or_film_without_prior_rejected(self, kwargs):
+        # both act on the fused prior; a run without one would drop them silently
+        with pytest.raises(ValidationError, match="require use_anatomy or use_risk"):
+            pr.RegConfig(**kwargs)
+        for prior in ("use_anatomy", "use_risk"):
+            pr.RegConfig(**kwargs, **{prior: True})
 
     @pytest.mark.parametrize("kwargs", [
         {"levels": 1.5}, {"convergence_tol": math.nan}, {"lambda_smooth": 10 ** 400}])

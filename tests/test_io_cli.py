@@ -135,6 +135,9 @@ MALFORMED = [
     ("params", "string-sigma", {"sigma_mm": "5"}),
     ("config", "null", None), ("config", "unknown-key", {"nope": 1}),
     ("config", "bool-levels", {"levels": True}),
+    # gate and FiLM act on a prior, so without one they are refused
+    ("config", "gate-without-prior", {"use_gate": True}),
+    ("config", "film-without-prior", {"use_film": True}),
     ("embeddings", "list", ROW),
     ("embeddings", "string-values", {"dim": 512, "values": ["0"] * 512}),
     ("embeddings", "bool-values", {"dim": 512, "values": [True] * 512}),

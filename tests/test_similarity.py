@@ -137,9 +137,9 @@ class TestTotalLoss:
         obj = Objective(a, b, _full_mask((6, 6, 6)), lam)
         for _ in range(3):
             u = rng.normal(0.0, 1.5, size=(3, 6, 6, 6))
-            total, grad = obj.evaluate(u, True)
-            assert total == obj.evaluate(u)[0] == obj.loss(u).total
-            assert grad.shape == u.shape and obj.evaluate(u)[1] is None
+            total, grad = obj.evaluate(u)
+            assert total == obj.loss(u).total
+            assert grad.shape == u.shape
 
     def test_degenerate_flagged(self, rng):
         a = pr.Volume(np.full((5, 5, 5), 1.0, dtype=np.float32))
