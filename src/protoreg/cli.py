@@ -14,7 +14,7 @@ import numpy as np
 
 from . import condition, engine, io, metrics, priors, synth
 from .errors import ValidationError, _known_keys
-from .volgrid import DisplacementField, pad_to_shape
+from .volgrid import DisplacementField, pad_to_shape, warp
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,9 +42,9 @@ def _read(path, field=False):
 
 
 def _load_structures(args) -> priors.StructureSet | None:
-    ctv = _read(args.ctv) if getattr(args, "ctv", None) else None
-    body = _read(args.body) if getattr(args, "body", None) else None
-    oars = tuple(_read(p) for p in (getattr(args, "oars", None) or ()))
+    ctv = _read(args.ctv) if args.ctv else None
+    body = _read(args.body) if args.body else None
+    oars = tuple(_read(p) for p in args.oars)
     if ctv is None and body is None and not oars:
         return None
     ref = ctv or body or oars[0]
@@ -138,11 +138,10 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_warp(args) -> int:
-    from .volgrid import warp as warp_image
     fld = _read(args.field, field=True)
     vol = _read(args.image or args.mask)
     if args.image:
-        out, kind = warp_image(vol, fld), "image"
+        out, kind = warp(vol, fld), "image"
     else:
         out, kind = engine.warp_contour(vol, fld), "mask"
     io.write_volume(args.out, out, kind=kind)
@@ -150,6 +149,10 @@ def _cmd_warp(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    if bool(args.ctv_fixed) != bool(args.ctv_prop):
+        raise ValidationError("--ctv-fixed and --ctv-prop go together")
+    if args.truth and not args.field:
+        raise ValidationError("--truth needs --field")
     fixed = _read(args.fixed)
     warped = _read(args.warped)
     mask = _read(args.mask) if args.mask else \

@@ -380,8 +380,9 @@ def _build_fused_prior(fixed: Volume, config: RegConfig,
     if config.use_film:
         if not embeddings:
             raise ValidationError("use_film requires at least one embedding")
-        weights = adapter_weights or AdapterWeights.identity(1)
-        fp = adapter(mean_embedding(embeddings), weights, 1)
+        if adapter_weights is None:
+            raise ValidationError("use_film requires adapter weights")
+        fp = adapter(mean_embedding(embeddings), adapter_weights, 1)
         modulated = film(FeatureGrid(fused.data[None].astype(np.float64)), fp)
         fused = fused.with_data(np.clip(modulated.data[0], 0.0, 1.0))
         flags.append("film_applied")

@@ -416,6 +416,14 @@ class TestRegister:
         with pytest.raises(ValidationError):
             pr.register(img, img, cfg)
 
+    def test_film_without_adapter_rejected(self, small_phantom):
+        # without weights FiLM would change nothing, yet flag film_applied
+        img, st, _ = small_phantom
+        cfg = pr.RegConfig(use_anatomy=True, use_film=True)
+        with pytest.raises(ValidationError, match="adapter weights"):
+            pr.register(img, img, cfg, structures=st,
+                        embeddings=(pr.pseudo_embedding("oropharynx"),))
+
     def test_grid_mismatch_rejected(self, small_phantom, rng):
         img, _, _ = small_phantom
         other = pr.Volume(rng.random((16, 16, 16)).astype(np.float32))

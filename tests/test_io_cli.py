@@ -1,7 +1,11 @@
+import importlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,32 @@ class TestCli:
         assert err.startswith("validation error: ") and "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("half", [["--ctv-fixed", "ctv"], ["--ctv-prop", "ctv"],
+                                      ["--truth", "fld"]],
+                             ids=["ctv-fixed-alone", "ctv-prop-alone", "truth-alone"])
+    def test_metrics_refuses_half_a_pair(self, phantom_dir, tmp_path, half):
+        img = io.read_volume(str(phantom_dir / "image"))
+        io.write_volume(str(tmp_path / "fld"), pr.zero_field(img), kind="field")
+        paths = {"ctv": str(phantom_dir / "ctv"), "fld": str(tmp_path / "fld")}
+        rc = cli(["metrics", "--fixed", str(phantom_dir / "image"),
+                  "--warped", str(phantom_dir / "image"), half[0], paths[half[1]],
+                  "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_VALIDATION
+        assert not (tmp_path / "m.json").exists()
+
+    def test_film_without_adapter_is_validation_error(self, phantom_dir, tmp_path):
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"use_anatomy": True, "use_film": True}))
+        pr.condition.save_embedding(str(tmp_path / "emb.json"),
+                                    pr.pseudo_embedding("oropharynx"))
+        rc = cli(["register", "--fixed", str(phantom_dir / "image"),
+                  "--moving", str(phantom_dir / "image"),
+                  "--ctv", str(phantom_dir / "ctv"),
+                  "--embeddings", str(tmp_path / "emb.json"),
+                  "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert cli(["phantom", "--nope", "x"]) == EXIT_USAGE
 
@@ -511,3 +541,61 @@ class TestCliRegisterDeterminism:
         timing = json.loads((out / "timing.json").read_text())
         assert len(timing) == 2
         assert all(v >= 0.0 for v in timing.values())
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# a 16^3 phantom: each command on it runs in about a second
+SPEC_16 = {"dims": [16, 16, 16], "body_semi_axes_mm": [7.0, 6.0, 7.0],
+           "ctv_center_mm": [1.0, 0.5, -0.5], "ctv_radius_mm": 2.0,
+           "oars": [[[-2.0, -1.0, 1.0], 1.5]], "dose_tau_mm": 3.0, "seed": 7}
+
+
+def _protoreg(*args):
+    """Run the console script's entry point in a fresh interpreter on this
+    checkout's src, never on a protoreg installed elsewhere."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "protoreg.cli", *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestConsoleScript:
+    @pytest.fixture(scope="class")
+    def ph16(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("console")
+        (d / "spec.json").write_text(json.dumps(SPEC_16))
+        done = _protoreg("phantom", "--spec", d / "spec.json", "--out", d / "ph")
+        assert done.returncode == EXIT_OK, done.stderr
+        return d / "ph"
+
+    def test_entry_point_is_cli_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["protoreg"]
+        assert target == "protoreg.cli:main"
+        module, name = target.split(":")
+        assert callable(getattr(importlib.import_module(module), name))
+
+    def test_register_writes_field_and_report(self, ph16, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"levels": 2, "iterations": [3], "rigid_iterations": [2]}))
+        done = _protoreg("register", "--fixed", ph16 / "image", "--moving", ph16 / "image",
+                         "--body", ph16 / "body", "--ctv", ph16 / "ctv",
+                         "--config", tmp_path / "cfg.json", "--out", tmp_path / "o")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert isinstance(io.read_volume(str(tmp_path / "o" / "field")), pr.DisplacementField)
+        assert len(json.loads((tmp_path / "o" / "report.json").read_text())["levels"]) == 2
+
+    def test_nan_config_exits_2(self, ph16, tmp_path):
+        (tmp_path / "cfg.json").write_text('{"convergence_tol": NaN}')
+        done = _protoreg("register", "--fixed", ph16 / "image", "--moving", ph16 / "image",
+                         "--config", tmp_path / "cfg.json", "--out", tmp_path / "o")
+        assert done.returncode == EXIT_VALIDATION
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_required_flag_exits_1(self, tmp_path):
+        done = _protoreg("register", "--fixed", tmp_path / "image")
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.startswith("usage error: ") and "Traceback" not in done.stderr
