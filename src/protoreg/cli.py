@@ -117,10 +117,11 @@ def _cmd_register(args) -> int:
     dose = pad_to_shape(dose, dims) if dose is not None else None
     embeddings = tuple(condition.load_embedding(p) for p in (args.embeddings or ()))
     adapter_w = condition.load_adapter(args.adapter) if args.adapter else None
+    # refuse missing prior inputs before paying for the rigid stage
+    engine.check_prior_inputs(fixed, config, structures, dose, embeddings, adapter_w)
 
-    mask = structures.body if structures is not None else \
-        fixed.with_data(np.ones(dims, dtype=np.float32))
-    transform, moving_aligned = engine.rigid_align(fixed, moving, mask, config)
+    transform, moving_aligned = engine.rigid_align(
+        fixed, moving, engine.foreground_mask(fixed, structures), config)
     fld, report = engine.register(fixed, moving_aligned, config,
                                   structures=structures, dose=dose,
                                   embeddings=embeddings, adapter_weights=adapter_w)

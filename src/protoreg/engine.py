@@ -163,7 +163,7 @@ class RegReport:
 
 
 # ---------------------------------------------------------------------------
-# descent shared by the rigid stages and the pyramid levels
+# level inputs and descent shared by the rigid stages and the pyramid levels
 
 # fixed optimizer settings, not RegConfig keys: each pyramid level's Adam
 # step and epsilon, every descent's convergence window, the depth of the
@@ -247,6 +247,24 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     return x, trajectory, counters
 
 
+def foreground_mask(fixed: Volume, structures: StructureSet | None) -> Volume:
+    """The body mask, or the whole grid of fixed without structures."""
+    return structures.body if structures is not None else \
+        fixed.with_data(np.ones(fixed.dims, dtype=np.float32))
+
+
+def _level_inputs(fixed: Volume, moving: Volume, mask: Volume, levels: int) -> list:
+    """(fixed, moving, mask, degenerate) per pyramid level, finest first. The
+    mask is pooled, not thresholded, so it weighs the NCC as pooled; with
+    fewer than 2 voxels > 0 it is the whole grid, and degenerate is True."""
+    out = []
+    for f_l, m_l, k_l in zip(*(build_pyramid(v, levels) for v in (fixed, moving, mask))):
+        degenerate = int((k_l.data > 0).sum()) < 2
+        weights = k_l.with_data(np.ones(k_l.dims, dtype=np.float32)) if degenerate else k_l
+        out.append((f_l, m_l, weights, degenerate))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # rigid pre-alignment
 
@@ -324,18 +342,11 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
     if int((mask.data > 0).sum()) < 8:
         raise ValidationError("mask too small for rigid alignment")
     center = _physical_center(fixed)
-    fpyr = build_pyramid(fixed, RIGID_LEVELS)
-    mpyr = build_pyramid(moving, RIGID_LEVELS)
-    kpyr = build_pyramid(mask, RIGID_LEVELS)
-    n_levels = len(fpyr)
+    levels = _level_inputs(fixed, moving, mask, RIGID_LEVELS)
     params = np.zeros(6)
-    stages = [li for li in (n_levels - 1, n_levels - 2) if li >= 0]
-    for stage_idx, li in enumerate(stages):
-        f_l, m_l, k_l = fpyr[li], mpyr[li], kpyr[li]
-        w = (k_l.data > 0.5).astype(np.float32)
-        if w.sum() < 2:
-            w = np.ones_like(w)
-        evaluate = _rigid_evaluator(Objective(f_l, m_l, k_l.with_data(w), 0.0), center)
+    # the coarsest level, then one up; a whole-grid fallback is not flagged
+    for stage_idx, (f_l, m_l, k_l, _) in enumerate(levels[::-1][:2]):
+        evaluate = _rigid_evaluator(Objective(f_l, m_l, k_l, 0.0), center)
         iters = config.rigid_iterations[min(stage_idx, len(config.rigid_iterations) - 1)]
         lr = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
         # tol 0: a rigid stage always runs its full budget
@@ -354,15 +365,11 @@ def warp_contour(mask: Volume, fld: DisplacementField) -> Volume:
     return mask.with_data((warped.data >= 0.5).astype(np.float32))
 
 
-def _build_fused_prior(fixed: Volume, config: RegConfig,
-                       structures: StructureSet | None, dose: Volume | None,
-                       embeddings, adapter_weights: AdapterWeights | None,
-                       flags: list) -> Volume | None:
-    amap = rmap = None
-    if config.use_anatomy:
-        if structures is None or not (structures.ctv.data > 0).any():
-            raise ValidationError("use_anatomy requires a nonempty CTV")
-        amap = anatomy_map(structures, config.prior_params)
+def check_prior_inputs(fixed: Volume, config: RegConfig, structures: StructureSet | None,
+                       dose: Volume | None, embeddings, adapter_weights: AdapterWeights | None):
+    """Refuse the prior inputs config asks for and lacks; needs no registration."""
+    if config.use_anatomy and (structures is None or not (structures.ctv.data > 0).any()):
+        raise ValidationError("use_anatomy requires a nonempty CTV")
     if config.use_risk:
         if dose is None:
             raise ValidationError("use_risk requires a dose volume")
@@ -370,27 +377,27 @@ def _build_fused_prior(fixed: Volume, config: RegConfig,
             raise ValidationError("dose grid differs from image grid")
         if structures is None:
             raise ValidationError("use_risk requires structures for OAR weighting")
-        rmap = risk_map(dose, structures, config.prior_params)
-    if amap is not None and rmap is not None:
-        fused = fuse_priors(amap, rmap, config.prior_params.fusion_alpha)
-    else:
-        fused = amap or rmap
-    if fused is None:
-        return None
     if config.use_film:
         if not embeddings:
             raise ValidationError("use_film requires at least one embedding")
         if adapter_weights is None:
             raise ValidationError("use_film requires adapter weights")
+
+
+def _build_fused_prior(config: RegConfig, structures: StructureSet | None,
+                       dose: Volume | None, embeddings, adapter_weights: AdapterWeights | None,
+                       flags: list) -> Volume | None:
+    """The fused prior of inputs check_prior_inputs has passed."""
+    amap = anatomy_map(structures, config.prior_params) if config.use_anatomy else None
+    rmap = risk_map(dose, structures, config.prior_params) if config.use_risk else None
+    both = amap is not None and rmap is not None
+    fused = fuse_priors(amap, rmap, config.prior_params.fusion_alpha) if both else amap or rmap
+    if config.use_film:      # RegConfig ensures a prior to modulate
         fp = adapter(mean_embedding(embeddings), adapter_weights, 1)
         modulated = film(FeatureGrid(fused.data[None].astype(np.float64)), fp)
         fused = fused.with_data(np.clip(modulated.data[0], 0.0, 1.0))
         flags.append("film_applied")
     return fused
-
-
-def _binary_level(mask_level: Volume) -> Volume:
-    return mask_level.with_data((mask_level.data >= 0.5).astype(np.float32))
 
 
 def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
@@ -402,27 +409,22 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
     assumed padded to one grid and rigidly pre-aligned.
     """
     config = config or RegConfig()
+    check_prior_inputs(fixed, config, structures, dose, embeddings, adapter_weights)
     if not same_grid(fixed, moving):
         raise ValidationError("fixed/moving grids differ")
     flags: list = []
 
-    mask = structures.body if structures is not None else \
-        Volume(np.ones(fixed.dims, dtype=np.float32), spacing=fixed.spacing,
-               origin=fixed.origin)
+    mask = foreground_mask(fixed, structures)
     if not same_grid(fixed, mask):
         raise ValidationError("mask grid differs from image grid")
-    fused = _build_fused_prior(fixed, config, structures, dose,
-                               list(embeddings), adapter_weights, flags)
+    fused = _build_fused_prior(config, structures, dose, embeddings, adapter_weights, flags)
 
-    fpyr = build_pyramid(fixed, config.levels)
-    mpyr = build_pyramid(moving, config.levels)
-    kpyr = build_pyramid(mask, config.levels)
-    n_levels = len(fpyr)
+    levels = _level_inputs(fixed, moving, mask, config.levels)
+    n_levels = len(levels)
     if n_levels < config.levels:
         flags.append(f"levels_reduced_to_{n_levels}")
 
-    prior_levels = build_pyramid(fused, n_levels) if fused is not None \
-        else (None,) * n_levels
+    prior_levels = build_pyramid(fused, n_levels) if fused is not None else (None,) * n_levels
     gate_levels = [gate(p, config.prior_params).data.astype(np.float64)[None]
                    if config.use_gate and p is not None else 1.0
                    for p in prior_levels]
@@ -432,10 +434,8 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
     # pyramid index 0 is finest; config lists iterations coarse -> fine
     for step, li in enumerate(range(n_levels - 1, -1, -1)):
         t0 = time.perf_counter()
-        f_l, m_l = fpyr[li], mpyr[li]
-        k_l = _binary_level(kpyr[li])
-        if int((k_l.data > 0).sum()) < 2:
-            k_l = k_l.with_data(np.ones(f_l.dims, dtype=np.float32))
+        f_l, m_l, k_l, degenerate = levels[li]
+        if degenerate:
             flags.append(f"mask_degenerate_at_level_{li + 1}")
         up = upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)
         obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=prior_levels[li])
@@ -455,7 +455,5 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
     final = obj.loss(phi.data)
     if final.degenerate:
         flags.append("degenerate_variance")
-    report = RegReport(levels=tuple(level_reports), final=final,
-                       fold_fraction_pct=fold_fraction(phi),
-                       flags=tuple(flags))
-    return phi, report
+    return phi, RegReport(levels=tuple(level_reports), final=final,
+                          fold_fraction_pct=fold_fraction(phi), flags=tuple(flags))

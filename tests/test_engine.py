@@ -84,17 +84,56 @@ class TestRigidAlign:
 @pytest.fixture(scope="module")
 def rigid_levels():
     """16^3 and 32^3 rigid pyramid levels of the default phantom against a
-    rigidly moved copy, with the binary level masks rigid_align uses."""
+    rigidly moved copy, with the level masks rigid_align uses."""
     img, st, _ = pr.make_phantom(pr.PhantomSpec())
     center = engine._physical_center(img)
     moving = resample_rigid(img, img, pr.RigidTransform(
         rotation=(0.1, -0.12, 0.15), translation=(2.0, -1.0, 1.5),
         center=center))
-    fpyr, mpyr, kpyr = (pr.build_pyramid(v, 3) for v in (img, moving, st.body))
-    return center, {fpyr[li].dims[0]: (
-        fpyr[li], mpyr[li],
-        kpyr[li].with_data((kpyr[li].data > 0.5).astype(np.float32)))
-        for li in (1, 2)}
+    levels = engine._level_inputs(img, moving, st.body, engine.RIGID_LEVELS)
+    return center, {levels[li][0].dims[0]: levels[li][:3] for li in (1, 2)}
+
+
+class TestLevelInputs:
+    """One foreground rule for the rigid stages and the pyramid levels."""
+
+    def test_mask_is_pooled_body(self):
+        img, st, _ = pr.make_phantom(pr.PhantomSpec())
+        levels = engine._level_inputs(img, img, st.body, 5)
+        pooled = pr.build_pyramid(st.body, 5)
+        assert len(levels) == len(pooled) == 5
+        for (f_l, m_l, k_l, degenerate), want in zip(levels, pooled):
+            assert not degenerate
+            assert k_l.data.tobytes() == want.data.tobytes()
+            assert f_l.dims == m_l.dims == k_l.dims == want.dims
+        # the pooled masks hold fractional weights, not just 0 and 1
+        assert np.any((pooled[1].data > 0) & (pooled[1].data < 1))
+
+    def test_one_voxel_body_is_whole_grid(self, small_phantom):
+        img, _, _ = small_phantom
+        body = np.zeros(img.dims, dtype=np.float32)
+        body[16, 16, 16] = 1.0
+        for _, _, k_l, degenerate in engine._level_inputs(img, img, img.with_data(body), 3):
+            assert degenerate
+            assert np.all(k_l.data == 1.0)
+
+    def test_rigid_align_and_register_share_level_masks(self, small_phantom, monkeypatch):
+        img, st, _ = small_phantom
+        seen = {"rigid": {}, "register": {}}
+        stage = ["rigid"]
+
+        def recording(fixed, moving, mask, *args, **kwargs):
+            seen[stage[0]][mask.dims] = mask.data
+            return similarity.Objective(fixed, moving, mask, *args, **kwargs)
+        monkeypatch.setattr(engine, "Objective", recording)
+        config = pr.RegConfig(levels=3, iterations=(2, 2, 2), rigid_iterations=(2, 2))
+        pr.rigid_align(img, img, st.body, config)
+        stage[0] = "register"
+        pr.register(img, img, config, structures=st)
+        shared = seen["rigid"].keys() & seen["register"].keys()
+        assert shared == {(8, 8, 8), (16, 16, 16)}
+        for dims in shared:
+            assert np.array_equal(seen["rigid"][dims], seen["register"][dims])
 
 
 # angles large enough that the order of the Euler factors shows

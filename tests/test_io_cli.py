@@ -333,6 +333,28 @@ class TestCli:
         assert rc == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config,embedding", [
+        ({"use_anatomy": True, "use_film": True}, True),
+        ({"use_risk": True}, False),
+    ], ids=["film-without-adapter", "risk-without-dose"])
+    def test_prior_inputs_refused_before_rigid_stage(self, phantom_dir, tmp_path, capsys,
+                                                     monkeypatch, config, embedding):
+        def no_rigid(*args, **kwargs):
+            raise AssertionError("the rigid stage ran")
+        monkeypatch.setattr(pr.engine, "rigid_align", no_rigid)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["register", "--fixed", str(phantom_dir / "image"),
+                "--moving", str(phantom_dir / "image"),
+                "--ctv", str(phantom_dir / "ctv"), "--body", str(phantom_dir / "body"),
+                "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+        if embedding:
+            pr.condition.save_embedding(str(tmp_path / "emb.json"),
+                                        pr.pseudo_embedding("oropharynx"))
+            argv += ["--embeddings", str(tmp_path / "emb.json")]
+        assert cli(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert cli(["phantom", "--nope", "x"]) == EXIT_USAGE
 
