@@ -138,13 +138,26 @@ def _cmd_register(args) -> int:
     return EXIT_OK
 
 
+def _read_rigid(path) -> engine.RigidTransform:
+    """The rigid_transform that register wrote to the report at path."""
+    doc = io.read_json(path, "report").get("rigid_transform")
+    keys = {"rotation", "translation", "center"}
+    if not isinstance(doc, dict) or not keys <= set(doc):
+        raise ValidationError(f"report {path} has no rigid_transform with "
+                              "rotation, translation and center")
+    return engine.RigidTransform(**_known_keys(engine.RigidTransform, doc, "rigid_transform"))
+
+
 def _cmd_warp(args) -> int:
     fld = _read(args.field, field=True)
     vol = _read(args.image or args.mask)
-    if args.image:
+    t = _read_rigid(args.rigid) if args.rigid else None
+    if args.mask:
+        out, kind = engine.warp_contour(vol, fld, t), "mask"
+    elif t is None:
         out, kind = warp(vol, fld), "image"
     else:
-        out, kind = engine.warp_contour(vol, fld), "mask"
+        out, kind = engine.warp_rigid(vol, fld, t), "image"
     io.write_volume(args.out, out, kind=kind)
     return EXIT_OK
 
@@ -207,6 +220,8 @@ def build_parser() -> _Parser:
     g.add_argument("--image")
     g.add_argument("--mask")
     sp.add_argument("--field", required=True)
+    sp.add_argument("--rigid", help="register's report.json: apply its rigid "
+                    "transform T too, sampling at T(x + u(x))")
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("metrics", help="evaluate alignment quality")

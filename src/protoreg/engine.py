@@ -169,7 +169,7 @@ class RegReport:
 # step and epsilon, every descent's convergence window, the depth of the
 # rigid pyramid, the line search's ladder of step factors and the number of
 # consecutive first-trial accepts after which it moves one rung up
-LEVEL_STEP = 0.5       # voxels
+LEVEL_STEP = 0.125     # voxels; small enough that most first trials are taken
 LEVEL_EPS = 1e-8
 LEVEL_WINDOW = 5
 RIGID_LEVELS = 3
@@ -275,9 +275,10 @@ def _physical_center(vol: Volume) -> tuple:
 
 def _rigid_mapping(moving: Volume, like: Volume, center):
     """like's identity grid and its voxel centers relative to the rotation
-    center c in mm, both (3, nx, ny, nz), and the map (R, t) -> continuous
-    voxel coordinates in moving of R (x - c) + c + t over like's voxel
-    centers x. The grids are built once per (moving, like) pair."""
+    center c in mm, both (3, nx, ny, nz), and the map (R, t[, u]) ->
+    continuous voxel coordinates in moving of R (x - c) + c + t over like's
+    voxel centers x, each first displaced by u(x) (voxels of like's grid)
+    when u is given. The grids are built once per (moving, like) pair."""
     def col(v):
         return np.asarray(v, dtype=np.float64).reshape(3, 1, 1, 1)
     ident = np.stack(_identity_coords(like.dims))
@@ -285,8 +286,9 @@ def _rigid_mapping(moving: Volume, like: Volume, center):
     rel = ident * col(like.spacing) + col(like.origin) - c
     m_origin, m_spacing = col(moving.origin), col(moving.spacing)
 
-    def voxels(R, t):
-        moved = np.einsum("ij,jxyz->ixyz", R, rel) + c + col(t)
+    def voxels(R, t, u=None):
+        r = rel if u is None else rel + u * col(like.spacing)
+        moved = np.einsum("ij,jxyz->ixyz", R, r) + c + col(t)
         return (moved - m_origin) / m_spacing
     return ident, rel, voxels
 
@@ -297,6 +299,16 @@ def resample_rigid(moving: Volume, like: Volume, t: RigidTransform) -> Volume:
     _, _, voxels = _rigid_mapping(moving, like, t.center)
     out = _trilinear_arrays(_zero_ring(moving.data), *voxels(t.matrix(), t.translation))
     return Volume(out.astype(np.float32), spacing=like.spacing, origin=like.origin)
+
+
+def warp_rigid(moving: Volume, fld: DisplacementField, t: RigidTransform) -> Volume:
+    """Sample moving at T(x + u(x)) over fld's voxel centers x: the whole
+    mapping of a field u that register found after rigid_align's T. The
+    mapping is physical, so moving may lie on another grid (say, unpadded)."""
+    _, _, voxels = _rigid_mapping(moving, fld, t.center)
+    out = _trilinear_arrays(_zero_ring(moving.data),
+                            *voxels(t.matrix(), t.translation, fld.data.astype(np.float64)))
+    return Volume(out.astype(np.float32), spacing=fld.spacing, origin=fld.origin)
 
 
 def _rigid_evaluator(obj: Objective, center):
@@ -359,10 +371,12 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
 # ---------------------------------------------------------------------------
 # deformable registration
 
-def warp_contour(mask: Volume, fld: DisplacementField) -> Volume:
-    """Warp a binary mask as a real image and re-binarize at 0.5."""
-    warped = warp(mask, fld)
-    return mask.with_data((warped.data >= 0.5).astype(np.float32))
+def warp_contour(mask: Volume, fld: DisplacementField,
+                 t: RigidTransform | None = None) -> Volume:
+    """Warp a binary mask as a real image, through T(x + u(x)) when the
+    rigid transform t is given (warp_rigid), and re-binarize at 0.5."""
+    warped = warp(mask, fld) if t is None else warp_rigid(mask, fld, t)
+    return warped.with_data((warped.data >= 0.5).astype(np.float32))
 
 
 def check_prior_inputs(fixed: Volume, config: RegConfig, structures: StructureSet | None,

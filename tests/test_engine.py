@@ -39,6 +39,31 @@ class TestWarpContour:
         assert set(np.unique(out.data)) <= {0.0, 1.0}
 
 
+class TestWarpRigid:
+    def test_zero_field_is_resample_rigid(self, small_phantom):
+        img, _, _ = small_phantom
+        t = pr.RigidTransform(rotation=(0.05, -0.02, 0.1), translation=(1.5, -1.0, 0.5),
+                              center=engine._physical_center(img))
+        got = engine.warp_rigid(img, pr.zero_field(img), t)
+        assert got.data.tobytes() == resample_rigid(img, img, t).data.tobytes()
+
+    def test_identity_transform_is_warp(self, small_phantom, rng):
+        img, _, _ = small_phantom
+        fld = lattice_safe_field(rng, img.dims)
+        got = engine.warp_rigid(img, fld, pr.RigidTransform(center=(3.0, -2.0, 1.0)))
+        np.testing.assert_allclose(got.data, pr.warp(img, fld).data, atol=1e-5)
+
+    def test_moving_on_fewer_voxels(self, small_phantom):
+        # an unpadded moving mask: sampled in mm, onto the field's grid
+        _, st, _ = small_phantom
+        cut = pr.Volume(st.ctv.data[:, :, :20].copy(), spacing=st.ctv.spacing,
+                        origin=st.ctv.origin)
+        got = pr.warp_contour(cut, pr.zero_field(st.ctv), pr.RigidTransform())
+        assert got.dims == st.ctv.dims
+        assert np.array_equal(got.data[:, :, :19], st.ctv.data[:, :, :19])
+        assert not got.data[:, :, 20:].any()
+
+
 class TestRigidAlign:
     def test_self_registration(self, small_phantom):
         img, st, _ = small_phantom
@@ -284,11 +309,12 @@ class TestDescend:
                                  envelope=st.body.data.astype(np.float64))
         obj = similarity.Objective(pr.warp(img, g), img, st.body, 0.2)
         x0 = np.zeros((3,) + img.dims)
-        x, traj, counters = engine._descend(obj.evaluate, x0, engine.LEVEL_STEP, 25,
+        # a step of 0.5 voxels, large enough that some trials are rejected
+        x, traj, counters = engine._descend(obj.evaluate, x0, 0.5, 25,
                                             engine.LEVEL_EPS, 0.0)
         want_x, want_traj = _plain_descend(lambda u: obj.loss(u).total,
                                            lambda u: obj.evaluate(u)[1],
-                                           x0, engine.LEVEL_STEP, 25, engine.LEVEL_EPS)
+                                           x0, 0.5, 25, engine.LEVEL_EPS)
         assert x.tobytes() == want_x.tobytes()
         assert traj == want_traj
         # every iteration took a trial, so each call beyond the start and
@@ -510,6 +536,20 @@ class TestRegister:
         assert "mask_degenerate_at_level_1" in rep.flags
         assert math.isfinite(rep.final.total)
         assert rep.final.masked_voxels == 16 ** 3
+
+    def test_no_level_rejects_every_iteration(self, small_phantom):
+        # an un-enveloped acceptance-5 field: with a step too large for the
+        # line search, levels rejected every trial until the window rule
+        # ended them flat, the finest one after 5 iterations
+        img, st, _ = small_phantom
+        g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.5, 4.0, 102))
+        st_f = pr.StructureSet(ctv=pr.warp_contour(st.ctv, g),
+                               body=pr.warp_contour(st.body, g),
+                               oars=tuple(pr.warp_contour(o, g) for o in st.oars))
+        _, rep = pr.register(pr.warp(img, g), img, pr.RegConfig(), structures=st_f)
+        for lvl in rep.levels:
+            assert lvl.rejected < lvl.iterations_used, lvl
+        assert rep.levels[-1].iterations_used > engine.LEVEL_WINDOW
 
     def test_flat_grid_rejected_before_any_iteration(self, rng, monkeypatch):
         def no_trial(self, u):

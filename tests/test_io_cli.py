@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import protoreg as pr
-from protoreg import io
+from protoreg import engine, io
 from protoreg.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, cli
 from protoreg.errors import FormatError
 
@@ -253,6 +254,58 @@ class TestCli:
         assert rc == EXIT_OK
         got = io.read_volume(str(tmp_path / "wm"))
         assert set(np.unique(got.data)) <= {0.0, 1.0}
+
+    def test_warp_rigid_applies_the_whole_mapping(self, tmp_path):
+        # a moving CTV rigidly offset from the phantom by A, and a report
+        # whose T = A^-1; warping it through T(x + g(x)) should recover the
+        # fixed CTV, warp_contour(ctv, g), where g alone misses by A
+        img, st, _ = pr.make_phantom(SMALL_PHANTOM)
+        center = engine._physical_center(img)
+        angle, shift = math.radians(5.0), np.array([3.0, -2.0, 1.0])
+        moved = engine.resample_rigid(st.ctv, st.ctv, pr.RigidTransform(
+            rotation=(0.0, 0.0, angle), translation=tuple(shift), center=center))
+        io.write_volume(str(tmp_path / "ctv"),
+                        moved.with_data((moved.data >= 0.5).astype(np.float32)), kind="mask")
+        inverse = engine._axis_rotations((0.0, 0.0, -angle))[2]
+        (tmp_path / "report.json").write_text(json.dumps({"rigid_transform": {
+            "rotation": [0.0, 0.0, -angle], "translation": list(-(inverse @ shift)),
+            "center": list(center)}}))
+        g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.5, 4.0, 102),
+                                 envelope=st.body.data.astype(np.float64))
+        io.write_volume(str(tmp_path / "g"), g, kind="field")
+        want = pr.warp_contour(st.ctv, g)
+        scores = []
+        for extra in ([], ["--rigid", str(tmp_path / "report.json")]):
+            out = tmp_path / f"prop{len(extra)}"
+            rc = cli(["warp", "--mask", str(tmp_path / "ctv"), "--field", str(tmp_path / "g"),
+                      "--out", str(out), *extra])
+            assert rc == EXIT_OK
+            got = io.read_volume(str(out))
+            a, b = want.data > 0, got.data > 0
+            scores.append((2.0 * (a & b).sum() / (a.sum() + b.sum()), pr.relvoldiff(want, got)))
+        (field_dice, field_rvd), (whole_dice, whole_rvd) = scores
+        assert whole_dice > 0.9 > field_dice
+        assert whole_rvd < field_rvd
+
+    @pytest.mark.parametrize("doc", [
+        {"levels": []},                                           # no rigid_transform
+        {"rigid_transform": [0.0, 0.0, 0.0]},
+        {"rigid_transform": {"rotation": [0.0, 0.0, 0.0],         # no center
+                             "translation": [0.0, 0.0, 0.0]}},
+        {"rigid_transform": {"rotation": [0.0, 0.0], "translation": [0.0, 0.0, 0.0],
+                             "center": [0.0, 0.0, 0.0]}},
+        {"rigid_transform": {"rotation": [0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.0],
+                             "center": [0.0, 0.0, 0.0], "scale": 2.0}},
+    ])
+    def test_warp_rigid_refuses_bad_report(self, phantom_dir, tmp_path, capsys, doc):
+        img = io.read_volume(str(phantom_dir / "image"))
+        io.write_volume(str(tmp_path / "fld"), pr.zero_field(img), kind="field")
+        (tmp_path / "report.json").write_text(json.dumps(doc))
+        rc = cli(["warp", "--image", str(phantom_dir / "image"), "--field", str(tmp_path / "fld"),
+                  "--rigid", str(tmp_path / "report.json"), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation error: ")
+        assert not list(tmp_path.glob("o.*"))
 
     def test_metrics_identity(self, phantom_dir, tmp_path):
         out = tmp_path / "m.json"
