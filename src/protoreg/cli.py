@@ -157,7 +157,7 @@ def _cmd_warp(args) -> int:
     elif t is None:
         out, kind = warp(vol, fld), "image"
     else:
-        out, kind = engine.warp_rigid(vol, fld, t), "image"
+        out, kind = engine.resample_rigid(vol, fld, t), "image"
     io.write_volume(args.out, out, kind=kind)
     return EXIT_OK
 

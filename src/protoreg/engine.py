@@ -19,12 +19,13 @@ import numpy as np
 from .condition import AdapterWeights, adapter, film, FeatureGrid, mean_embedding
 from .errors import ValidationError, _check_numbers, _integer, _known_keys, _values
 from .metrics import fold_fraction
-from .priors import PriorParams, StructureSet, anatomy_map, fuse_priors, gate, risk_map
-# total_loss and loss_gradient stay bound here so per-layer tracers can wrap them
+from .priors import (PriorParams, StructureSet, _check_binary, anatomy_map, fuse_priors,
+                     gate, risk_map)
+# the solver never calls total_loss or loss_gradient; they stay bound here only
+# because bench/tracing.py looks them up, until ROADMAP item 2 moves the tracer
 from .similarity import LossBreakdown, Objective, loss_gradient, total_loss
-from .volgrid import (DisplacementField, Volume, _identity_coords,
-                      _trilinear_arrays, _zero_ring, build_pyramid, same_grid,
-                      upsample_field, warp, zero_field)
+from .volgrid import (DisplacementField, Volume, _trilinear_arrays, _zero_ring,
+                      build_pyramid, same_grid, upsample_field, warp, zero_field)
 
 
 def _wrap_angle(a: float) -> float:
@@ -273,65 +274,56 @@ def _physical_center(vol: Volume) -> tuple:
                  for o, n, s in zip(vol.origin, vol.dims, vol.spacing))
 
 
-def _rigid_mapping(moving: Volume, like: Volume, center):
-    """like's identity grid and its voxel centers relative to the rotation
-    center c in mm, both (3, nx, ny, nz), and the map (R, t[, u]) ->
-    continuous voxel coordinates in moving of R (x - c) + c + t over like's
-    voxel centers x, each first displaced by u(x) (voxels of like's grid)
-    when u is given. The grids are built once per (moving, like) pair."""
+def _rigid_mapping(moving: Volume, like: Volume | DisplacementField, center):
+    """like's voxel centers x relative to the rotation center c in mm,
+    (3, nx, ny, nz), and the map (R, t[, u]) -> continuous voxel
+    coordinates in moving of T(x) = R (x - c) + c + t over like's voxel
+    centers, each first displaced by u(x) (voxels of like's grid) when u
+    is given. The grid is built once per (moving, like) pair."""
     def col(v):
         return np.asarray(v, dtype=np.float64).reshape(3, 1, 1, 1)
-    ident = np.stack(_identity_coords(like.dims))
     c = col(center)
-    rel = ident * col(like.spacing) + col(like.origin) - c
+    rel = np.indices(like.dims, dtype=np.float64) * col(like.spacing) + col(like.origin) - c
     m_origin, m_spacing = col(moving.origin), col(moving.spacing)
 
     def voxels(R, t, u=None):
         r = rel if u is None else rel + u * col(like.spacing)
         moved = np.einsum("ij,jxyz->ixyz", R, r) + c + col(t)
         return (moved - m_origin) / m_spacing
-    return ident, rel, voxels
+    return rel, voxels
 
 
-def resample_rigid(moving: Volume, like: Volume, t: RigidTransform) -> Volume:
-    """Sample moving at the rigidly transformed physical positions of
-    like's voxel centers."""
-    _, _, voxels = _rigid_mapping(moving, like, t.center)
-    out = _trilinear_arrays(_zero_ring(moving.data), *voxels(t.matrix(), t.translation))
+def resample_rigid(moving: Volume, like: Volume | DisplacementField,
+                   t: RigidTransform) -> Volume:
+    """Sample moving at T(x + u(x)) over like's voxel centers x. u is like
+    itself when like is a DisplacementField, the whole mapping of a field
+    that register found after rigid_align's T, and zero when like is a
+    Volume. The mapping is physical, so moving may lie on another grid
+    (say, unpadded)."""
+    u = like.data.astype(np.float64) if isinstance(like, DisplacementField) else None
+    _, voxels = _rigid_mapping(moving, like, t.center)
+    out = _trilinear_arrays(_zero_ring(moving.data), *voxels(t.matrix(), t.translation, u))
     return Volume(out.astype(np.float32), spacing=like.spacing, origin=like.origin)
-
-
-def warp_rigid(moving: Volume, fld: DisplacementField, t: RigidTransform) -> Volume:
-    """Sample moving at T(x + u(x)) over fld's voxel centers x: the whole
-    mapping of a field u that register found after rigid_align's T. The
-    mapping is physical, so moving may lie on another grid (say, unpadded)."""
-    _, _, voxels = _rigid_mapping(moving, fld, t.center)
-    out = _trilinear_arrays(_zero_ring(moving.data),
-                            *voxels(t.matrix(), t.translation, fld.data.astype(np.float64)))
-    return Volume(out.astype(np.float32), spacing=fld.spacing, origin=fld.origin)
 
 
 def _rigid_evaluator(obj: Objective, center):
     """evaluate(p) of the rigid parameters p = (rx, ry, rz, tx, ty, tz):
-    the loss and its gradient from one warp. The loss is obj (at lambda 0)
-    on the displacement field u(x) = voxel(T(x)) - x that
-    T(x) = R (x - c) + c + t induces on obj's fixed grid, i.e. -maskedNCC
-    of the rigidly resampled moving image. The gradient chains dL/du
-    through T: per mm, dL/dt is the voxel sum of dL/dT(x) and
+    the loss and its gradient from one sampling. The loss is obj.ncc_at
+    at the voxel coordinates in moving that T(x) = R (x - c) + c + t maps
+    each voxel center x of obj's fixed grid to, i.e. -maskedNCC of the
+    rigidly resampled moving image; R is built from the angles wrapped to
+    (-pi, pi], as RigidTransform stores them. The gradient chains
+    dL/dT(x) through T: per mm, dL/dt is the voxel sum of dL/dT(x) and
     dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>."""
-    ident, rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center)
+    rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center)
     spacing = np.array(obj.moving.spacing).reshape(3, 1, 1, 1)
 
-    def field(p):
-        # angles wrapped to (-pi, pi], as RigidTransform stores them
-        Rx, Ry, Rz = _axis_rotations([_wrap_angle(float(a)) for a in p[:3]])
-        return voxels(Rz @ Ry @ Rx, p[3:]) - ident
-
     def evaluate(p):
-        total, g = obj.evaluate(field(p))
+        Rx, Ry, Rz = _axis_rotations([_wrap_angle(float(a)) for a in p[:3]])
+        g = np.zeros_like(rel)
+        total = obj.ncc_at(voxels(Rz @ Ry @ Rx, p[3:]), g)
         g /= spacing
         moments = np.einsum("axyz,bxyz->ab", g, rel)
-        Rx, Ry, Rz = _axis_rotations(p[:3])
         d_rot = [float((dR * moments).sum()) for dR in
                  (Rz @ Ry @ _KX @ Rx, Rz @ _KY @ Ry @ Rx, _KZ @ Rz @ Ry @ Rx)]
         return total, np.array(d_rot + [float(v) for v in g.sum(axis=(1, 2, 3))])
@@ -343,10 +335,10 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
     """Six-parameter gradient descent maximizing masked NCC at the
     coarsest rigid pyramid level, refined one level up.
 
-    Each trial is scored with the deformable objective (lambda = 0) on the
-    displacement field the rigid transform induces, and differentiated
-    with its analytic gradient. Returns the transform and the moving image
-    resampled at full resolution.
+    Each trial is scored by the deformable objective's NCC core at the
+    voxel coordinates the rigid transform maps each voxel to, and
+    differentiated with its analytic gradient. Returns the transform and
+    the moving image resampled at full resolution.
     """
     config = config or RegConfig()
     if not same_grid(fixed, moving, mask):
@@ -358,7 +350,7 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
     params = np.zeros(6)
     # the coarsest level, then one up; a whole-grid fallback is not flagged
     for stage_idx, (f_l, m_l, k_l, _) in enumerate(levels[::-1][:2]):
-        evaluate = _rigid_evaluator(Objective(f_l, m_l, k_l, 0.0), center)
+        evaluate = _rigid_evaluator(Objective(f_l, m_l, k_l), center)
         iters = config.rigid_iterations[min(stage_idx, len(config.rigid_iterations) - 1)]
         lr = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
         # tol 0: a rigid stage always runs its full budget
@@ -373,9 +365,10 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
 
 def warp_contour(mask: Volume, fld: DisplacementField,
                  t: RigidTransform | None = None) -> Volume:
-    """Warp a binary mask as a real image, through T(x + u(x)) when the
-    rigid transform t is given (warp_rigid), and re-binarize at 0.5."""
-    warped = warp(mask, fld) if t is None else warp_rigid(mask, fld, t)
+    """Warp a 0/1 mask as a real image, through T(x + u(x)) when the rigid
+    transform t is given (resample_rigid), and re-binarize at 0.5."""
+    warped = warp(mask, fld) if t is None else resample_rigid(mask, fld, t)
+    _check_binary(mask, "contour")
     return warped.with_data((warped.data >= 0.5).astype(np.float32))
 
 

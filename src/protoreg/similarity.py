@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .volgrid import (DisplacementField, Volume, _identity_coords,
-                      _trilinear_arrays, _zero_ring, same_grid)
+from .volgrid import DisplacementField, Volume, _trilinear_arrays, _zero_ring, same_grid
 
 VAR_EPS = 1e-12
 
@@ -103,9 +102,10 @@ class Objective:
     Built once per grid: the constructor checks the inputs and keeps the
     weights, the fixed image's share of the NCC, the identity coordinates
     and the moving image with its ring of zeros, so each trial pays only
-    for its warp and the moving-side sums. A trial field is a plain
-    (3, nx, ny, nz) array in voxel units; it is rounded to float32, the
-    precision a DisplacementField stores.
+    for its sampling and the moving-side sums. ncc_at scores moving at any
+    voxel coordinates (the rigid stages pass T(x)); a trial field u, a
+    (3, nx, ny, nz) array in voxel units, is scored at x + u after rounding
+    to float32, the precision a DisplacementField stores.
     """
 
     def __init__(self, fixed: Volume, moving: Volume, mask: Volume,
@@ -119,20 +119,30 @@ class Objective:
         self.lambda_smooth = float(lambda_smooth)
         self._fixed = _fixed_side(fixed.data.astype(np.float64), self._w)
         self._ringed = _zero_ring(moving.data)
-        self._coords = _identity_coords(fixed.dims)
+        self._ident = np.indices(fixed.dims, dtype=np.float64)
         self._masked_voxels = int((mask.data > 0).sum())
 
-    def _warp(self, u: np.ndarray, want_grad: bool = False):
-        # warp in float64 so the finite-difference gradient check is not
-        # drowned by float32 rounding of the warped intensities
-        xx, yy, zz = self._coords
-        return _trilinear_arrays(self._ringed, xx + u[0], yy + u[1],
-                                 zz + u[2], want_grad=want_grad)
+    def ncc_at(self, coords: np.ndarray, grad: np.ndarray) -> float:
+        """-NCC_w of moving sampled at coords, (3, nx, ny, nz) voxel
+        coordinates in moving, one per voxel of fixed; adds its gradient
+        with respect to coords into grad, an array of that shape. Sampling
+        is float64, so the finite-difference gradient check is not drowned
+        by float32 rounding of the sampled intensities."""
+        b, gx, gy, gz = _trilinear_arrays(self._ringed, *coords, want_grad=True)
+        ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._fixed, b, self._w)
+        if not degenerate:
+            # d(NCC)/d b_j = w_j * (A_j - NCC * sqrt(Saa/Sbb) * B_j) / sqrt(Saa*Sbb)
+            dncc_db = self._w * (A - (s_ab / s_bb) * B) / np.sqrt(s_aa * s_bb)
+            grad[0] -= dncc_db * gx
+            grad[1] -= dncc_db * gy
+            grad[2] -= dncc_db * gz
+        return -ncc
 
     def loss(self, u: np.ndarray) -> LossBreakdown:
         """The loss of trial field u; smoothness is S(u) even at lambda 0."""
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        ncc, degenerate, _ = _ncc_core(self._fixed, self._warp(u), self._w)
+        ncc, degenerate, _ = _ncc_core(
+            self._fixed, _trilinear_arrays(self._ringed, *(self._ident + u)), self._w)
         smooth, _ = _smoothness(u)
         return LossBreakdown(ncc=ncc, smoothness=smooth,
                              lambda_smooth=self.lambda_smooth,
@@ -141,27 +151,17 @@ class Objective:
                              degenerate=degenerate)
 
     def evaluate(self, u: np.ndarray):
-        """(loss(u).total, dL/du) from one warp. S(u) is skipped when lambda
-        is 0; the gradient is float64 rounded to float32 precision.
-
-        NCC part: dNCC/d(warped intensity) chained through the trilinear
-        interpolant's spatial derivative at x + u. Smoothness part: exact
-        adjoint of the forward-difference energy, so the finite-difference
-        check holds by construction.
-        """
+        """(loss(u).total, dL/du) from one warp: ncc_at at x + u plus the
+        exact adjoint of the forward-difference energy, so the
+        finite-difference check holds by construction. The gradient is
+        float64 rounded to float32 precision, as the field it steps."""
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        b, gx, gy, gz = self._warp(u, want_grad=True)
-        ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._fixed, b, self._w)
-        smooth, grad = _smoothness(u, True) if self.lambda_smooth else (0.0, None)
-        total = -ncc + self.lambda_smooth * smooth
-        grad = np.zeros_like(u) if grad is None else self.lambda_smooth * grad
-        if not degenerate:
-            # d(NCC)/d b_j = w_j * (A_j - NCC * sqrt(Saa/Sbb) * B_j) / sqrt(Saa*Sbb)
-            dncc_db = self._w * (A - (s_ab / s_bb) * B) / np.sqrt(s_aa * s_bb)
-            grad[0] -= dncc_db * gx
-            grad[1] -= dncc_db * gy
-            grad[2] -= dncc_db * gz
-        return total, grad.astype(np.float32).astype(np.float64)
+        smooth, grad = _smoothness(u, True)
+        grad = self.lambda_smooth * grad
+        # u is this call's own copy, so it becomes the coordinates x + u in
+        # place: one (3, nx, ny, nz) temporary fewer to allocate and free
+        neg_ncc = self.ncc_at(np.add(u, self._ident, out=u), grad)
+        return neg_ncc + self.lambda_smooth * smooth, grad.astype(np.float32).astype(np.float64)
 
 
 def _objective(fixed, moving, fld, mask, lambda_smooth, weights):

@@ -172,10 +172,12 @@ def make_smooth_field(dims, spec: FieldSpec, spacing=(1.0, 1.0, 1.0),
     """Gaussian-smoothed white noise per component, rescaled so the maximum
     displacement norm equals spec.max_displacement.
 
-    An optional envelope in [0, 1] concentrates the deformation spatially
-    (applied before the rescale).
+    An optional envelope in [0, 1] of shape dims concentrates the
+    deformation spatially (applied before the rescale).
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _grid_dims(dims)
+    if envelope is not None and np.shape(envelope) != dims:
+        raise ValidationError(f"envelope shape {np.shape(envelope)} differs from dims {dims}")
     n = int(np.prod(dims))
     u = np.empty((3,) + dims, dtype=np.float64)
     for c in range(3):

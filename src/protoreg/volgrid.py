@@ -278,7 +278,7 @@ def upsample_field(fld: DisplacementField, target_dims) -> DisplacementField:
     Corner-aligned: fine coordinate i maps to coarse coordinate i/2,
     clamped at the far edge.
     """
-    target_dims = tuple(int(d) for d in target_dims)
+    target_dims = _grid_dims(target_dims)
     src = fld.dims
     for a in range(3):
         if math.ceil(target_dims[a] / 2) != src[a]:
@@ -327,7 +327,7 @@ def jacobian_det(fld: DisplacementField) -> Volume:
 
 def pad_to_shape(vol: Volume, target_dims) -> Volume:
     """Zero-pad at the high-index side up to target dims."""
-    target_dims = tuple(int(d) for d in target_dims)
+    target_dims = _grid_dims(target_dims)
     if any(t < c for t, c in zip(target_dims, vol.dims)):
         raise ValidationError(f"target {target_dims} smaller than {vol.dims}")
     if target_dims == vol.dims:

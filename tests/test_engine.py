@@ -8,6 +8,7 @@ import protoreg as pr
 from protoreg import engine, similarity
 from protoreg.engine import resample_rigid
 from protoreg.errors import ValidationError
+from protoreg.volgrid import _trilinear_arrays, _zero_ring
 
 from conftest import lattice_safe_field
 
@@ -38,19 +39,25 @@ class TestWarpContour:
         out = pr.warp_contour(st.ctv, fld)
         assert set(np.unique(out.data)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("rigid", [None, pr.RigidTransform()])
+    def test_image_rejected(self, small_phantom, rigid):
+        img, _, _ = small_phantom
+        with pytest.raises(ValidationError, match="0/1"):
+            pr.warp_contour(img, pr.zero_field(img), rigid)
+
 
 class TestWarpRigid:
     def test_zero_field_is_resample_rigid(self, small_phantom):
         img, _, _ = small_phantom
         t = pr.RigidTransform(rotation=(0.05, -0.02, 0.1), translation=(1.5, -1.0, 0.5),
                               center=engine._physical_center(img))
-        got = engine.warp_rigid(img, pr.zero_field(img), t)
+        got = resample_rigid(img, pr.zero_field(img), t)
         assert got.data.tobytes() == resample_rigid(img, img, t).data.tobytes()
 
     def test_identity_transform_is_warp(self, small_phantom, rng):
         img, _, _ = small_phantom
         fld = lattice_safe_field(rng, img.dims)
-        got = engine.warp_rigid(img, fld, pr.RigidTransform(center=(3.0, -2.0, 1.0)))
+        got = resample_rigid(img, fld, pr.RigidTransform(center=(3.0, -2.0, 1.0)))
         np.testing.assert_allclose(got.data, pr.warp(img, fld).data, atol=1e-5)
 
     def test_moving_on_fewer_voxels(self, small_phantom):
@@ -201,6 +208,24 @@ class TestRigidObjective:
         got, g = evaluate(RIGID_PARAMS)
         assert g.shape == (6,)
         assert got == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_loss_is_ncc_at_rigid_coordinates(self, rigid_levels, n):
+        # a trial is scored where T maps each voxel, with nothing rounded
+        # to float32 on the way, so the loss matches bit for bit
+        center, levels = rigid_levels
+        fixed, moving, mask = levels[n]
+        t = pr.RigidTransform(rotation=tuple(RIGID_PARAMS[:3]),
+                              translation=tuple(RIGID_PARAMS[3:]), center=center)
+        voxels = engine._rigid_mapping(moving, fixed, center)[-1]
+        b = _trilinear_arrays(_zero_ring(moving.data), *voxels(t.matrix(), t.translation))
+        w = similarity._weights(mask, None)
+        ncc, degenerate, _ = similarity._ncc_core(
+            similarity._fixed_side(fixed.data.astype(np.float64), w), b, w)
+        assert not degenerate
+        evaluate = engine._rigid_evaluator(
+            pr.similarity.Objective(fixed, moving, mask, 0.0), center)
+        assert evaluate(RIGID_PARAMS)[0] == -ncc
 
 
 # a quadratic bowl with minimum 1 at C

@@ -255,6 +255,15 @@ class TestCli:
         got = io.read_volume(str(tmp_path / "wm"))
         assert set(np.unique(got.data)) <= {0.0, 1.0}
 
+    def test_warp_mask_refuses_an_image(self, phantom_dir, tmp_path, capsys):
+        img = io.read_volume(str(phantom_dir / "image"))
+        io.write_volume(str(tmp_path / "fld"), pr.zero_field(img), kind="field")
+        rc = cli(["warp", "--mask", str(phantom_dir / "image"),
+                  "--field", str(tmp_path / "fld"), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation error: ")
+        assert not list(tmp_path.glob("o.*"))
+
     def test_warp_rigid_applies_the_whole_mapping(self, tmp_path):
         # a moving CTV rigidly offset from the phantom by A, and a report
         # whose T = A^-1; warping it through T(x + g(x)) should recover the

@@ -103,6 +103,18 @@ class TestMakeSmoothField:
             norms = np.sqrt((fld.data.astype(np.float64) ** 2).sum(axis=0))
             assert norms.max() == pytest.approx(2.5, abs=1e-6)
 
+    def test_non_integer_dims_rejected(self):
+        # int() would truncate 8.7 to 8
+        with pytest.raises(ValidationError, match="dims"):
+            pr.make_smooth_field((8.7, 8, 8), pr.FieldSpec(1.0, 2.0, 5))
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 8, 8)])
+    def test_envelope_of_another_shape_rejected(self, shape):
+        # (8,) would broadcast along z; (4, 8, 8) raised numpy's own error
+        with pytest.raises(ValidationError, match="envelope shape"):
+            pr.make_smooth_field((8, 8, 8), pr.FieldSpec(1.0, 2.0, 5),
+                                 envelope=np.ones(shape))
+
     def test_deterministic(self):
         a = pr.make_smooth_field((8, 8, 8), pr.FieldSpec(1.0, 2.0, 5))
         b = pr.make_smooth_field((8, 8, 8), pr.FieldSpec(1.0, 2.0, 5))

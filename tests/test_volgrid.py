@@ -194,6 +194,11 @@ class TestUpsampleField:
         with pytest.raises(ValidationError):
             pr.upsample_field(fld, (9, 8, 8))
 
+    def test_non_integer_target_dims_rejected(self):
+        fld = pr.DisplacementField(np.zeros((3, 4, 4, 4), dtype=np.float32))
+        with pytest.raises(ValidationError, match="dims"):
+            pr.upsample_field(fld, (8.7, 8, 8))
+
 
 class TestComposeAdditive:
     def test_zero_identities(self, rng):
@@ -318,6 +323,11 @@ class TestPadToShape:
     def test_shrink_rejected(self, rng):
         with pytest.raises(ValidationError):
             pr.pad_to_shape(random_volume(rng, (4, 4, 4)), (3, 4, 4))
+
+    def test_non_integer_target_rejected(self, rng):
+        # int() would truncate 6.9 to 6
+        with pytest.raises(ValidationError, match="dims"):
+            pr.pad_to_shape(random_volume(rng, (4, 4, 4)), (6.9, 4, 4))
 
 
 class TestTypeInvariants:
