@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import condition, engine, io, metrics, priors, synth
-from .errors import ValidationError, _known_keys
+from .errors import ValidationError, _keys, _known_keys
 from .volgrid import DisplacementField, pad_to_shape, warp
 
 EXIT_OK = 0
@@ -140,11 +140,8 @@ def _cmd_register(args) -> int:
 
 def _read_rigid(path) -> engine.RigidTransform:
     """The rigid_transform that register wrote to the report at path."""
-    doc = io.read_json(path, "report").get("rigid_transform")
-    keys = {"rotation", "translation", "center"}
-    if not isinstance(doc, dict) or not keys <= set(doc):
-        raise ValidationError(f"report {path} has no rigid_transform with "
-                              "rotation, translation and center")
+    doc = _keys(io.read_json(path, "report").get("rigid_transform"),
+                f"report {path} rigid_transform", ("rotation", "translation", "center"))
     return engine.RigidTransform(**_known_keys(engine.RigidTransform, doc, "rigid_transform"))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import ValidationError, _values
+from .errors import ValidationError, _keys, _values
 
 EMBED_DIM = 512
 SOURCES = ("anatomy", "diagnosis", "planning")
@@ -165,23 +165,11 @@ def pseudo_embedding(text: str, source: str = "anatomy", salt: int = 0) -> Embed
 # ---------------------------------------------------------------------------
 # file formats
 
-def _document(path, what: str, required, optional=()) -> dict:
-    """The JSON object in path, holding every required key and no other
-    than the optional ones."""
-    doc = io.read_json(path, what)
-    unknown = sorted(set(doc) - set(required) - set(optional))
-    if unknown:
-        raise ValidationError(f"{what} file {path}: unknown keys {', '.join(unknown)}")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ValidationError(f"{what} file {path}: missing keys {', '.join(missing)}")
-    return doc
-
-
 def load_embedding(path) -> Embedding:
     """{"source": one of SOURCES (default "anatomy"), "dim": 512,
     "values": 512 finite numbers}."""
-    doc = _document(path, "embedding", ("dim", "values"), ("source",))
+    doc = _keys(io.read_json(path, "embedding"), f"embedding file {path}",
+                ("dim", "values"), ("source",))
     if doc["dim"] != EMBED_DIM:
         raise ValidationError(f"embedding file {path}: dim must be {EMBED_DIM}")
     values = _values(doc["values"], f"embedding file {path}: values", EMBED_DIM)
@@ -196,7 +184,7 @@ def save_embedding(path, emb: Embedding) -> None:
 
 def load_adapter(path) -> AdapterWeights:
     """{"matrix": 2C rows of 512 finite numbers, "bias": 2C finite numbers}."""
-    doc = _document(path, "adapter", ("matrix", "bias"))
+    doc = _keys(io.read_json(path, "adapter"), f"adapter file {path}", ("matrix", "bias"))
     if not isinstance(doc["matrix"], list):
         raise ValidationError(f"adapter file {path}: matrix must be a list of rows")
     matrix = [_values(row, f"adapter file {path}: matrix row", EMBED_DIM)

@@ -389,6 +389,9 @@ def check_prior_inputs(fixed: Volume, config: RegConfig, structures: StructureSe
             raise ValidationError("use_film requires at least one embedding")
         if adapter_weights is None:
             raise ValidationError("use_film requires adapter weights")
+        if adapter_weights.channels != 1:     # FiLM modulates the one prior channel
+            raise ValidationError(
+                f"use_film requires 1-channel adapter weights, got {adapter_weights.channels}")
 
 
 def _build_fused_prior(config: RegConfig, structures: StructureSet | None,

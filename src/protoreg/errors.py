@@ -1,10 +1,14 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto its exit codes: ValidationError -> 2,
-everything else unexpected -> 3. JSON objects that become dataclasses
-pass through _known_keys first, so a misspelt key or a value of the wrong
-JSON type is a ValidationError. This module alone decides what counts as a
-number (_finite_number), an integer (_integer) or a list of them (_values).
+everything else unexpected -> 3. One key rule covers every JSON document
+the program reads (config, spec, params, embedding, adapter, volume header,
+a report's rigid_transform): _keys alone refuses a document that is not an
+object, lacks a required key or holds a key that is neither required nor
+optional. Objects that become dataclasses pass through _known_keys, which
+adds a check of each value's JSON type. This module alone decides what
+counts as a number (_finite_number), an integer (_integer) or a list of
+them (_values).
 """
 import math
 import numbers
@@ -20,17 +24,26 @@ class FormatError(ValidationError):
     """A serialized volume/field file is malformed or inconsistent."""
 
 
+def _keys(doc, what: str, required, optional=()) -> dict:
+    """doc, once it is a JSON object holding every required key and no key
+    outside required and optional; what names it in errors."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    unknown = sorted(map(str, set(doc) - set(required) - set(optional)))
+    if unknown:
+        raise ValidationError(f"{what} has unknown keys: {', '.join(unknown)}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValidationError(f"{what} lacks keys: {', '.join(missing)}")
+    return doc
+
+
 def _known_keys(cls, doc, what: str) -> dict:
     """doc as keyword arguments for the dataclass cls; unknown keys,
     non-objects and values whose JSON type differs from their field's
     default (bool, integer, number or list) are rejected where they enter."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{what} must be a JSON object")
     known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ValidationError(f"unknown {what} keys: {', '.join(map(str, unknown))}")
-    for name, value in doc.items():
+    for name, value in _keys(doc, what, (), known).items():
         want, got = _json_kind(known[name].default), _json_kind(value)
         # an integer is also a number
         if want not in (None, got) and (want, got) != ("number", "integer"):

@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, _integer
+from .errors import FormatError, ValidationError, _integer, _keys
 from .volgrid import DisplacementField, Volume, _grid_dims
 
 DTYPE = "f32le"
@@ -98,18 +98,20 @@ def write_volume(path: str, obj, kind: str = "image") -> None:
 def read_volume(path: str):
     """Read a Volume or DisplacementField written by write_volume."""
     header = read_json(path + ".json", "volume header")
-    for key in ("dims", "spacing", "origin", "components", "dtype", "order"):
-        if key not in header:
-            raise FormatError(f"{path}.json missing field {key!r}")
-    if header["dtype"] != DTYPE:
-        raise FormatError(f"unsupported dtype {header['dtype']!r}")
-    if header["order"] != ORDER:
-        raise FormatError(f"unsupported order {header['order']!r}")
-    components = header["components"]
-    if not (_integer(components) and components in (1, 3)):
-        raise FormatError(f"components must be 1 or 3, got {components!r}")
     try:
+        # exactly the keys _header writes
+        _keys(header, "volume header", ("components", "dims", "dtype", "kind",
+                                        "order", "origin", "spacing"))
         dims = _grid_dims(header["dims"])
+        if header["dtype"] != DTYPE:
+            raise ValidationError(f"unsupported dtype {header['dtype']!r}")
+        if header["order"] != ORDER:
+            raise ValidationError(f"unsupported order {header['order']!r}")
+        if header["kind"] not in KINDS:
+            raise ValidationError(f"unknown kind {header['kind']!r}")
+        components = header["components"]
+        if not (_integer(components) and components in (1, 3)):
+            raise ValidationError(f"components must be 1 or 3, got {components!r}")
     except ValidationError as e:
         raise FormatError(f"{path}.json: {e}") from e
 

@@ -205,16 +205,6 @@ def trilinear_sample(vol: Volume, p) -> float:
     return float(_trilinear_arrays(_zero_ring(block), q[0:1], q[1:2], q[2:3])[0])
 
 
-def _identity_coords(dims):
-    nx, ny, nz = dims
-    return np.meshgrid(
-        np.arange(nx, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nz, dtype=np.float64),
-        indexing="ij",
-    )
-
-
 def warp(moving: Volume, fld: DisplacementField) -> Volume:
     """Resample moving at x + u(x); implements the warped-image operator."""
     # the field holds voxel displacements of its own grid
@@ -222,7 +212,7 @@ def warp(moving: Volume, fld: DisplacementField) -> Volume:
         raise ValidationError("field grid differs from input grid")
     if np.all(fld.data == 0):
         return moving  # bit-exact identity
-    xx, yy, zz = _identity_coords(moving.dims)
+    xx, yy, zz = np.indices(moving.dims, dtype=np.float64)
     u = fld.data.astype(np.float64)
     out = _trilinear_arrays(_zero_ring(moving.data), xx + u[0], yy + u[1], zz + u[2])
     return Volume(out.astype(np.float32), spacing=moving.spacing, origin=moving.origin)
@@ -284,7 +274,7 @@ def upsample_field(fld: DisplacementField, target_dims) -> DisplacementField:
         if math.ceil(target_dims[a] / 2) != src[a]:
             raise ValidationError(
                 f"target dims {target_dims} not a factor-2 refinement of {src}")
-    xx, yy, zz = _identity_coords(target_dims)
+    xx, yy, zz = np.indices(target_dims, dtype=np.float64)
     cx = np.minimum(xx / 2.0, src[0] - 1)
     cy = np.minimum(yy / 2.0, src[1] - 1)
     cz = np.minimum(zz / 2.0, src[2] - 1)

@@ -95,6 +95,14 @@ class TestVolumeIO:
         with pytest.raises(FormatError):
             io.read_volume(str(tmp_path / "v"))
 
+    def test_unknown_header_key_rejected(self, tmp_path, rng):
+        io.write_volume(str(tmp_path / "v"), random_volume(rng, (2, 2, 2)), kind="image")
+        header = json.loads((tmp_path / "v.json").read_text())
+        header["nope"] = 1
+        (tmp_path / "v.json").write_text(json.dumps(header))
+        with pytest.raises(FormatError):
+            io.read_volume(str(tmp_path / "v"))
+
     def test_malformed_json_rejected(self, tmp_path, rng):
         vol = random_volume(rng, (2, 2, 2))
         io.write_volume(str(tmp_path / "v"), vol, kind="image")
@@ -184,6 +192,8 @@ MALFORMED = [
     ("header", "inf-origin", {"origin": [0, float("inf"), 0]}),
     ("header", "two-origin", {"origin": [0, 0]}),
     ("header", "missing-origin", {"origin": None}),
+    ("header", "unknown-key", {"nope": 1}), ("header", "missing-kind", {"kind": None}),
+    ("header", "unlisted-kind", {"kind": "bogus"}),
     # numbers that are not finite or do not fit in a float
     ("config", "nan-convergence-tol", {"convergence_tol": float("nan")}),
     ("params", "nan-gate-center", {"gate_center": float("nan")}),
@@ -395,12 +405,14 @@ class TestCli:
         assert rc == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("config,embedding", [
-        ({"use_anatomy": True, "use_film": True}, True),
-        ({"use_risk": True}, False),
-    ], ids=["film-without-adapter", "risk-without-dose"])
+    @pytest.mark.parametrize("config,embedding,adapter_channels", [
+        ({"use_anatomy": True, "use_film": True}, True, None),
+        ({"use_risk": True}, False, None),
+        ({"use_anatomy": True, "use_film": True}, True, 2),
+    ], ids=["film-without-adapter", "risk-without-dose", "film-with-2-channel-adapter"])
     def test_prior_inputs_refused_before_rigid_stage(self, phantom_dir, tmp_path, capsys,
-                                                     monkeypatch, config, embedding):
+                                                     monkeypatch, config, embedding,
+                                                     adapter_channels):
         def no_rigid(*args, **kwargs):
             raise AssertionError("the rigid stage ran")
         monkeypatch.setattr(pr.engine, "rigid_align", no_rigid)
@@ -413,6 +425,10 @@ class TestCli:
             pr.condition.save_embedding(str(tmp_path / "emb.json"),
                                         pr.pseudo_embedding("oropharynx"))
             argv += ["--embeddings", str(tmp_path / "emb.json")]
+        if adapter_channels:
+            pr.condition.save_adapter(str(tmp_path / "adapter.json"),
+                                      pr.AdapterWeights.random(adapter_channels))
+            argv += ["--adapter", str(tmp_path / "adapter.json")]
         assert cli(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("validation error: ")
         assert not (tmp_path / "o").exists()
