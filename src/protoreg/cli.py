@@ -256,7 +256,8 @@ def cli(argv=None) -> int:
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, FloatingPointError, ArithmeticError, KeyError, TypeError) as e:
+    except (OSError, FloatingPointError, ArithmeticError, KeyError, TypeError,
+            MemoryError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

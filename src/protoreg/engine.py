@@ -22,7 +22,8 @@ from .metrics import fold_fraction
 from .priors import (PriorParams, StructureSet, _check_binary, anatomy_map, fuse_priors,
                      gate, risk_map)
 # the solver never calls total_loss or loss_gradient; they stay bound here only
-# because bench/tracing.py looks them up, until ROADMAP item 2 moves the tracer
+# because bench/tracing.py looks them up, until the tracer wraps Objective's
+# methods instead
 from .similarity import LossBreakdown, Objective, loss_gradient, total_loss
 from .volgrid import (DisplacementField, Volume, _trilinear_arrays, _zero_ring,
                       build_pyramid, same_grid, upsample_field, warp, zero_field)

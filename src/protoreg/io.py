@@ -112,6 +112,10 @@ def read_volume(path: str):
         components = header["components"]
         if not (_integer(components) and components in (1, 3)):
             raise ValidationError(f"components must be 1 or 3, got {components!r}")
+        # as write_volume pairs them: a field has 3 components, all else 1
+        if (header["kind"] == "field") != (components == 3):
+            raise ValidationError(f"kind {header['kind']!r} does not match "
+                                  f"{components} components")
     except ValidationError as e:
         raise FormatError(f"{path}.json: {e}") from e
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .volgrid import DisplacementField, Volume, _trilinear_arrays, _zero_ring, same_grid
+from .volgrid import (DisplacementField, Volume, _SamplerScratch, _trilinear_arrays,
+                      _zero_ring, same_grid)
 
 VAR_EPS = 1e-12
 
@@ -100,12 +101,13 @@ class Objective:
     """L(u) = -NCC_w(fixed, moving warped by u) + lambda * S(u) on one grid.
 
     Built once per grid: the constructor checks the inputs and keeps the
-    weights, the fixed image's share of the NCC, the identity coordinates
-    and the moving image with its ring of zeros, so each trial pays only
-    for its sampling and the moving-side sums. ncc_at scores moving at any
-    voxel coordinates (the rigid stages pass T(x)); a trial field u, a
-    (3, nx, ny, nz) array in voxel units, is scored at x + u after rounding
-    to float32, the precision a DisplacementField stores.
+    weights, the fixed image's share of the NCC, the identity coordinates,
+    the moving image with its ring of zeros and the sampler's chunk
+    buffers, so each trial pays only for its sampling and the moving-side
+    sums, and every trial samples through the same buffers. ncc_at scores
+    moving at any voxel coordinates (the rigid stages pass T(x)); a trial
+    field u, a (3, nx, ny, nz) array in voxel units, is scored at x + u
+    after rounding to float32, the precision a DisplacementField stores.
     """
 
     def __init__(self, fixed: Volume, moving: Volume, mask: Volume,
@@ -120,6 +122,7 @@ class Objective:
         self._fixed = _fixed_side(fixed.data.astype(np.float64), self._w)
         self._ringed = _zero_ring(moving.data)
         self._ident = np.indices(fixed.dims, dtype=np.float64)
+        self._scratch = _SamplerScratch(self._ident[0].size)
         self._masked_voxels = int((mask.data > 0).sum())
 
     def ncc_at(self, coords: np.ndarray, grad: np.ndarray) -> float:
@@ -128,7 +131,8 @@ class Objective:
         with respect to coords into grad, an array of that shape. Sampling
         is float64, so the finite-difference gradient check is not drowned
         by float32 rounding of the sampled intensities."""
-        b, gx, gy, gz = _trilinear_arrays(self._ringed, *coords, want_grad=True)
+        b, gx, gy, gz = _trilinear_arrays(self._ringed, *coords, want_grad=True,
+                                          scratch=self._scratch)
         ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._fixed, b, self._w)
         if not degenerate:
             # d(NCC)/d b_j = w_j * (A_j - NCC * sqrt(Saa/Sbb) * B_j) / sqrt(Saa*Sbb)
@@ -142,7 +146,8 @@ class Objective:
         """The loss of trial field u; smoothness is S(u) even at lambda 0."""
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
         ncc, degenerate, _ = _ncc_core(
-            self._fixed, _trilinear_arrays(self._ringed, *(self._ident + u)), self._w)
+            self._fixed, _trilinear_arrays(self._ringed, *(self._ident + u),
+                                           scratch=self._scratch), self._w)
         smooth, _ = _smoothness(u)
         return LossBreakdown(ncc=ncc, smoothness=smooth,
                              lambda_smooth=self.lambda_smooth,

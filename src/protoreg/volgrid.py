@@ -104,57 +104,84 @@ def _zero_ring(arr: np.ndarray) -> np.ndarray:
     return np.pad(arr.astype(np.float64), 1)
 
 
-def _corner_offsets(c: np.ndarray, n: int, stride: int):
-    """Fractional part of coordinate c and the flat offsets, along one axis
-    of a zero-ringed array, of its two corners floor(c) and floor(c) + 1.
-    Each corner is clamped into [-1, n] on its own, so one outside the grid
-    lands on the ring."""
-    lo = np.floor(c)
-    frac = c - lo
+def _corner_offsets(c: np.ndarray, n: int, stride: int, frac, low, o0, o1):
+    """Along one axis of a zero-ringed array: the fractional part of
+    coordinate c into frac, 1 - frac into low, and the flat offsets of its
+    two corners floor(c) and floor(c) + 1 into o0 and o1. Each corner is
+    clamped into [-1, n] on its own, so one outside the grid lands on the
+    ring."""
+    np.floor(c, out=low)          # floor(c) until low becomes 1 - frac
+    np.subtract(c, low, out=frac)
     # below -2 or above n both corners already read the ring, so clipping
     # floor(c) into [-2, n] changes no read; it also sends a non-finite c
     # to the ring (fmax and fmin drop NaN) and keeps the int64 cast exact
-    np.fmax(lo, -2.0, out=lo)
-    np.fmin(lo, n, out=lo)
-    i = lo.astype(np.int64)
-    del lo
-    o0 = np.maximum(i, -1)        # corner floor(c), clamped below
+    np.fmax(low, -2.0, out=low)
+    np.fmin(low, n, out=low)
+    np.copyto(o1, low, casting="unsafe")
+    np.maximum(o1, -1, out=o0)    # corner floor(c), clamped below
     o0 += 1                       # ringed index
     o0 *= stride
-    o1 = np.minimum(i, n - 1, out=i)  # corner floor(c) + 1, clamped above
+    np.minimum(o1, n - 1, out=o1)  # corner floor(c) + 1, clamped above
     o1 += 2
     o1 *= stride
-    return frac, (o0, o1)
+    np.subtract(1.0, frac, out=low)
 
 
-# points per pass of the sampler: its ~20 float64 temporaries of this
-# length stay in cache, where whole-grid ones at 64^3 do not
+# points per pass of the sampler, and the most a _SamplerScratch holds. Its
+# 17 float64/int64 buffers of this length are allocated once per scratch and
+# reused by every chunk: they stay in cache, and their pages are not handed
+# back to the OS and faulted in again on every call, as per-call temporaries
+# were (about 1200 minor faults per 32^3 call)
 _CHUNK = 32768
 
 
-def _trilinear_arrays(ringed: np.ndarray, x, y, z, want_grad: bool = False):
+class _SamplerScratch:
+    """The sampler's chunk-length work buffers, for sampling `points`
+    coordinates per call in chunks of min(_CHUNK, points): the fractions
+    and weights, each axis's corner offsets, the flat index, the gathered
+    corner and the weighted product. One scratch serves any number of
+    calls in turn (nothing carries over between them), but not two at
+    once."""
+
+    def __init__(self, points: int):
+        self.size = max(1, min(_CHUNK, points))
+        self._real = np.empty((9, self.size))
+        self._index = np.empty((8, self.size), dtype=np.int64)
+
+    def views(self, m: int):
+        """The buffers cut to a chunk of m <= size points."""
+        return self._real[:, :m], self._index[:, :m]
+
+
+def _trilinear_arrays(ringed: np.ndarray, x, y, z, want_grad: bool = False,
+                      scratch: _SamplerScratch | None = None):
     """Vectorized trilinear interpolation with zero border, from an array
     built by _zero_ring, at coordinates x, y, z of one shape.
 
     Returns value, or (value, dv/dx, dv/dy, dv/dz) when want_grad is set;
     derivatives are with respect to the continuous voxel coordinate.
-    The points are sampled in chunks of _CHUNK; each point's arithmetic
-    does not depend on the chunking, so neither do the output bits.
+    The points are sampled in chunks of scratch's size through its
+    buffers (a scratch for this call alone when none is given); each
+    point's arithmetic does not depend on the chunking, so neither do the
+    output bits.
     """
     shape = np.shape(x)
-    x, y, z = (np.asarray(c).ravel() for c in (x, y, z))
+    x, y, z = (np.asarray(c, dtype=np.float64).ravel() for c in (x, y, z))
+    if scratch is None:
+        scratch = _SamplerScratch(x.size)
     outs = [np.zeros(x.size) for _ in range(4 if want_grad else 1)]
-    for s in range(0, x.size, _CHUNK):
-        part = slice(s, s + _CHUNK)
+    for s in range(0, x.size, scratch.size):
+        part = slice(s, s + scratch.size)
         val, *grad = (o[part] for o in outs)
-        _trilinear_chunk(ringed, x[part], y[part], z[part], val, grad)
+        _trilinear_chunk(ringed, x[part], y[part], z[part], val, grad, scratch)
     outs = [o.reshape(shape) for o in outs]
     return tuple(outs) if want_grad else outs[0]
 
 
-def _trilinear_chunk(ringed: np.ndarray, x, y, z, val, grad):
-    """_trilinear_arrays on 1-D coordinates, added into the zeroed array
-    val and, when grad holds them, into dv/dx, dv/dy, dv/dz.
+def _trilinear_chunk(ringed: np.ndarray, x, y, z, val, grad, scratch):
+    """_trilinear_arrays on 1-D float64 coordinates of at most scratch.size
+    points, added into the zeroed array val and, when grad holds them,
+    into dv/dx, dv/dy, dv/dz; every intermediate is written into scratch.
 
     Corners are summed in the order (dx, dy, dz) as wx * wy * wz * c, and
     each derivative term as +-(product of the other two weights) * c with
@@ -163,11 +190,13 @@ def _trilinear_chunk(ringed: np.ndarray, x, y, z, val, grad):
     """
     nx, ny, nz = (n - 2 for n in ringed.shape)
     flat = ringed.ravel()
-    fx, ox = _corner_offsets(np.asarray(x, dtype=np.float64), nx,
-                             (ny + 2) * (nz + 2))
-    fy, oy = _corner_offsets(np.asarray(y, dtype=np.float64), ny, nz + 2)
-    fz, oz = _corner_offsets(np.asarray(z, dtype=np.float64), nz, 1)
-    wxs, wys, wzs = (1.0 - fx, fx), (1.0 - fy, fy), (1.0 - fz, fz)
+    (fx, fy, fz, wx0, wy0, wz0, wxy, c, t), (
+        ox0, ox1, oy0, oy1, oz0, oz1, oxy, idx) = scratch.views(x.size)
+    _corner_offsets(x, nx, (ny + 2) * (nz + 2), fx, wx0, ox0, ox1)
+    _corner_offsets(y, ny, nz + 2, fy, wy0, oy0, oy1)
+    _corner_offsets(z, nz, 1, fz, wz0, oz0, oz1)
+    wxs, wys, wzs = (wx0, fx), (wy0, fy), (wz0, fz)
+    ox, oy, oz = (ox0, ox1), (oy0, oy1), (oz0, oz1)
 
     if grad:
         gx, gy, gz = grad
@@ -175,18 +204,22 @@ def _trilinear_chunk(ringed: np.ndarray, x, y, z, val, grad):
         wx = wxs[dx]
         for dy in (0, 1):
             wy = wys[dy]
-            wxy = wx * wy
-            oxy = ox[dx] + oy[dy]
+            np.multiply(wx, wy, out=wxy)
+            np.add(ox[dx], oy[dy], out=oxy)
             for dz in (0, 1):
                 wz = wzs[dz]
-                c = flat.take(oxy + oz[dz], mode="clip")   # always in range
-                val += wxy * wz * c
+                np.add(oxy, oz[dz], out=idx)
+                flat.take(idx, mode="clip", out=c)   # always in range
+                val += np.multiply(np.multiply(wxy, wz, out=t), c, out=t)
                 if grad:
                     # a low corner's -1 scales exactly: subtracting
                     # wy * wz * c gives the bits of adding (-1 * wy) * wz * c
-                    (np.add if dx else np.subtract)(gx, wy * wz * c, out=gx)
-                    (np.add if dy else np.subtract)(gy, wx * wz * c, out=gy)
-                    (np.add if dz else np.subtract)(gz, wxy * c, out=gz)
+                    np.multiply(np.multiply(wy, wz, out=t), c, out=t)
+                    (np.add if dx else np.subtract)(gx, t, out=gx)
+                    np.multiply(np.multiply(wx, wz, out=t), c, out=t)
+                    (np.add if dy else np.subtract)(gy, t, out=gy)
+                    np.multiply(wxy, c, out=t)
+                    (np.add if dz else np.subtract)(gz, t, out=gz)
 
 
 def trilinear_sample(vol: Volume, p) -> float:
@@ -279,9 +312,10 @@ def upsample_field(fld: DisplacementField, target_dims) -> DisplacementField:
     cy = np.minimum(yy / 2.0, src[1] - 1)
     cz = np.minimum(zz / 2.0, src[2] - 1)
     out = np.empty((3,) + target_dims, dtype=np.float32)
+    scratch = _SamplerScratch(cx.size)
     for c in range(3):
-        out[c] = (2.0 * _trilinear_arrays(_zero_ring(fld.data[c]), cx, cy, cz)
-                  ).astype(np.float32)
+        out[c] = (2.0 * _trilinear_arrays(_zero_ring(fld.data[c]), cx, cy, cz,
+                                          scratch=scratch)).astype(np.float32)
     return DisplacementField(out,
                              spacing=tuple(s / 2 for s in fld.spacing),
                              origin=fld.origin)

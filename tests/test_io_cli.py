@@ -110,6 +110,16 @@ class TestVolumeIO:
         with pytest.raises(FormatError):
             io.read_volume(str(tmp_path / "v"))
 
+    @pytest.mark.parametrize("written, edited", [("image", "field"), ("field", "mask")])
+    def test_header_kind_must_match_components(self, tmp_path, rng, written, edited):
+        obj = (lattice_safe_field(rng, (2, 2, 2)) if written == "field"
+               else random_volume(rng, (2, 2, 2)))
+        io.write_volume(str(tmp_path / "v"), obj, kind=written)
+        header = json.loads((tmp_path / "v.json").read_text())
+        (tmp_path / "v.json").write_text(json.dumps({**header, "kind": edited}))
+        with pytest.raises(FormatError, match="v.json: kind"):
+            io.read_volume(str(tmp_path / "v"))
+
     def test_kind_type_mismatch_rejected(self, tmp_path, rng):
         with pytest.raises(pr.ValidationError):
             io.write_volume(str(tmp_path / "v"), random_volume(rng, (2, 2, 2)),
@@ -194,6 +204,7 @@ MALFORMED = [
     ("header", "missing-origin", {"origin": None}),
     ("header", "unknown-key", {"nope": 1}), ("header", "missing-kind", {"kind": None}),
     ("header", "unlisted-kind", {"kind": "bogus"}),
+    ("header", "field-kind", {"kind": "field"}),
     # numbers that are not finite or do not fit in a float
     ("config", "nan-convergence-tol", {"convergence_tol": float("nan")}),
     ("params", "nan-gate-center", {"gate_center": float("nan")}),
@@ -445,6 +456,16 @@ class TestCli:
                   "--field", str(tmp_path / "absent"),
                   "--out", str(tmp_path / "o")])
         assert rc == EXIT_RUNTIME
+
+    def test_unallocatable_grid_is_runtime_error(self, tmp_path, capsys):
+        # 10^15 voxels: numpy refuses the petabytes at once, allocating nothing
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dims": [100000, 100000, 100000]}))
+        out = tmp_path / "o"
+        assert cli(["phantom", "--spec", str(path), "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_corrupt_header_is_validation_error(self, phantom_dir, tmp_path):
         (phantom_dir / "image.json").write_text("{broken")

@@ -159,20 +159,28 @@ def _assert_same_bits(got, want, want_grad):
         assert g.tobytes() == w.tobytes()
 
 
+shapes = st.lists(st.integers(1, 4), min_size=2, max_size=3).map(tuple)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dims=st.tuples(*[st.integers(1, 7)] * 3), chunk=st.integers(1, 7),
-       shape=st.lists(st.integers(1, 4), min_size=2, max_size=3).map(tuple),
-       want_grad=st.booleans(), data=st.data())
-def test_sampler_bits_do_not_depend_on_chunking(dims, chunk, shape, want_grad, data):
+       shapes=st.tuples(shapes, shapes), want_grad=st.booleans(), data=st.data())
+def test_sampler_bits_do_not_depend_on_chunking(dims, chunk, shapes, want_grad, data):
     # a chunk of a few points splits a multi-axis set of coordinates into
-    # many chunks and a ragged last one
+    # many chunks and a ragged last one; a second, separately drawn set
+    # goes through the same scratch, so nothing may carry over between
+    # calls
     arr = data.draw(arrays(np.float32, dims, elements=st.floats(-1e6, 1e6, width=32)))
-    x, y, z = (c.reshape(shape) for c in
-               data.draw(sample_points(dims, math.prod(shape))))
+    ringed = _zero_ring(arr)
     with mock.patch.object(volgrid, "_CHUNK", chunk):
-        got = _trilinear_arrays(_zero_ring(arr), x, y, z, want_grad=want_grad)
-    want = oracles.trilinear_arrays(arr, x, y, z, want_grad=want_grad)
-    _assert_same_bits(got, want, want_grad)
+        scratch = volgrid._SamplerScratch(math.prod(shapes[0]))
+        for shape in shapes:
+            x, y, z = (c.reshape(shape) for c in
+                       data.draw(sample_points(dims, math.prod(shape))))
+            got = _trilinear_arrays(ringed, x, y, z, want_grad=want_grad,
+                                    scratch=scratch)
+            want = oracles.trilinear_arrays(arr, x, y, z, want_grad=want_grad)
+            _assert_same_bits(got, want, want_grad)
 
 
 # JSON numbers, including what Python's JSON parser takes beyond the

@@ -1,9 +1,12 @@
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import protoreg as pr
+from protoreg import volgrid
 from protoreg.errors import ValidationError
 from protoreg.similarity import Objective
 
@@ -140,6 +143,39 @@ class TestTotalLoss:
             total, grad = obj.evaluate(u)
             assert total == obj.loss(u).total
             assert grad.shape == u.shape
+
+    def test_evaluate_repeats_its_bits(self, rng):
+        # a small chunk splits 12^3 voxels into many chunks and a ragged
+        # last one, all through the one scratch the objective holds; a call
+        # on another field in between must leave nothing behind
+        a = random_volume(rng, (12, 12, 12))
+        b = random_volume(rng, (12, 12, 12))
+        with mock.patch.object(volgrid, "_CHUNK", 1000):
+            obj = Objective(a, b, _full_mask((12, 12, 12)), 0.2)
+        u, v = rng.normal(0.0, 1.5, size=(2, 3, 12, 12, 12))
+        first = obj.evaluate(u)
+        obj.evaluate(v)
+        again = obj.evaluate(u)
+        assert first[0] == again[0]
+        assert first[1].tobytes() == again[1].tobytes()
+
+    def test_warm_ncc_at_allocates_no_sampler_scratch(self, small_phantom):
+        # numpy reports its buffers to tracemalloc; a warm call allocates
+        # only the sampler's four outputs and the NCC terms (about 1.75 MB
+        # at 32^3), not the chunk buffers the objective holds
+        img, st, _ = small_phantom
+        obj = Objective(img, img, st.body, 0.2)
+        coords = np.indices(img.dims, dtype=np.float64) + 0.3
+        grad = np.zeros_like(coords)
+        obj.ncc_at(coords, grad)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            obj.ncc_at(coords, grad)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_degenerate_flagged(self, rng):
         a = pr.Volume(np.full((5, 5, 5), 1.0, dtype=np.float32))
