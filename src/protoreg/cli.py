@@ -31,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _path(s: str) -> str:
+    """argparse type of every path option: an empty path is a usage error,
+    not an absent option."""
+    if not s:
+        raise argparse.ArgumentTypeError("a path must not be empty")
+    return s
+
+
 def _read(path, field=False):
     """The scalar volume at path, or with field the displacement field;
     the other kind is a ValidationError."""
@@ -189,48 +197,48 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("phantom", help="generate a synthetic phantom")
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--spec", type=_path, required=True)
+    sp.add_argument("--out", type=_path, required=True)
 
     sp = sub.add_parser("priors", help="build anatomy/risk/fused prior maps")
-    sp.add_argument("--ctv", required=True)
-    sp.add_argument("--oars", nargs="*", default=[])
-    sp.add_argument("--body")
-    sp.add_argument("--dose")
-    sp.add_argument("--params")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--ctv", type=_path, required=True)
+    sp.add_argument("--oars", type=_path, nargs="*", default=[])
+    sp.add_argument("--body", type=_path)
+    sp.add_argument("--dose", type=_path)
+    sp.add_argument("--params", type=_path)
+    sp.add_argument("--out", type=_path, required=True)
 
     sp = sub.add_parser("register", help="run rigid + deformable registration")
-    sp.add_argument("--fixed", required=True)
-    sp.add_argument("--moving", required=True)
-    sp.add_argument("--body")
-    sp.add_argument("--ctv")
-    sp.add_argument("--oars", nargs="*", default=[])
-    sp.add_argument("--dose")
-    sp.add_argument("--embeddings", nargs="*", default=[])
-    sp.add_argument("--adapter")
-    sp.add_argument("--config")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--fixed", type=_path, required=True)
+    sp.add_argument("--moving", type=_path, required=True)
+    sp.add_argument("--body", type=_path)
+    sp.add_argument("--ctv", type=_path)
+    sp.add_argument("--oars", type=_path, nargs="*", default=[])
+    sp.add_argument("--dose", type=_path)
+    sp.add_argument("--embeddings", type=_path, nargs="*", default=[])
+    sp.add_argument("--adapter", type=_path)
+    sp.add_argument("--config", type=_path)
+    sp.add_argument("--out", type=_path, required=True)
 
     sp = sub.add_parser("warp", help="warp an image or propagate a contour")
     g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--image")
-    g.add_argument("--mask")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--rigid", help="register's report.json: apply its rigid "
+    g.add_argument("--image", type=_path)
+    g.add_argument("--mask", type=_path)
+    sp.add_argument("--field", type=_path, required=True)
+    sp.add_argument("--rigid", type=_path, help="register's report.json: apply its rigid "
                     "transform T too, sampling at T(x + u(x))")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", type=_path, required=True)
 
     sp = sub.add_parser("metrics", help="evaluate alignment quality")
-    sp.add_argument("--fixed", required=True)
-    sp.add_argument("--warped", required=True)
-    sp.add_argument("--mask")
-    sp.add_argument("--ctv-fixed", dest="ctv_fixed")
-    sp.add_argument("--ctv-prop", dest="ctv_prop")
-    sp.add_argument("--field")
-    sp.add_argument("--truth")
+    sp.add_argument("--fixed", type=_path, required=True)
+    sp.add_argument("--warped", type=_path, required=True)
+    sp.add_argument("--mask", type=_path)
+    sp.add_argument("--ctv-fixed", dest="ctv_fixed", type=_path)
+    sp.add_argument("--ctv-prop", dest="ctv_prop", type=_path)
+    sp.add_argument("--field", type=_path)
+    sp.add_argument("--truth", type=_path)
     sp.add_argument("--csv", action="store_true")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", type=_path, required=True)
     return p
 
 

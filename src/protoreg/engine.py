@@ -25,8 +25,8 @@ from .priors import (PriorParams, StructureSet, _check_binary, anatomy_map, fuse
 # because bench/tracing.py looks them up, until the tracer wraps Objective's
 # methods instead
 from .similarity import LossBreakdown, Objective, loss_gradient, total_loss
-from .volgrid import (DisplacementField, Volume, _trilinear_arrays, _zero_ring,
-                      build_pyramid, same_grid, upsample_field, warp, zero_field)
+from .volgrid import (DisplacementField, Volume, _Sampler, build_pyramid, same_grid,
+                      upsample_field, warp, zero_field)
 
 
 def _wrap_angle(a: float) -> float:
@@ -303,7 +303,7 @@ def resample_rigid(moving: Volume, like: Volume | DisplacementField,
     (say, unpadded)."""
     u = like.data.astype(np.float64) if isinstance(like, DisplacementField) else None
     _, voxels = _rigid_mapping(moving, like, t.center)
-    out = _trilinear_arrays(_zero_ring(moving.data), *voxels(t.matrix(), t.translation, u))
+    out = _Sampler(moving.data)(voxels(t.matrix(), t.translation, u))
     return Volume(out.astype(np.float32), spacing=like.spacing, origin=like.origin)
 
 

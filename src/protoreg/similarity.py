@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .volgrid import (DisplacementField, Volume, _SamplerScratch, _trilinear_arrays,
-                      _zero_ring, same_grid)
+from .volgrid import DisplacementField, Volume, _Sampler, same_grid
 
 VAR_EPS = 1e-12
 
@@ -101,10 +100,10 @@ class Objective:
     """L(u) = -NCC_w(fixed, moving warped by u) + lambda * S(u) on one grid.
 
     Built once per grid: the constructor checks the inputs and keeps the
-    weights, the fixed image's share of the NCC, the identity coordinates,
-    the moving image with its ring of zeros and the sampler's chunk
-    buffers, so each trial pays only for its sampling and the moving-side
-    sums, and every trial samples through the same buffers. ncc_at scores
+    weights, the fixed image's share of the NCC, the identity coordinates
+    and one sampler of the moving image, so each trial pays only for its
+    sampling and the moving-side sums, and every trial samples through the
+    same chunk buffers. ncc_at scores
     moving at any voxel coordinates (the rigid stages pass T(x)); a trial
     field u, a (3, nx, ny, nz) array in voxel units, is scored at x + u
     after rounding to float32, the precision a DisplacementField stores.
@@ -120,9 +119,8 @@ class Objective:
         self.fixed, self.moving = fixed, moving
         self.lambda_smooth = float(lambda_smooth)
         self._fixed = _fixed_side(fixed.data.astype(np.float64), self._w)
-        self._ringed = _zero_ring(moving.data)
+        self._sample = _Sampler(moving.data)
         self._ident = np.indices(fixed.dims, dtype=np.float64)
-        self._scratch = _SamplerScratch(self._ident[0].size)
         self._masked_voxels = int((mask.data > 0).sum())
 
     def ncc_at(self, coords: np.ndarray, grad: np.ndarray) -> float:
@@ -131,8 +129,7 @@ class Objective:
         with respect to coords into grad, an array of that shape. Sampling
         is float64, so the finite-difference gradient check is not drowned
         by float32 rounding of the sampled intensities."""
-        b, gx, gy, gz = _trilinear_arrays(self._ringed, *coords, want_grad=True,
-                                          scratch=self._scratch)
+        b, gx, gy, gz = self._sample(coords, want_grad=True)
         ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._fixed, b, self._w)
         if not degenerate:
             # d(NCC)/d b_j = w_j * (A_j - NCC * sqrt(Saa/Sbb) * B_j) / sqrt(Saa*Sbb)
@@ -145,9 +142,7 @@ class Objective:
     def loss(self, u: np.ndarray) -> LossBreakdown:
         """The loss of trial field u; smoothness is S(u) even at lambda 0."""
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        ncc, degenerate, _ = _ncc_core(
-            self._fixed, _trilinear_arrays(self._ringed, *(self._ident + u),
-                                           scratch=self._scratch), self._w)
+        ncc, degenerate, _ = _ncc_core(self._fixed, self._sample(self._ident + u), self._w)
         smooth, _ = _smoothness(u)
         return LossBreakdown(ncc=ncc, smoothness=smooth,
                              lambda_smooth=self.lambda_smooth,

@@ -6,6 +6,7 @@ across platforms and processes.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -62,7 +63,15 @@ class PhantomSpec:
     def __post_init__(self):
         _check_numbers(self)
         _grid_dims(self.dims)
-        _grid_spacing(self.spacing)
+        # the texture's Gaussian kernel has 2 * radius + 1 float64 taps per
+        # axis, radius = int(4 sigma + 0.5) (scipy) with sigma the correlation
+        # length in voxels; numpy must be able to index it
+        for s in _grid_spacing(self.spacing):
+            radius = 4.0 * (self.texture_corr_mm / s) + 0.5
+            if not (math.isfinite(radius)
+                    and 8 * (2 * int(radius) + 1) <= np.iinfo(np.intp).max):
+                raise ValidationError(f"texture_corr_mm / spacing must give a Gaussian kernel "
+                                      f"numpy can index, got {self.texture_corr_mm!r} / {s!r}")
         if min(_values(self.body_semi_axes_mm, "body_semi_axes_mm", 3)) <= 0:
             raise ValidationError(f"body_semi_axes_mm must be > 0, "
                                   f"got {self.body_semi_axes_mm}")

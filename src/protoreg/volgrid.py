@@ -5,6 +5,9 @@ Conventions used throughout the package:
   * Displacement fields store (ux, uy, uz) in shape (3, nx, ny, nz);
     displacements are in voxel units of the field's own grid.
   * Sampling outside the grid returns 0 (inputs are zero-padded anyway).
+  * Every trilinear sampling in the package goes through a _Sampler built
+    on one image: it alone holds the zero-ringed copy and the chunk
+    buffers, and takes its coordinates as one (3, ...) array.
 """
 from __future__ import annotations
 
@@ -19,11 +22,14 @@ Triple = tuple[float, float, float]
 
 
 def _grid_dims(v) -> tuple:
-    """v as a grid's voxel counts: 3 integers >= 1."""
-    dims = _values(v, "dims", 3, _integer)
+    """v as a grid's voxel counts: 3 integers >= 1, few enough that numpy
+    can index a float64 3-vector field over them (24 bytes per voxel)."""
+    dims = tuple(int(d) for d in _values(v, "dims", 3, _integer))
     if min(dims) < 1:
         raise ValidationError(f"dims must be >= 1, got {dims}")
-    return tuple(int(d) for d in dims)
+    if 24 * math.prod(dims) > np.iinfo(np.intp).max:
+        raise ValidationError(f"dims {dims} hold more voxels than numpy can index")
+    return dims
 
 
 def _grid_spacing(v) -> tuple:
@@ -98,12 +104,6 @@ def zero_field(like: Volume | DisplacementField) -> DisplacementField:
 # ---------------------------------------------------------------------------
 # sampling / warping
 
-def _zero_ring(arr: np.ndarray) -> np.ndarray:
-    """float64 copy of a 3-D array with a one-voxel ring of zeros: the
-    sampler's input, so a corner outside the grid reads 0 from the ring."""
-    return np.pad(arr.astype(np.float64), 1)
-
-
 def _corner_offsets(c: np.ndarray, n: int, stride: int, frac, low, o0, o1):
     """Along one axis of a zero-ringed array: the fractional part of
     coordinate c into frac, 1 - frac into low, and the flat offsets of its
@@ -127,99 +127,94 @@ def _corner_offsets(c: np.ndarray, n: int, stride: int, frac, low, o0, o1):
     np.subtract(1.0, frac, out=low)
 
 
-# points per pass of the sampler, and the most a _SamplerScratch holds. Its
-# 17 float64/int64 buffers of this length are allocated once per scratch and
-# reused by every chunk: they stay in cache, and their pages are not handed
-# back to the OS and faulted in again on every call, as per-call temporaries
-# were (about 1200 minor faults per 32^3 call)
+# points per pass of a _Sampler, and the most its chunk buffers hold. A
+# sampler's 17 float64/int64 buffers of min(_CHUNK, voxels) points are
+# allocated once, with the sampler, and reused by every chunk of every call:
+# they stay in cache, and their pages are not handed back to the OS and
+# faulted in again on every call, as per-call temporaries were (about 1200
+# minor faults per 32^3 call)
 _CHUNK = 32768
 
 
-class _SamplerScratch:
-    """The sampler's chunk-length work buffers, for sampling `points`
-    coordinates per call in chunks of min(_CHUNK, points): the fractions
-    and weights, each axis's corner offsets, the flat index, the gathered
-    corner and the weighted product. One scratch serves any number of
-    calls in turn (nothing carries over between them), but not two at
-    once."""
+class _Sampler:
+    """Trilinear interpolation of one 3-D array with a zero border.
 
-    def __init__(self, points: int):
-        self.size = max(1, min(_CHUNK, points))
-        self._real = np.empty((9, self.size))
-        self._index = np.empty((8, self.size), dtype=np.int64)
-
-    def views(self, m: int):
-        """The buffers cut to a chunk of m <= size points."""
-        return self._real[:, :m], self._index[:, :m]
-
-
-def _trilinear_arrays(ringed: np.ndarray, x, y, z, want_grad: bool = False,
-                      scratch: _SamplerScratch | None = None):
-    """Vectorized trilinear interpolation with zero border, from an array
-    built by _zero_ring, at coordinates x, y, z of one shape.
-
-    Returns value, or (value, dv/dx, dv/dy, dv/dz) when want_grad is set;
-    derivatives are with respect to the continuous voxel coordinate.
-    The points are sampled in chunks of scratch's size through its
-    buffers (a scratch for this call alone when none is given); each
-    point's arithmetic does not depend on the chunking, so neither do the
-    output bits.
+    The constructor keeps a float64 copy of arr with a one-voxel ring of
+    zeros, so a corner outside the grid reads 0 from the ring, and the
+    chunk buffers: the fractions and weights, each axis's corner offsets,
+    the flat index, the gathered corner and the weighted product. One
+    sampler serves any number of calls in turn (nothing carries over
+    between them), but not two at once.
     """
-    shape = np.shape(x)
-    x, y, z = (np.asarray(c, dtype=np.float64).ravel() for c in (x, y, z))
-    if scratch is None:
-        scratch = _SamplerScratch(x.size)
-    outs = [np.zeros(x.size) for _ in range(4 if want_grad else 1)]
-    for s in range(0, x.size, scratch.size):
-        part = slice(s, s + scratch.size)
-        val, *grad = (o[part] for o in outs)
-        _trilinear_chunk(ringed, x[part], y[part], z[part], val, grad, scratch)
-    outs = [o.reshape(shape) for o in outs]
-    return tuple(outs) if want_grad else outs[0]
 
+    def __init__(self, arr: np.ndarray):
+        self._ringed = np.pad(arr.astype(np.float64), 1)
+        self._size = min(_CHUNK, arr.size)
+        self._real = np.empty((9, self._size))
+        self._index = np.empty((8, self._size), dtype=np.int64)
 
-def _trilinear_chunk(ringed: np.ndarray, x, y, z, val, grad, scratch):
-    """_trilinear_arrays on 1-D float64 coordinates of at most scratch.size
-    points, added into the zeroed array val and, when grad holds them,
-    into dv/dx, dv/dy, dv/dz; every intermediate is written into scratch.
+    def __call__(self, coords, want_grad: bool = False):
+        """The array sampled at coords, a (3, ...) array of voxel
+        coordinates: the value, or (value, dv/dx, dv/dy, dv/dz) when
+        want_grad is set, each of shape coords.shape[1:]; derivatives are
+        with respect to the continuous voxel coordinate. The points are
+        sampled in chunks of the buffers' size; each point's arithmetic
+        does not depend on the chunking, so neither do the output bits.
+        """
+        coords = np.asarray(coords, dtype=np.float64)
+        flat = coords.reshape(3, -1)
+        outs = [np.zeros(flat.shape[1]) for _ in range(4 if want_grad else 1)]
+        for s in range(0, flat.shape[1], self._size):
+            part = slice(s, s + self._size)
+            val, *grad = (o[part] for o in outs)
+            self._chunk(*flat[:, part], val, grad)
+        outs = [o.reshape(coords.shape[1:]) for o in outs]
+        return tuple(outs) if want_grad else outs[0]
 
-    Corners are summed in the order (dx, dy, dz) as wx * wy * wz * c, and
-    each derivative term as +-(product of the other two weights) * c with
-    the sign applied exactly, so the bits equal those of gathering each
-    corner of the unringed array through an inside-the-grid mask.
-    """
-    nx, ny, nz = (n - 2 for n in ringed.shape)
-    flat = ringed.ravel()
-    (fx, fy, fz, wx0, wy0, wz0, wxy, c, t), (
-        ox0, ox1, oy0, oy1, oz0, oz1, oxy, idx) = scratch.views(x.size)
-    _corner_offsets(x, nx, (ny + 2) * (nz + 2), fx, wx0, ox0, ox1)
-    _corner_offsets(y, ny, nz + 2, fy, wy0, oy0, oy1)
-    _corner_offsets(z, nz, 1, fz, wz0, oz0, oz1)
-    wxs, wys, wzs = (wx0, fx), (wy0, fy), (wz0, fz)
-    ox, oy, oz = (ox0, ox1), (oy0, oy1), (oz0, oz1)
+    def _chunk(self, x, y, z, val, grad):
+        """The sampler on 1-D float64 coordinates of at most the buffers'
+        size, added into the zeroed array val and, when grad holds them,
+        into dv/dx, dv/dy, dv/dz; every intermediate is written into the
+        buffers.
 
-    if grad:
-        gx, gy, gz = grad
-    for dx in (0, 1):
-        wx = wxs[dx]
-        for dy in (0, 1):
-            wy = wys[dy]
-            np.multiply(wx, wy, out=wxy)
-            np.add(ox[dx], oy[dy], out=oxy)
-            for dz in (0, 1):
-                wz = wzs[dz]
-                np.add(oxy, oz[dz], out=idx)
-                flat.take(idx, mode="clip", out=c)   # always in range
-                val += np.multiply(np.multiply(wxy, wz, out=t), c, out=t)
-                if grad:
-                    # a low corner's -1 scales exactly: subtracting
-                    # wy * wz * c gives the bits of adding (-1 * wy) * wz * c
-                    np.multiply(np.multiply(wy, wz, out=t), c, out=t)
-                    (np.add if dx else np.subtract)(gx, t, out=gx)
-                    np.multiply(np.multiply(wx, wz, out=t), c, out=t)
-                    (np.add if dy else np.subtract)(gy, t, out=gy)
-                    np.multiply(wxy, c, out=t)
-                    (np.add if dz else np.subtract)(gz, t, out=gz)
+        Corners are summed in the order (dx, dy, dz) as wx * wy * wz * c,
+        and each derivative term as +-(product of the other two weights) *
+        c with the sign applied exactly, so the bits equal those of
+        gathering each corner of the unringed array through an
+        inside-the-grid mask.
+        """
+        nx, ny, nz = (n - 2 for n in self._ringed.shape)
+        flat = self._ringed.ravel()
+        fx, fy, fz, wx0, wy0, wz0, wxy, c, t = self._real[:, :x.size]
+        ox0, ox1, oy0, oy1, oz0, oz1, oxy, idx = self._index[:, :x.size]
+        _corner_offsets(x, nx, (ny + 2) * (nz + 2), fx, wx0, ox0, ox1)
+        _corner_offsets(y, ny, nz + 2, fy, wy0, oy0, oy1)
+        _corner_offsets(z, nz, 1, fz, wz0, oz0, oz1)
+        wxs, wys, wzs = (wx0, fx), (wy0, fy), (wz0, fz)
+        ox, oy, oz = (ox0, ox1), (oy0, oy1), (oz0, oz1)
+
+        if grad:
+            gx, gy, gz = grad
+        for dx in (0, 1):
+            wx = wxs[dx]
+            for dy in (0, 1):
+                wy = wys[dy]
+                np.multiply(wx, wy, out=wxy)
+                np.add(ox[dx], oy[dy], out=oxy)
+                for dz in (0, 1):
+                    wz = wzs[dz]
+                    np.add(oxy, oz[dz], out=idx)
+                    flat.take(idx, mode="clip", out=c)   # always in range
+                    val += np.multiply(np.multiply(wxy, wz, out=t), c, out=t)
+                    if grad:
+                        # a low corner's -1 scales exactly: subtracting
+                        # wy * wz * c gives the bits of adding (-1 * wy) * wz * c
+                        np.multiply(np.multiply(wy, wz, out=t), c, out=t)
+                        (np.add if dx else np.subtract)(gx, t, out=gx)
+                        np.multiply(np.multiply(wx, wz, out=t), c, out=t)
+                        (np.add if dy else np.subtract)(gy, t, out=gy)
+                        np.multiply(wxy, c, out=t)
+                        (np.add if dz else np.subtract)(gz, t, out=gz)
 
 
 def trilinear_sample(vol: Volume, p) -> float:
@@ -234,8 +229,7 @@ def trilinear_sample(vol: Volume, p) -> float:
     # sampling the whole grid
     lo = np.clip(np.floor(p), 0, np.array(vol.dims) - 1).astype(np.int64)
     block = vol.data[lo[0]:lo[0] + 2, lo[1]:lo[1] + 2, lo[2]:lo[2] + 2]
-    q = p - lo
-    return float(_trilinear_arrays(_zero_ring(block), q[0:1], q[1:2], q[2:3])[0])
+    return float(_Sampler(block)((p - lo).reshape(3, 1))[0])
 
 
 def warp(moving: Volume, fld: DisplacementField) -> Volume:
@@ -245,9 +239,7 @@ def warp(moving: Volume, fld: DisplacementField) -> Volume:
         raise ValidationError("field grid differs from input grid")
     if np.all(fld.data == 0):
         return moving  # bit-exact identity
-    xx, yy, zz = np.indices(moving.dims, dtype=np.float64)
-    u = fld.data.astype(np.float64)
-    out = _trilinear_arrays(_zero_ring(moving.data), xx + u[0], yy + u[1], zz + u[2])
+    out = _Sampler(moving.data)(np.indices(moving.dims, dtype=np.float64) + fld.data)
     return Volume(out.astype(np.float32), spacing=moving.spacing, origin=moving.origin)
 
 
@@ -307,16 +299,10 @@ def upsample_field(fld: DisplacementField, target_dims) -> DisplacementField:
         if math.ceil(target_dims[a] / 2) != src[a]:
             raise ValidationError(
                 f"target dims {target_dims} not a factor-2 refinement of {src}")
-    xx, yy, zz = np.indices(target_dims, dtype=np.float64)
-    cx = np.minimum(xx / 2.0, src[0] - 1)
-    cy = np.minimum(yy / 2.0, src[1] - 1)
-    cz = np.minimum(zz / 2.0, src[2] - 1)
-    out = np.empty((3,) + target_dims, dtype=np.float32)
-    scratch = _SamplerScratch(cx.size)
-    for c in range(3):
-        out[c] = (2.0 * _trilinear_arrays(_zero_ring(fld.data[c]), cx, cy, cz,
-                                          scratch=scratch)).astype(np.float32)
-    return DisplacementField(out,
+    coords = np.minimum(np.indices(target_dims, dtype=np.float64) / 2.0,
+                        np.subtract(src, 1.0).reshape(3, 1, 1, 1))
+    out = [(2.0 * _Sampler(u)(coords)).astype(np.float32) for u in fld.data]
+    return DisplacementField(np.stack(out),
                              spacing=tuple(s / 2 for s in fld.spacing),
                              origin=fld.origin)
 

@@ -8,8 +8,9 @@ import protoreg as pr
 from protoreg import engine, similarity
 from protoreg.engine import resample_rigid
 from protoreg.errors import ValidationError
-from protoreg.volgrid import _trilinear_arrays, _zero_ring
+from protoreg.volgrid import _Sampler
 
+import oracles
 from conftest import lattice_safe_field
 
 
@@ -69,6 +70,18 @@ class TestWarpRigid:
         assert got.dims == st.ctv.dims
         assert np.array_equal(got.data[:, :, :19], st.ctv.data[:, :, :19])
         assert not got.data[:, :, 20:].any()
+
+    def test_moving_on_fewer_voxels_equals_oracle(self, small_phantom, rng):
+        img, _, _ = small_phantom
+        cut = pr.Volume(img.data[:, :, :20].copy(), spacing=img.spacing, origin=img.origin)
+        fld = lattice_safe_field(rng, img.dims, scale=1.5)
+        t = pr.RigidTransform(rotation=(0.05, -0.02, 0.1), translation=(1.5, -1.0, 0.5),
+                              center=engine._physical_center(img))
+        voxels = engine._rigid_mapping(cut, fld, t.center)[-1]
+        want = oracles.trilinear_arrays(
+            cut.data, *voxels(t.matrix(), t.translation, fld.data.astype(np.float64)))
+        got = resample_rigid(cut, fld, t)
+        assert got.data.tobytes() == want.astype(np.float32).tobytes()
 
 
 class TestRigidAlign:
@@ -218,7 +231,7 @@ class TestRigidObjective:
         t = pr.RigidTransform(rotation=tuple(RIGID_PARAMS[:3]),
                               translation=tuple(RIGID_PARAMS[3:]), center=center)
         voxels = engine._rigid_mapping(moving, fixed, center)[-1]
-        b = _trilinear_arrays(_zero_ring(moving.data), *voxels(t.matrix(), t.translation))
+        b = _Sampler(moving.data)(voxels(t.matrix(), t.translation))
         w = similarity._weights(mask, None)
         ncc, degenerate, _ = similarity._ncc_core(
             similarity._fixed_side(fixed.data.astype(np.float64), w), b, w)

@@ -1,15 +1,19 @@
+import contextlib
 import importlib
+import io as stdio
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import protoreg as pr
 from protoreg import engine, io
@@ -220,7 +224,12 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("key, value", [("body_semi_axes_mm", [0, 6, 7]),
-                                        ("dose_tau_mm", 1e-200)])
+                                        ("dose_tau_mm", 1e-200),
+                                        # kernels and grids numpy refuses to index
+                                        ("texture_corr_mm", 1e300),
+                                        ("texture_corr_mm", 1e308),
+                                        ("spacing", [1e-300, 1, 1]),
+                                        ("dims", [8, 8, 2 ** 62])])
 def test_degenerate_phantom_spec_names_key(tmp_path, capsys, key, value):
     path = _write_spec(tmp_path / "spec.json", dims=(16, 16, 16))
     path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
@@ -231,6 +240,49 @@ def test_degenerate_phantom_spec_names_key(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and key in err
     assert not (tmp_path / "ph").exists()
+
+
+# a valid 6^3 spec; each drawn example replaces a few of its numbers by
+# values from PROBES only. No entry of PROBES makes a grid or a texture
+# kernel this machine could allocate: a mid-sized texture_corr_mm (say 1e6)
+# would build a kernel of megabytes and a slow filter
+TINY_SPEC = {"dims": [6, 6, 6], "spacing": [1.0, 1.0, 1.0],
+             "body_semi_axes_mm": [2.5, 2.5, 2.5], "ctv_center_mm": [0.0, 0.0, 0.0],
+             "ctv_radius_mm": 1.0, "oars": [[[-1.0, -1.0, 0.5], 0.8]],
+             "texture_amplitude": 0.25, "texture_corr_mm": 1.0, "dose_max": 60.0,
+             "dose_tau_mm": 2.0, "seed": 7}
+PROBES = [0, -1, 5e-324, 1e-300, 1e300, 2 ** 62, math.nan]
+
+
+def _number_paths(doc, path=()):
+    """The index path of every number in a nested JSON document."""
+    if isinstance(doc, dict):
+        return [p for k, v in doc.items() for p in _number_paths(v, path + (k,))]
+    if isinstance(doc, list):
+        return [p for i, v in enumerate(doc) for p in _number_paths(v, path + (i,))]
+    return [path]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(changes=st.dictionaries(st.sampled_from(_number_paths(TINY_SPEC)),
+                               st.sampled_from(PROBES), max_size=3))
+def test_phantom_spec_probes_keep_the_exit_code_contract(changes):
+    doc = json.loads(json.dumps(TINY_SPEC))
+    for path, value in changes.items():
+        *head, last = path
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        parent[last] = value
+    err = stdio.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
+        spec = Path(d, "spec.json")
+        spec.write_text(json.dumps(doc))
+        rc = cli(["phantom", "--spec", str(spec), "--out", str(Path(d, "ph"))])
+    prefix = {EXIT_VALIDATION: "validation error: ", EXIT_RUNTIME: "runtime error: "}
+    out = err.getvalue()
+    assert (rc == EXIT_OK and out == "") or (
+        rc in prefix and out.startswith(prefix[rc])), (changes, rc, out)
 
 
 @pytest.fixture()
@@ -450,6 +502,26 @@ class TestCli:
     def test_missing_required_is_usage_error(self):
         assert cli(["phantom"]) == EXIT_USAGE
         assert cli([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["warp", "--image", "IMG", "--field", "F", "--rigid", "", "--out", "O"],
+        ["warp", "--image", "", "--field", "F", "--out", "O"],
+        ["warp", "--mask", "M", "--field", "", "--out", "O"],
+        ["register", "--fixed", "A", "--moving", "B", "--config", "", "--out", "O"],
+        ["register", "--fixed", "A", "--moving", "B", "--body", "", "--out", "O"],
+        ["register", "--fixed", "A", "--moving", "B", "--oars", "C", "", "--out", "O"],
+        ["register", "--fixed", "A", "--moving", "B", "--adapter", "", "--out", "O"],
+        ["priors", "--ctv", "C", "--dose", "", "--out", "O"],
+        ["phantom", "--spec", "S", "--out", ""],
+        ["metrics", "--fixed", "A", "--warped", "B", "--ctv-fixed", "", "--out", "O"],
+    ])
+    def test_empty_path_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # none of the named files exists, so a run that got past the parser
+        # would exit 3 reading one, or write O
+        monkeypatch.chdir(tmp_path)
+        assert cli(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not list(tmp_path.iterdir())
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         rc = cli(["warp", "--image", str(tmp_path / "absent"),

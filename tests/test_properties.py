@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import protoreg as pr
 from protoreg import io, similarity, volgrid
 from protoreg.errors import ValidationError, _finite_number, _known_keys
-from protoreg.volgrid import _trilinear_arrays, _zero_ring
+from protoreg.volgrid import _Sampler
 
 import oracles
 
@@ -147,7 +147,7 @@ def sample_points(draw, dims, count):
 def test_sampler_is_bit_identical_to_masked_gather(dims, count, want_grad, data):
     arr = data.draw(arrays(np.float32, dims, elements=st.floats(-1e6, 1e6, width=32)))
     x, y, z = data.draw(sample_points(dims, count))
-    got = _trilinear_arrays(_zero_ring(arr), x, y, z, want_grad=want_grad)
+    got = _Sampler(arr)(np.stack([x, y, z]), want_grad=want_grad)
     want = oracles.trilinear_arrays(arr, x, y, z, want_grad=want_grad)
     _assert_same_bits(got, want, want_grad)
 
@@ -168,19 +168,17 @@ shapes = st.lists(st.integers(1, 4), min_size=2, max_size=3).map(tuple)
 def test_sampler_bits_do_not_depend_on_chunking(dims, chunk, shapes, want_grad, data):
     # a chunk of a few points splits a multi-axis set of coordinates into
     # many chunks and a ragged last one; a second, separately drawn set
-    # goes through the same scratch, so nothing may carry over between
+    # goes through the same sampler, so nothing may carry over between
     # calls
     arr = data.draw(arrays(np.float32, dims, elements=st.floats(-1e6, 1e6, width=32)))
-    ringed = _zero_ring(arr)
     with mock.patch.object(volgrid, "_CHUNK", chunk):
-        scratch = volgrid._SamplerScratch(math.prod(shapes[0]))
-        for shape in shapes:
-            x, y, z = (c.reshape(shape) for c in
-                       data.draw(sample_points(dims, math.prod(shape))))
-            got = _trilinear_arrays(ringed, x, y, z, want_grad=want_grad,
-                                    scratch=scratch)
-            want = oracles.trilinear_arrays(arr, x, y, z, want_grad=want_grad)
-            _assert_same_bits(got, want, want_grad)
+        sample = _Sampler(arr)
+    for shape in shapes:
+        coords = np.stack(data.draw(sample_points(dims, math.prod(shape)))).reshape(
+            (3,) + shape)
+        got = sample(coords, want_grad=want_grad)
+        want = oracles.trilinear_arrays(arr, *coords, want_grad=want_grad)
+        _assert_same_bits(got, want, want_grad)
 
 
 # JSON numbers, including what Python's JSON parser takes beyond the

@@ -146,7 +146,7 @@ class TestTotalLoss:
 
     def test_evaluate_repeats_its_bits(self, rng):
         # a small chunk splits 12^3 voxels into many chunks and a ragged
-        # last one, all through the one scratch the objective holds; a call
+        # last one, all through the one sampler the objective holds; a call
         # on another field in between must leave nothing behind
         a = random_volume(rng, (12, 12, 12))
         b = random_volume(rng, (12, 12, 12))

@@ -8,7 +8,7 @@ import pytest
 
 import protoreg as pr
 from protoreg.errors import ValidationError
-from protoreg.volgrid import _trilinear_arrays, _zero_ring
+from protoreg.volgrid import _Sampler
 
 import oracles
 from conftest import random_volume, lattice_safe_field
@@ -41,14 +41,14 @@ class TestTrilinearSample:
         # outside; clamping the base index instead of each corner would
         # pull the far corner back onto a real voxel
         arr = np.full((4, 5, 6), 7.0, dtype=np.float32)
-        ringed = _zero_ring(arr)
+        sample = _Sampler(arr)
         inside = [1.25, 2.5, 3.75]
         for axis, n in enumerate(arr.shape):
             for c in (-1.5, -1.0 - 1e-9, -7.3, -1e3,
                       n + 1e-9, n + 0.25, n + 5.5, 1e3):
-                p = [np.array([v]) for v in inside]
-                p[axis] = np.array([c])
-                val, gx, gy, gz = _trilinear_arrays(ringed, *p, want_grad=True)
+                p = np.array(inside).reshape(3, 1)
+                p[axis] = c
+                val, gx, gy, gz = sample(p, want_grad=True)
                 for out in (val, gx, gy, gz):
                     assert out.tobytes() == np.zeros(1).tobytes(), (axis, c)
 
@@ -75,15 +75,17 @@ class TestSamplerMemory:
     @pytest.mark.parametrize("want_grad", [False, True])
     def test_temporaries_stay_bounded_at_64(self, want_grad):
         # the sampler works through cache-sized chunks of points, so its
-        # scratch arrays do not grow with the grid (34 MB when unchunked)
+        # chunk buffers do not grow with the grid (34 MB when unchunked);
+        # it is built inside the traced block, so its buffers and its
+        # 2.2 MB zero-ringed copy count towards the peak
         r = np.random.default_rng(0)
         n = 64
-        ringed = _zero_ring(r.random((n, n, n), dtype=np.float32))
-        x, y, z = (c + r.normal(0.0, 2.0, c.shape) for c in np.meshgrid(
-            *[np.arange(n, dtype=np.float64)] * 3, indexing="ij"))
+        arr = r.random((n, n, n), dtype=np.float32)
+        coords = np.indices((n, n, n), dtype=np.float64)
+        coords += r.normal(0.0, 2.0, coords.shape)
         tracemalloc.start()
         try:
-            out = _trilinear_arrays(ringed, x, y, z, want_grad=want_grad)
+            out = _Sampler(arr)(coords, want_grad=want_grad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -121,6 +123,13 @@ class TestWarp:
         out = pr.warp(vol, fld)
         expected = oracles.warp(vol.data, fld.data.astype(np.float64))
         np.testing.assert_allclose(out.data, expected, atol=1e-5)
+
+    def test_bits_equal_oracle(self, rng):
+        vol = pr.Volume(rng.normal(size=(9, 7, 6)).astype(np.float32))
+        fld = pr.DisplacementField(rng.normal(0.0, 2.0, (3, 9, 7, 6)).astype(np.float32))
+        x = np.indices(vol.dims, dtype=np.float64) + fld.data.astype(np.float64)
+        want = oracles.trilinear_arrays(vol.data, *x).astype(np.float32)
+        assert pr.warp(vol, fld).data.tobytes() == want.tobytes()
 
     def test_dims_mismatch_rejected(self, rng):
         vol = random_volume(rng, (4, 4, 4))
@@ -188,6 +197,19 @@ class TestUpsampleField:
         out = pr.upsample_field(pr.DisplacementField(u), (8, 8, 8))
         for i in range(7):  # interior of the interpolation range
             np.testing.assert_allclose(out.data[0, i], 0.1 * i, atol=1e-6)
+
+    # odd and even target axes; an even one's last voxel i = 2n - 1 maps
+    # past the coarse grid and is clamped to n - 1
+    @pytest.mark.parametrize("src, target", [((33, 17, 9), (65, 34, 17)),
+                                             ((4, 5, 3), (8, 10, 6))])
+    def test_bits_equal_oracle(self, rng, src, target):
+        fld = pr.DisplacementField(rng.normal(0.0, 2.0, (3,) + src).astype(np.float32))
+        out = pr.upsample_field(fld, target)
+        coords = np.meshgrid(*[np.minimum(np.arange(t) / 2.0, n - 1)
+                               for t, n in zip(target, src)], indexing="ij")
+        for u, got in zip(fld.data, out.data):
+            want = (2.0 * oracles.trilinear_arrays(u, *coords)).astype(np.float32)
+            assert got.tobytes() == want.tobytes()
 
     def test_bad_target_dims_rejected(self):
         fld = pr.DisplacementField(np.zeros((3, 4, 4, 4), dtype=np.float32))
