@@ -264,8 +264,7 @@ def cli(argv=None) -> int:
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, FloatingPointError, ArithmeticError, KeyError, TypeError,
-            MemoryError) as e:
+    except (OSError, ArithmeticError, KeyError, TypeError, MemoryError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

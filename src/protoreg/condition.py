@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import ValidationError, _keys, _values
+from .errors import ValidationError, _array, _keys, _values
 
 EMBED_DIM = 512
 SOURCES = ("anatomy", "diagnosis", "planning")
@@ -25,11 +25,7 @@ class Embedding:
     source: str = "anatomy"
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float32)
-        if v.shape != (EMBED_DIM,):
-            raise ValidationError(f"embedding must have dim {EMBED_DIM}, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("embedding contains non-finite values")
+        v = _array(self.values, "embedding", np.float32, (EMBED_DIM,))
         if self.source not in SOURCES:
             raise ValidationError(f"unknown embedding source {self.source!r}")
         object.__setattr__(self, "values", v)
@@ -41,14 +37,9 @@ class FilmParams:
     beta: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.float64)
-        b = np.asarray(self.beta, dtype=np.float64)
-        if g.ndim != 1 or g.shape != b.shape:
-            raise ValidationError("gamma and beta must be equal-length vectors")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(b))):
-            raise ValidationError("FiLM parameters must be finite")
+        g = _array(self.gamma, "FiLM gamma", np.float64, (None,))
         object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "beta", _array(self.beta, "FiLM beta", np.float64, g.shape))
 
     @property
     def channels(self) -> int:
@@ -62,12 +53,8 @@ class FeatureGrid:
     data: np.ndarray              # (C, nx, ny, nz)
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 4:
-            raise ValidationError("feature grid must have shape (C, nx, ny, nz)")
-        if not np.all(np.isfinite(d)):
-            raise ValidationError("feature grid contains non-finite values")
-        object.__setattr__(self, "data", d)
+        object.__setattr__(self, "data",
+                           _array(self.data, "feature grid", np.float64, (None,) * 4))
 
     @property
     def channels(self) -> int:
@@ -82,14 +69,13 @@ class AdapterWeights:
     bias: np.ndarray              # (2C,)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if m.ndim != 2 or m.shape[1] != EMBED_DIM or m.shape[0] % 2 != 0:
-            raise ValidationError(f"adapter matrix must be (2C, {EMBED_DIM}), got {m.shape}")
-        if b.shape != (m.shape[0],):
-            raise ValidationError("adapter bias length must match matrix rows")
+        m = _array(self.matrix, "adapter matrix", np.float64, (None, EMBED_DIM))
+        if m.shape[0] % 2 != 0:
+            raise ValidationError(f"adapter matrix must have an even number of rows, "
+                                  f"got {m.shape[0]}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "bias", _array(self.bias, "adapter bias", np.float64,
+                                                m.shape[:1]))
 
     @property
     def channels(self) -> int:
@@ -173,8 +159,7 @@ def load_embedding(path) -> Embedding:
     if doc["dim"] != EMBED_DIM:
         raise ValidationError(f"embedding file {path}: dim must be {EMBED_DIM}")
     values = _values(doc["values"], f"embedding file {path}: values", EMBED_DIM)
-    return Embedding(np.asarray(values, dtype=np.float32),
-                     source=doc.get("source", "anatomy"))
+    return Embedding(values, source=doc.get("source", "anatomy"))
 
 
 def save_embedding(path, emb: Embedding) -> None:
@@ -189,9 +174,7 @@ def load_adapter(path) -> AdapterWeights:
         raise ValidationError(f"adapter file {path}: matrix must be a list of rows")
     matrix = [_values(row, f"adapter file {path}: matrix row", EMBED_DIM)
               for row in doc["matrix"]]
-    bias = _values(doc["bias"], f"adapter file {path}: bias")
-    return AdapterWeights(np.asarray(matrix, dtype=np.float64),
-                          np.asarray(bias, dtype=np.float64))
+    return AdapterWeights(matrix, _values(doc["bias"], f"adapter file {path}: bias"))
 
 
 def save_adapter(path, w: AdapterWeights) -> None:

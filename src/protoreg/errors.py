@@ -7,13 +7,16 @@ a report's rigid_transform): _keys alone refuses a document that is not an
 object, lacks a required key or holds a key that is neither required nor
 optional. Objects that become dataclasses pass through _known_keys, which
 adds a check of each value's JSON type. This module alone decides what
-counts as a number (_finite_number), an integer (_integer) or a list of
-them (_values).
+counts as a number (_finite_number), an integer (_integer), a list of
+them (_values) or an array (_array): every array a dataclass or sampler
+takes is cast, shaped and checked by _array.
 """
 import math
 import numbers
 import reprlib
 from dataclasses import fields
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -86,6 +89,25 @@ def _values(v, name: str, n=None, ok=_finite_number) -> tuple:
         what = "integers" if ok is _integer else "finite numbers"
         raise ValidationError(f"{name} must be {n or 'a list of'} {what}, got {reprlib.repr(v)}")
     return t
+
+
+def _array(v, name: str, dtype, shape) -> np.ndarray:
+    """v cast to a numpy array of dtype, of the given shape, in which None
+    stands for any length >= 1, with finite entries only; anything else is
+    a ValidationError that names v."""
+    try:
+        with np.errstate(over="ignore"):    # an overflowing cast gives inf
+            a = np.asarray(v, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an array of numbers, "
+                              f"got {reprlib.repr(v)}") from None
+    if a.ndim != len(shape) or 0 in a.shape or any(
+            d not in (None, n) for d, n in zip(shape, a.shape)):
+        want = str(tuple("n" if d is None else d for d in shape)).replace("'", "")
+        raise ValidationError(f"{name} shape must be {want}, no axis empty, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{name} contains non-finite values")
+    return a
 
 
 def _check_numbers(obj) -> None:

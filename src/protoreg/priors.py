@@ -23,8 +23,7 @@ __all__ = [
 
 
 def _check_binary(vol: Volume, name: str) -> None:
-    vals = np.unique(vol.data)
-    if not np.all(np.isin(vals, (0.0, 1.0))):
+    if not np.all((vol.data == 0) | (vol.data == 1)):
         raise ValidationError(f"{name} mask must be 0/1 valued")
 
 

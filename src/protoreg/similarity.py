@@ -29,13 +29,16 @@ class LossBreakdown:
 
 
 def _weights(mask: Volume, prior: Volume | None) -> np.ndarray:
-    """NCC weights mask * (1 + prior); the callers have checked the grids."""
-    m = mask.data.astype(np.float64)
-    if int((m > 0).sum()) < 2:
+    """NCC weights mask * (1 + prior), each >= 0 and at least 2 of them
+    > 0, so the weight sum is positive; the callers have checked the grids."""
+    w = mask.data.astype(np.float64)
+    if prior is not None:
+        w = w * (1.0 + prior.data.astype(np.float64))
+    if np.any(w < 0):
+        raise ValidationError("NCC weights mask * (1 + prior) must be >= 0")
+    if int((w > 0).sum()) < 2:
         raise ValidationError("mask must contain at least 2 voxels")
-    if prior is None:
-        return m
-    return m * (1.0 + prior.data.astype(np.float64))
+    return w
 
 
 def _fixed_side(a: np.ndarray, w: np.ndarray):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import ValidationError, _check_numbers, _finite_number, _values
+from .errors import ValidationError, _array, _check_numbers, _finite_number, _values
 from .priors import StructureSet
 from .volgrid import DisplacementField, Volume, _grid_dims, _grid_spacing
 
@@ -81,18 +81,17 @@ class PhantomSpec:
                     and _finite_number(oar[1])):
                 raise ValidationError("each OAR must be a (center_mm, radius_mm) pair")
             _values(oar[0], "OAR center_mm", 3)
-        if self.ctv_radius_mm <= 0 or self.texture_corr_mm <= 0:
-            raise ValidationError("radii and correlation length must be > 0")
-        if any(r <= 0 for (_, r) in self.oars):
-            raise ValidationError("OAR radii must be > 0")
-        if self.dose_max <= 0 or self.dose_tau_mm <= 0:
-            raise ValidationError("dose model parameters must be > 0")
-        # the dose divides by tau^2; float * float overflows to inf where
-        # ** raises
-        tau2 = float(self.dose_tau_mm) * float(self.dose_tau_mm)
-        if not sys.float_info.min <= tau2 < float("inf"):
-            raise ValidationError(f"dose_tau_mm squared must be a normal float, "
-                                  f"got dose_tau_mm {self.dose_tau_mm!r}")
+        if self.texture_corr_mm <= 0 or self.dose_max <= 0:
+            raise ValidationError("texture_corr_mm and dose_max must be > 0")
+        # make_phantom squares each radius and tau with **, which raises
+        # where the square is beyond the float range; the dose divides by
+        # tau^2, so that square must not underflow either
+        for key, r, low in (("ctv_radius_mm", self.ctv_radius_mm, 0.0),
+                            *(("oars radius_mm", r, 0.0) for (_, r) in self.oars),
+                            ("dose_tau_mm", self.dose_tau_mm, sys.float_info.min)):
+            if not (r > 0 and low <= float(r) * float(r) < math.inf):
+                raise ValidationError(f"{key} must be > 0 with a square in [{low:g}, inf), "
+                                      f"got {r!r}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,8 @@ def make_smooth_field(dims, spec: FieldSpec, spacing=(1.0, 1.0, 1.0),
     deformation spatially (applied before the rescale).
     """
     dims = _grid_dims(dims)
-    if envelope is not None and np.shape(envelope) != dims:
-        raise ValidationError(f"envelope shape {np.shape(envelope)} differs from dims {dims}")
+    if envelope is not None:
+        envelope = _array(envelope, "envelope", np.float64, dims)
     n = int(np.prod(dims))
     u = np.empty((3,) + dims, dtype=np.float64)
     for c in range(3):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _values
+from .errors import ValidationError, _array, _integer, _values
 
 Triple = tuple[float, float, float]
 
@@ -50,19 +50,12 @@ class _Grid:
     spacing: Triple = (1.0, 1.0, 1.0)
     origin: Triple = (0.0, 0.0, 0.0)
 
-    # class attributes, not fields: the leading axes' shape, and the whole
-    # shape as error messages spell it
-    _lead, _shape = (), "(nx, ny, nz)"
+    # a class attribute, not a field: the leading axes' shape
+    _lead = ()
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
-        k = len(self._lead)
-        if arr.ndim != k + 3 or arr.shape[:k] != self._lead or 0 in arr.shape:
-            raise ValidationError(f"{type(self).__name__} data must have shape "
-                                  f"{self._shape}, each axis >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{type(self).__name__} data contains non-finite values")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _array(self.data, f"{type(self).__name__} data",
+                                                np.float32, self._lead + (None,) * 3))
         object.__setattr__(self, "spacing", _grid_spacing(self.spacing))
         origin = _values(self.origin, "origin", 3)
         object.__setattr__(self, "origin", tuple(float(o) for o in origin))
@@ -72,7 +65,7 @@ class _Grid:
         return self.data.shape[len(self._lead):]
 
     def with_data(self, data: np.ndarray):
-        return replace(self, data=np.asarray(data, dtype=np.float32))
+        return replace(self, data=data)
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class Volume(_Grid):
 class DisplacementField(_Grid):
     """Per-voxel displacement vectors, voxel units of the owning grid."""
 
-    _lead, _shape = (3,), "(3, nx, ny, nz)"
+    _lead = (3,)
 
 
 def same_grid(*grids) -> bool:
@@ -219,9 +212,7 @@ class _Sampler:
 
 def trilinear_sample(vol: Volume, p) -> float:
     """Interpolate vol at a continuous voxel coordinate; zero outside."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise ValidationError(f"bad sample coordinate {p!r}")
+    p = _array(p, "sample coordinate", np.float64, (3,))
     # sample the <= 2x2x2 block of voxels from floor(p), clamped into the
     # grid, with p shifted by the block's origin: the shift is exact
     # wherever a corner is inside the grid, and an axis whose corners are

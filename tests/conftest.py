@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -40,3 +41,25 @@ def lattice_safe_field(rng, dims, scale=0.3):
     sign = np.where(rng.random((3,) + tuple(dims)) < 0.5, -1.0, 1.0)
     mag = 0.1 + scale * rng.random((3,) + tuple(dims))
     return pr.DisplacementField((sign * mag).astype(np.float32))
+
+
+def number_paths(doc, path=()):
+    """The index path of every number in a nested JSON document."""
+    if isinstance(doc, dict):
+        return [p for k, v in doc.items() for p in number_paths(v, path + (k,))]
+    if isinstance(doc, list):
+        return [p for i, v in enumerate(doc) for p in number_paths(v, path + (i,))]
+    return [path]
+
+
+def with_numbers(doc, changes):
+    """A deep copy of the JSON document doc with the value at each index
+    path in changes replaced by its value there."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in changes.items():
+        *head, last = path
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        parent[last] = value
+    return doc

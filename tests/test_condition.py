@@ -1,10 +1,18 @@
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import protoreg as pr
 from protoreg.condition import (EMBED_DIM, load_adapter, load_embedding,
                                 save_adapter, save_embedding)
 from protoreg.errors import ValidationError
+
+from conftest import number_paths, with_numbers
 
 
 def _grid(rng, channels=2, n=4):
@@ -92,6 +100,44 @@ class TestAdapter:
             pr.adapter(e, w, 3)
 
 
+class TestArrayInputs:
+    @pytest.mark.parametrize("make", [
+        lambda: pr.Embedding(["x"] * EMBED_DIM),
+        lambda: pr.FilmParams(["a"], [0.0]),
+        lambda: pr.FilmParams([0.0], [{}]),
+        lambda: pr.FeatureGrid([[[["a"]]]]),
+        lambda: pr.FeatureGrid([[[[1.0]], [[1.0, 2.0]]]]),
+        lambda: pr.AdapterWeights([["a"] * EMBED_DIM] * 2, [0.0, 0.0]),
+    ], ids=["embedding", "film-gamma", "film-beta", "feature-grid", "ragged-feature-grid",
+            "adapter"])
+    def test_non_numeric_rejected(self, make):
+        with pytest.raises(ValidationError, match="array of numbers"):
+            make()
+
+    @pytest.mark.parametrize("where", ["matrix", "bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_adapter_non_finite_rejected(self, where, value):
+        w = pr.AdapterWeights.identity(1)
+        arrays = {"matrix": w.matrix.copy(), "bias": w.bias.copy()}
+        arrays[where].flat[1] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            pr.AdapterWeights(**arrays)
+
+    @pytest.mark.parametrize("make", [
+        lambda: pr.FeatureGrid(np.zeros((0, 4, 4, 4))),
+        lambda: pr.FeatureGrid(np.zeros((1, 4, 0, 4))),
+        lambda: pr.FilmParams([], []),
+        lambda: pr.AdapterWeights(np.zeros((0, EMBED_DIM)), np.zeros(0)),
+    ], ids=["feature-grid-channels", "feature-grid-axis", "film", "adapter"])
+    def test_zero_length_axes_rejected(self, make):
+        with pytest.raises(ValidationError, match="no axis empty"):
+            make()
+
+    def test_beta_must_be_shaped_like_gamma(self):
+        with pytest.raises(ValidationError, match="FiLM beta"):
+            pr.FilmParams([0.0, 0.0], [0.0])
+
+
 # cosine similarities for a fixed prompt corpus, computed once and frozen
 PROMPT_CORPUS = [
     "head and neck, left parotid involvement",
@@ -151,3 +197,59 @@ class TestSerialization:
         path.write_text('{"source": "anatomy", "dim": 8, "values": [0,0,0,0,0,0,0,0]}')
         with pytest.raises(ValidationError):
             load_embedding(path)
+
+
+# Valid loader documents and the mutations drawn against them: up to two of
+# their numbers replaced by NUMBER_PROBES, then one change of shape, then one
+# key dropped, added or retyped
+LOADER_DOCS = {
+    "embedding": (load_embedding,
+                  {"source": "diagnosis", "dim": EMBED_DIM, "values": [0.03125] * EMBED_DIM},
+                  {"dim-0": lambda d: d.update(dim=0),
+                   "dim-511": lambda d: d.update(dim=511),
+                   "dim-float": lambda d: d.update(dim=512.0),
+                   "values-511": lambda d: d["values"].pop(),
+                   "values-513": lambda d: d["values"].append(0.0),
+                   "values-object": lambda d: d.update(values={"0": 0.0}),
+                   "values-nested": lambda d: d.update(values=[d["values"]])}),
+    "adapter": (load_adapter,
+                {"matrix": [[0.01] * EMBED_DIM] * 2, "bias": [0.0, -0.5]},
+                {"odd-rows": lambda d: (d["matrix"].append(d["matrix"][0][:]),
+                                        d["bias"].append(0.0)),
+                 "no-rows": lambda d: d.update(matrix=[], bias=[]),
+                 "row-511": lambda d: d["matrix"][0].pop(),
+                 "row-513": lambda d: d["matrix"][1].append(0.0),
+                 "matrix-object": lambda d: d.update(matrix={"0": d["matrix"][0]}),
+                 "matrix-flat": lambda d: d.update(matrix=d["matrix"][0]),
+                 "matrix-number": lambda d: d.update(matrix=0.5),
+                 "bias-short": lambda d: d["bias"].pop(),
+                 "bias-long": lambda d: d["bias"].append(0.0)}),
+}
+NUMBER_PROBES = [1e300, -1e300, 1e39, math.nan, math.inf, 10 ** 400, True, "0.5", None]
+RETYPED = [None, True, "x", 512, 0.5, [], {}]
+
+
+@pytest.mark.parametrize("kind", sorted(LOADER_DOCS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_loader_loads_or_raises_validation_error(kind, data):
+    load, base, shapes = LOADER_DOCS[kind]
+    doc = with_numbers(base, data.draw(st.dictionaries(
+        st.sampled_from(number_paths(base)), st.sampled_from(NUMBER_PROBES), max_size=2)))
+    shape = data.draw(st.sampled_from([None, *sorted(shapes)]))
+    if shape is not None:
+        shapes[shape](doc)
+    op, key, value = data.draw(st.tuples(st.sampled_from(["keep", "drop", "add", "retype"]),
+                                         st.sampled_from(sorted(base)),
+                                         st.sampled_from(RETYPED)))
+    if op == "drop":
+        del doc[key]
+    elif op != "keep":
+        doc["extra" if op == "add" else key] = value
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "doc.json")
+        path.write_text(json.dumps(doc))
+        try:
+            load(path)
+        except ValidationError:
+            pass

@@ -20,7 +20,8 @@ from protoreg import engine, io
 from protoreg.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, cli
 from protoreg.errors import FormatError
 
-from conftest import SMALL_PHANTOM, lattice_safe_field, random_volume
+from conftest import (SMALL_PHANTOM, lattice_safe_field, number_paths, random_volume,
+                      with_numbers)
 
 
 class TestVolumeIO:
@@ -229,7 +230,10 @@ MALFORMED = [
                                         ("texture_corr_mm", 1e300),
                                         ("texture_corr_mm", 1e308),
                                         ("spacing", [1e-300, 1, 1]),
-                                        ("dims", [8, 8, 2 ** 62])])
+                                        ("dims", [8, 8, 2 ** 62]),
+                                        # radii whose square overflows a float
+                                        ("ctv_radius_mm", 1e300),
+                                        ("oars", [[[-4.0, -2.0, 2.0], 1e300]])])
 def test_degenerate_phantom_spec_names_key(tmp_path, capsys, key, value):
     path = _write_spec(tmp_path / "spec.json", dims=(16, 16, 16))
     path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
@@ -254,26 +258,11 @@ TINY_SPEC = {"dims": [6, 6, 6], "spacing": [1.0, 1.0, 1.0],
 PROBES = [0, -1, 5e-324, 1e-300, 1e300, 2 ** 62, math.nan]
 
 
-def _number_paths(doc, path=()):
-    """The index path of every number in a nested JSON document."""
-    if isinstance(doc, dict):
-        return [p for k, v in doc.items() for p in _number_paths(v, path + (k,))]
-    if isinstance(doc, list):
-        return [p for i, v in enumerate(doc) for p in _number_paths(v, path + (i,))]
-    return [path]
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(changes=st.dictionaries(st.sampled_from(_number_paths(TINY_SPEC)),
+@given(changes=st.dictionaries(st.sampled_from(number_paths(TINY_SPEC)),
                                st.sampled_from(PROBES), max_size=3))
 def test_phantom_spec_probes_keep_the_exit_code_contract(changes):
-    doc = json.loads(json.dumps(TINY_SPEC))
-    for path, value in changes.items():
-        *head, last = path
-        parent = doc
-        for k in head:
-            parent = parent[k]
-        parent[last] = value
+    doc = with_numbers(TINY_SPEC, changes)
     err = stdio.StringIO()
     with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
         spec = Path(d, "spec.json")
@@ -416,6 +405,19 @@ class TestCli:
         got = json.loads(out.read_text())["endpoint_error"]
         assert got == asdict(pr.endpoint_error(fld, truth, mask=body))
         assert got != asdict(pr.endpoint_error(fld, truth))
+
+    def test_metrics_refuses_negative_mask_values(self, tmp_path, rng, capsys):
+        # the NCC weights would sum to 0, and the report would read NaN
+        m = np.ones((8, 8, 8), dtype=np.float32)
+        m[0, 0, 0] = -511.0
+        io.write_volume(str(tmp_path / "image"), random_volume(rng, m.shape), kind="image")
+        io.write_volume(str(tmp_path / "mask"), pr.Volume(m), kind="mask")
+        rc = cli(["metrics", "--fixed", str(tmp_path / "image"),
+                  "--warped", str(tmp_path / "image"), "--mask", str(tmp_path / "mask"),
+                  "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation error: ")
+        assert not (tmp_path / "m.json").exists()
 
     def test_metrics_csv_line(self, phantom_dir, tmp_path, capsys):
         rc = cli(["metrics", "--fixed", str(phantom_dir / "image"),

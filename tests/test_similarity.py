@@ -79,6 +79,26 @@ class TestMaskedNcc:
         with pytest.raises(ValidationError):
             pr.masked_ncc(a, a, pr.Volume(np.zeros((4, 4, 4), dtype=np.float32)))
 
+    @pytest.mark.parametrize("mask_voxel,prior_voxel", [(-63.0, 0.0), (-0.5, 0.0), (1.0, -2.0)],
+                             ids=["weights-sum-to-0", "negative-mask", "prior-below-minus-1"])
+    def test_negative_weight_rejected(self, rng, mask_voxel, prior_voxel):
+        m = np.ones((4, 4, 4), dtype=np.float32)
+        prior = np.zeros((4, 4, 4), dtype=np.float32)
+        m[0, 0, 0], prior[0, 0, 0] = mask_voxel, prior_voxel
+        a, b = random_volume(rng, (4, 4, 4)), random_volume(rng, (4, 4, 4))
+        with pytest.raises(ValidationError, match=">= 0"):
+            pr.masked_ncc(a, b, pr.Volume(m), pr.Volume(prior))
+
+    def test_voxels_are_counted_on_positive_weights(self, rng):
+        # two mask voxels, one of them weighted 1 + (-1) = 0
+        m = np.zeros((4, 4, 4), dtype=np.float32)
+        m[1, 1, 1] = m[2, 2, 2] = 1.0
+        prior = np.zeros((4, 4, 4), dtype=np.float32)
+        prior[1, 1, 1] = -1.0
+        a = random_volume(rng, (4, 4, 4))
+        with pytest.raises(ValidationError, match="at least 2 voxels"):
+            pr.masked_ncc(a, a, pr.Volume(m), pr.Volume(prior))
+
 
 class TestSmoothness:
     def test_constant_field_zero(self):

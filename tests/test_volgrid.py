@@ -36,6 +36,12 @@ class TestTrilinearSample:
         with pytest.raises(ValidationError):
             pr.trilinear_sample(vol, (np.nan, 0, 0))
 
+    @pytest.mark.parametrize("p", [("a", 0, 0), (0, {}, 0), (0, 0, 10 ** 400), ((0, 1), 0, 0)],
+                             ids=["string", "object", "huge-int", "ragged"])
+    def test_non_numeric_coordinate_rejected(self, rng, p):
+        with pytest.raises(ValidationError):
+            pr.trilinear_sample(random_volume(rng, (4, 4, 4)), p)
+
     def test_all_corners_outside_read_exact_zero(self):
         # a coordinate below -1 or above n puts both corners of that axis
         # outside; clamping the base index instead of each corner would
@@ -362,6 +368,13 @@ class TestTypeInvariants:
     def test_bad_spacing_rejected(self):
         with pytest.raises(ValidationError):
             pr.Volume(np.zeros((2, 2, 2), dtype=np.float32), spacing=(0, 1, 1))
+
+    @pytest.mark.parametrize("data", [[[["a", "b"]]], [[[{}]]], [[[1.0], [1.0, 2.0]]],
+                                      [[[10 ** 400]]], np.full((2, 2, 2), 1e300)],
+                             ids=["string", "object", "ragged", "huge-int", "float32-overflow"])
+    def test_non_numeric_data_rejected(self, data):
+        with pytest.raises(ValidationError):
+            pr.Volume(data)
 
     def test_field_shape_checked(self):
         with pytest.raises(ValidationError):
