@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import ValidationError, _array, _keys, _values
+from .errors import ValidationError, _array, _integer, _keys, _values
 
 EMBED_DIM = 512
 SOURCES = ("anatomy", "diagnosis", "planning")
@@ -156,8 +156,8 @@ def load_embedding(path) -> Embedding:
     "values": 512 finite numbers}."""
     doc = _keys(io.read_json(path, "embedding"), f"embedding file {path}",
                 ("dim", "values"), ("source",))
-    if doc["dim"] != EMBED_DIM:
-        raise ValidationError(f"embedding file {path}: dim must be {EMBED_DIM}")
+    if not (_integer(doc["dim"]) and doc["dim"] == EMBED_DIM):
+        raise ValidationError(f"embedding file {path}: dim must be the integer {EMBED_DIM}")
     values = _values(doc["values"], f"embedding file {path}: values", EMBED_DIM)
     return Embedding(values, source=doc.get("source", "anatomy"))
 

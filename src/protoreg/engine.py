@@ -74,6 +74,12 @@ class RigidTransform:
         return Rz @ Ry @ Rx
 
 
+# the most iterations a level or rigid stage may be given: at about 0.1 s per
+# 64^3 iteration, some 1000 s per level. A rigid stage always runs its whole
+# budget, so a budget such as 2**62 would never end
+MAX_ITERATIONS = 10_000
+
+
 @dataclass(frozen=True)
 class RegConfig:
     levels: int = 5
@@ -96,8 +102,9 @@ class RegConfig:
         if len(iterations) == 0 or not 1 <= len(rigid_iterations) <= 2:
             raise ValidationError("iterations must be nonempty and rigid_iterations must "
                                   "hold 1 or 2 budgets, one per rigid stage")
-        if min(iterations + rigid_iterations) < 0:
-            raise ValidationError("iteration counts must be >= 0")
+        if not 0 <= min(iterations + rigid_iterations) <= max(
+                iterations + rigid_iterations) <= MAX_ITERATIONS:
+            raise ValidationError(f"iteration counts must lie in [0, {MAX_ITERATIONS}]")
         if self.lambda_smooth < 0:
             raise ValidationError("lambda_smooth must be >= 0")
         if (self.use_gate or self.use_film) and not (self.use_anatomy or self.use_risk):
@@ -275,20 +282,26 @@ def _physical_center(vol: Volume) -> tuple:
                  for o, n, s in zip(vol.origin, vol.dims, vol.spacing))
 
 
-def _rigid_mapping(moving: Volume, like: Volume | DisplacementField, center):
+def _rigid_mapping(moving: Volume, like: Volume | DisplacementField, center,
+                   support=None):
     """like's voxel centers x relative to the rotation center c in mm,
     (3, nx, ny, nz), and the map (R, t[, u]) -> continuous voxel
     coordinates in moving of T(x) = R (x - c) + c + t over like's voxel
     centers, each first displaced by u(x) (voxels of like's grid) when u
-    is given. The grid is built once per (moving, like) pair."""
+    is given. Given support, flat indices of k voxels, the map covers
+    those alone, as a (3, k, 1, 1) array, and takes no u. The grid is
+    built once per (moving, like) pair."""
     def col(v):
         return np.asarray(v, dtype=np.float64).reshape(3, 1, 1, 1)
     c = col(center)
     rel = np.indices(like.dims, dtype=np.float64) * col(like.spacing) + col(like.origin) - c
+    # 4-D and contiguous, as rel is: einsum then sums each point's three
+    # terms as it does over the whole grid, so the bits are the same
+    pts = rel if support is None else np.take(rel.reshape(3, -1), support, axis=1)[..., None, None]
     m_origin, m_spacing = col(moving.origin), col(moving.spacing)
 
     def voxels(R, t, u=None):
-        r = rel if u is None else rel + u * col(like.spacing)
+        r = pts if u is None else pts + u * col(like.spacing)
         moved = np.einsum("ij,jxyz->ixyz", R, r) + c + col(t)
         return (moved - m_origin) / m_spacing
     return rel, voxels
@@ -312,17 +325,18 @@ def _rigid_evaluator(obj: Objective, center):
     the loss and its gradient from one sampling. The loss is obj.ncc_at
     at the voxel coordinates in moving that T(x) = R (x - c) + c + t maps
     each voxel center x of obj's fixed grid to, i.e. -maskedNCC of the
-    rigidly resampled moving image; R is built from the angles wrapped to
+    rigidly resampled moving image, with T(x) built for the objective's
+    support alone (ncc_at_support); R is built from the angles wrapped to
     (-pi, pi], as RigidTransform stores them. The gradient chains
     dL/dT(x) through T: per mm, dL/dt is the voxel sum of dL/dT(x) and
     dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>."""
-    rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center)
+    rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center, obj.support)
     spacing = np.array(obj.moving.spacing).reshape(3, 1, 1, 1)
 
     def evaluate(p):
         Rx, Ry, Rz = _axis_rotations([_wrap_angle(float(a)) for a in p[:3]])
         g = np.zeros_like(rel)
-        total = obj.ncc_at(voxels(Rz @ Ry @ Rx, p[3:]), g)
+        total = obj.ncc_at_support(voxels(Rz @ Ry @ Rx, p[3:]), g)
         g /= spacing
         moments = np.einsum("axyz,bxyz->ab", g, rel)
         d_rot = [float((dR * moments).sum()) for dR in

@@ -92,15 +92,19 @@ def _values(v, name: str, n=None, ok=_finite_number) -> tuple:
 
 
 def _array(v, name: str, dtype, shape) -> np.ndarray:
-    """v cast to a numpy array of dtype, of the given shape, in which None
-    stands for any length >= 1, with finite entries only; anything else is
-    a ValidationError that names v."""
+    """v, which numpy must read as an array of integers or floats (not of
+    bools, strings or objects), cast to a numpy array of dtype, of the
+    given shape, in which None stands for any length >= 1, with finite
+    entries only; anything else is a ValidationError that names v."""
     try:
-        with np.errstate(over="ignore"):    # an overflowing cast gives inf
-            a = np.asarray(v, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
+        a = np.asarray(v)
+    except (TypeError, ValueError):     # a ragged nesting, say
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must be an array of numbers, "
-                              f"got {reprlib.repr(v)}") from None
+                              f"got {reprlib.repr(v)}")
+    with np.errstate(over="ignore"):    # an overflowing cast gives inf
+        a = a.astype(dtype, copy=False)
     if a.ndim != len(shape) or 0 in a.shape or any(
             d not in (None, n) for d, n in zip(shape, a.shape)):
         want = str(tuple("n" if d is None else d for d in shape)).replace("'", "")

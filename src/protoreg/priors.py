@@ -8,6 +8,7 @@ multiplicative update gate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,17 +114,23 @@ def signed_distance(mask: Volume) -> Volume:
 
 def gaussian_proximity(sdf: Volume, sigma_mm: float) -> Volume:
     """exp(-max(d,0)^2 / 2 sigma^2); saturates at 1 inside the target."""
-    if sigma_mm <= 0:
-        raise ValidationError("sigma_mm must be > 0")
+    try:
+        two_var = 2.0 * sigma_mm ** 2
+    except OverflowError:       # sigma_mm past 1e154: exp(-0) = 1 everywhere
+        two_var = math.inf
+    if not (sigma_mm > 0 and two_var > 0):
+        raise ValidationError(f"sigma_mm must be > 0 with a square > 0, got {sigma_mm}")
     d = np.maximum(sdf.data.astype(np.float64), 0.0)
-    return _prior(np.exp(-(d * d) / (2.0 * sigma_mm ** 2)), sdf)
+    with np.errstate(over="ignore"):    # a tiny sigma_mm: exp(-inf) = 0
+        return _prior(np.exp(-(d * d) / two_var), sdf)
 
 
 def boundary_band(sdf: Volume, band_mm: float) -> Volume:
     """Indicator of |d| <= band_mm."""
     if band_mm < 0:
         raise ValidationError("band_mm must be >= 0")
-    return _prior(np.abs(sdf.data) <= band_mm, sdf)
+    with np.errstate(over="ignore"):    # band_mm past float32: an inf band
+        return _prior(np.abs(sdf.data) <= band_mm, sdf)
 
 
 def anatomy_map(structures: StructureSet, params: PriorParams) -> Volume:
@@ -178,7 +185,10 @@ def gate(prior: Volume, params: PriorParams) -> Volume:
     suppressed below the floor. `register` gates each pyramid level with
     the fused prior pooled to that level.
     """
-    g = 1.0 / (1.0 + np.exp(-params.gate_steepness
-                            * (prior.data.astype(np.float64) - params.gate_center)))
+    # a steepness or center far out overflows to exp(+-inf), which gives
+    # the sigmoid's limits 0 and 1 exactly
+    with np.errstate(over="ignore"):
+        g = 1.0 / (1.0 + np.exp(-params.gate_steepness
+                                * (prior.data.astype(np.float64) - params.gate_center)))
     m = params.gate_floor + (1.0 - params.gate_floor) * g
     return prior.with_data(m)

@@ -108,8 +108,11 @@ class TestArrayInputs:
         lambda: pr.FeatureGrid([[[["a"]]]]),
         lambda: pr.FeatureGrid([[[[1.0]], [[1.0, 2.0]]]]),
         lambda: pr.AdapterWeights([["a"] * EMBED_DIM] * 2, [0.0, 0.0]),
+        # numpy would read these as 0.5 and 1.0
+        lambda: pr.Embedding(["0.5"] * EMBED_DIM),
+        lambda: pr.Embedding([True] * EMBED_DIM),
     ], ids=["embedding", "film-gamma", "film-beta", "feature-grid", "ragged-feature-grid",
-            "adapter"])
+            "adapter", "embedding-numeric-strings", "embedding-bools"])
     def test_non_numeric_rejected(self, make):
         with pytest.raises(ValidationError, match="array of numbers"):
             make()
@@ -198,6 +201,13 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             load_embedding(path)
 
+    @pytest.mark.parametrize("dim", [512.0, True, "512"], ids=["float", "bool", "string"])
+    def test_dim_must_be_a_json_integer(self, tmp_path, dim):
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps({"dim": dim, "values": [0.0] * EMBED_DIM}))
+        with pytest.raises(ValidationError, match="dim must be the integer 512"):
+            load_embedding(path)
+
 
 # Valid loader documents and the mutations drawn against them: up to two of
 # their numbers replaced by NUMBER_PROBES, then one change of shape, then one
@@ -246,6 +256,9 @@ def test_loader_loads_or_raises_validation_error(kind, data):
         del doc[key]
     elif op != "keep":
         doc["extra" if op == "add" else key] = value
+    # every change of shape breaks the document, unless a retype then
+    # rewrote the key it changed (dim-float, then dim retyped to 512)
+    broken = shape is not None and not (op == "retype" and shape.startswith(key))
     with tempfile.TemporaryDirectory() as d:
         path = Path(d, "doc.json")
         path.write_text(json.dumps(doc))
@@ -253,3 +266,5 @@ def test_loader_loads_or_raises_validation_error(kind, data):
             load(path)
         except ValidationError:
             pass
+        else:
+            assert not broken, f"{kind} loaded after {shape}"

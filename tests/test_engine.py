@@ -240,6 +240,25 @@ class TestRigidObjective:
             pr.similarity.Objective(fixed, moving, mask, 0.0), center)
         assert evaluate(RIGID_PARAMS)[0] == -ncc
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_support_coordinates_keep_the_full_grid_bits(self, rigid_levels, n):
+        # the rigid stages map only the objective's support through T; the
+        # coordinates, the loss and its gradient must keep the bits of
+        # mapping every voxel and cutting to the support afterwards
+        center, levels = rigid_levels
+        fixed, moving, mask = levels[n]
+        obj = pr.similarity.Objective(fixed, moving, mask, 0.0)
+        assert obj.support is not None and obj.support.size < mask.data.size
+        t = pr.RigidTransform(rotation=tuple(RIGID_PARAMS[:3]),
+                              translation=tuple(RIGID_PARAMS[3:]), center=center)
+        full = engine._rigid_mapping(moving, fixed, center)[1](t.matrix(), t.translation)
+        cut = engine._rigid_mapping(moving, fixed, center, obj.support)[1](
+            t.matrix(), t.translation)
+        assert cut.tobytes() == full.reshape(3, -1)[:, obj.support].tobytes()
+        g_full, g_cut = np.zeros_like(full), np.zeros_like(full)
+        assert obj.ncc_at(full, g_full) == obj.ncc_at_support(cut, g_cut)
+        assert g_full.tobytes() == g_cut.tobytes()
+
 
 # a quadratic bowl with minimum 1 at C
 C = np.array([1.0, -2.0, 0.5, 3.0])

@@ -175,6 +175,7 @@ MALFORMED = [
     ("embeddings", "huge-int-value", {"dim": 512, "values": [10 ** 400] + ROW[1:]}),
     ("embeddings", "missing-values", {"dim": 512}),
     ("embeddings", "missing-dim", {"values": ROW}),
+    ("embeddings", "float-dim", {"dim": 512.0, "values": ROW}),
     ("embeddings", "unknown-key", {"dim": 512, "values": ROW, "nope": 1}),
     ("embeddings", "list-source", {"dim": 512, "values": ROW, "source": ["anatomy"]}),
     ("adapter", "list", [ROW]),
@@ -272,6 +273,91 @@ def test_phantom_spec_probes_keep_the_exit_code_contract(changes):
     out = err.getvalue()
     assert (rc == EXIT_OK and out == "") or (
         rc in prefix and out.startswith(prefix[rc])), (changes, rc, out)
+
+
+# a valid register --config with every prior on and small budgets, and the
+# 8^3 phantom, embedding and adapter it runs on. Each drawn example replaces
+# up to three of its numbers by CONFIG_PROBES, changes one list's length,
+# then drops, adds or retypes one key
+TINY_CONFIG = {"levels": 2, "iterations": [2, 2], "lambda_smooth": 0.2,
+               "use_anatomy": True, "use_risk": True, "use_gate": True, "use_film": True,
+               "prior_params": asdict(pr.PriorParams()), "convergence_tol": 1e-5,
+               "rigid_iterations": [2, 1]}
+CONFIG_PROBES = [math.nan, 1e300, -1e300, 1e-300, 2 ** 62, -1, 0]
+CONFIG_RETYPED = [None, True, "x", 512, 0.5, [], {}]
+CONFIG_LISTS = [None, ("iterations", 0), ("iterations", 7), ("rigid_iterations", 0),
+                ("rigid_iterations", 3)]
+
+
+@pytest.fixture(scope="module")
+def register_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("register_inputs")
+    spec = d / "spec.json"
+    spec.write_text(json.dumps({
+        "dims": [8, 8, 8], "body_semi_axes_mm": [3.5, 3.5, 3.5],
+        "ctv_center_mm": [0.0, 0.0, 0.0], "ctv_radius_mm": 1.5,
+        "oars": [[[-1.5, -1.5, 1.0], 1.0]], "dose_tau_mm": 2.0, "seed": 7}))
+    assert cli(["phantom", "--spec", str(spec), "--out", str(d / "ph")]) == EXIT_OK
+    pr.condition.save_embedding(str(d / "emb.json"), pr.pseudo_embedding("oropharynx"))
+    pr.condition.save_adapter(str(d / "adapter.json"), pr.AdapterWeights.random(1))
+    ph = {name: str(d / "ph" / name) for name in ("image", "body", "ctv", "oar_0", "dose")}
+    return ["register", "--fixed", ph["image"], "--moving", ph["image"],
+            "--body", ph["body"], "--ctv", ph["ctv"], "--oars", ph["oar_0"],
+            "--dose", ph["dose"], "--embeddings", str(d / "emb.json"),
+            "--adapter", str(d / "adapter.json")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_probes_keep_the_exit_code_contract(register_inputs, data):
+    doc = with_numbers(TINY_CONFIG, data.draw(st.dictionaries(
+        st.sampled_from(number_paths(TINY_CONFIG)), st.sampled_from(CONFIG_PROBES),
+        max_size=3)))
+    resized = data.draw(st.sampled_from(CONFIG_LISTS))
+    if resized is not None:
+        key, n = resized
+        doc[key] = (doc[key] * n)[:n]
+    op, key, value = data.draw(st.tuples(st.sampled_from(["keep", "drop", "add", "retype"]),
+                                         st.sampled_from(sorted(TINY_CONFIG)),
+                                         st.sampled_from(CONFIG_RETYPED)))
+    if op == "drop":
+        del doc[key]
+    elif op != "keep":
+        doc["extra" if op == "add" else key] = value
+    err = stdio.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
+        config = Path(d, "cfg.json")
+        config.write_text(json.dumps(doc))
+        rc = cli(register_inputs + ["--config", str(config), "--out", str(Path(d, "o"))])
+    out = err.getvalue()
+    assert (rc == EXIT_OK and out == "") or (
+        rc == EXIT_VALIDATION and out.startswith("validation error: ")), (doc, rc, out)
+
+
+@pytest.mark.parametrize("change, refused", [
+    ({}, None),     # the base every probe mutates is valid
+    # a rigid stage runs its whole budget, so 2**62 iterations would never end
+    ({"rigid_iterations": [2 ** 62]}, "iteration counts must lie in [0, 10000]"),
+    ({"iterations": [2, 10_001]}, "iteration counts must lie in [0, 10000]"),
+    # 2 * sigma_mm**2 underflows to 0, and 0 / 0 gave a NaN proximity
+    ({"prior_params": {"sigma_mm": 1e-300}}, "sigma_mm must be > 0 with a square > 0"),
+    # sigma_mm**2 raised OverflowError (exit 3); a band_mm past float32 and
+    # an extreme gate overflowed with a RuntimeWarning
+    ({"prior_params": {"sigma_mm": 1e300}}, None),
+    ({"prior_params": {"band_mm": 1e300}}, None),
+    ({"prior_params": {"gate_steepness": -1e300}}, None),
+    ({"prior_params": {"gate_steepness": 1e300, "gate_center": -1e300}}, None),
+], ids=["base", "endless-rigid-budget", "level-budget", "tiny-sigma", "huge-sigma",
+        "huge-band", "steep-gate", "far-gate"])
+def test_config_point_probes(register_inputs, tmp_path, capsys, change, refused):
+    (tmp_path / "cfg.json").write_text(json.dumps({**TINY_CONFIG, **change}))
+    rc = cli(register_inputs + ["--config", str(tmp_path / "cfg.json"),
+                                "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if refused is None:
+        assert rc == EXIT_OK and err == ""
+    else:
+        assert rc == EXIT_VALIDATION and err.startswith("validation error: ") and refused in err
 
 
 @pytest.fixture()

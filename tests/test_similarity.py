@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import protoreg as pr
-from protoreg import volgrid
+from protoreg import similarity, volgrid
 from protoreg.errors import ValidationError
 from protoreg.similarity import Objective
 
@@ -181,8 +181,9 @@ class TestTotalLoss:
 
     def test_warm_ncc_at_allocates_no_sampler_scratch(self, small_phantom):
         # numpy reports its buffers to tracemalloc; a warm call allocates
-        # only the sampler's four outputs and the NCC terms (about 1.75 MB
-        # at 32^3), not the chunk buffers the objective holds
+        # only the support's coordinates, the sampler's four outputs on the
+        # support and the NCC terms (about 0.75 MB at 32^3), not the chunk
+        # buffers or the full-grid samples the objective holds
         img, st, _ = small_phantom
         obj = Objective(img, img, st.body, 0.2)
         coords = np.indices(img.dims, dtype=np.float64) + 0.3
@@ -203,6 +204,104 @@ class TestTotalLoss:
         lb = pr.total_loss(a, b, pr.zero_field(a), _full_mask((5, 5, 5)), 0.2)
         assert lb.degenerate and lb.ncc == 0.0
 
+
+def _support_case(rng, case, n=10):
+    """(mask, prior) on an n^3 grid whose NCC weights mask * (1 + prior)
+    are 0 on some voxels, except for the whole-grid case."""
+    mask, prior = np.ones((n, n, n), dtype=np.float32), None
+    if case == "holes":
+        mask = (rng.random(mask.shape) > 0.4).astype(np.float32)
+    elif case == "face-shell":      # one voxel thick, on every face of the grid
+        mask[1:-1, 1:-1, 1:-1] = 0.0
+    elif case == "prior-zeros":     # masked everywhere, weight 1 + (-1) = 0 on some
+        prior = rng.random(mask.shape).astype(np.float32)
+        prior[rng.random(mask.shape) < 0.3] = -1.0
+    return pr.Volume(mask), None if prior is None else pr.Volume(prior)
+
+
+class _FullGrid:
+    """Objective's ncc_at, loss and evaluate as they were before sampling
+    was cut to the support: moving sampled at every voxel through one
+    volgrid._Sampler and scored by similarity._ncc_core."""
+
+    def __init__(self, fixed, moving, mask, lam, prior):
+        self.w = similarity._weights(mask, prior)
+        self.fixed = similarity._fixed_side(fixed.data.astype(np.float64), self.w)
+        self.sample = volgrid._Sampler(moving.data)
+        self.ident = np.indices(fixed.dims, dtype=np.float64)
+        self.lam = lam
+
+    def ncc_at(self, coords, grad):
+        b, *db = self.sample(coords, want_grad=True)
+        ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = similarity._ncc_core(self.fixed, b, self.w)
+        if not degenerate:
+            dncc_db = self.w * (A - (s_ab / s_bb) * B) / np.sqrt(s_aa * s_bb)
+            for g, d in zip(grad, db):
+                g -= dncc_db * d
+        return -ncc
+
+    def loss_ncc(self, u):
+        u = np.asarray(u, dtype=np.float32).astype(np.float64)
+        return similarity._ncc_core(self.fixed, self.sample(self.ident + u), self.w)[0]
+
+    def evaluate(self, u):
+        u = np.asarray(u, dtype=np.float32).astype(np.float64)
+        smooth, grad = similarity._smoothness(u, True)
+        grad = self.lam * grad
+        neg_ncc = self.ncc_at(self.ident + u, grad)
+        return neg_ncc + self.lam * smooth, grad.astype(np.float32).astype(np.float64)
+
+
+SUPPORT_CASES = ["holes", "face-shell", "prior-zeros", "whole-grid"]
+
+
+class TestSupportSampling:
+    """The objective samples moving only where the NCC weight is > 0, and
+    its bits equal those of sampling every voxel."""
+
+    @pytest.mark.parametrize("case", SUPPORT_CASES)
+    def test_evaluate_and_loss_match_the_full_grid(self, rng, case):
+        a, b = random_volume(rng, (10, 10, 10)), random_volume(rng, (10, 10, 10))
+        mask, prior = _support_case(rng, case)
+        obj = Objective(a, b, mask, 0.2, prior)
+        ref = _FullGrid(a, b, mask, 0.2, prior)
+        for _ in range(3):
+            # displacements of 1.5 voxels send some samples past the grid faces
+            u = rng.normal(0.0, 1.5, size=(3, 10, 10, 10))
+            total, grad = obj.evaluate(u)
+            want_total, want_grad = ref.evaluate(u)
+            assert total == want_total
+            assert grad.tobytes() == want_grad.tobytes()
+            lb = obj.loss(u)
+            assert lb.ncc == ref.loss_ncc(u)
+            assert lb.total == total
+
+    @pytest.mark.parametrize("case", SUPPORT_CASES)
+    def test_ncc_at_matches_the_full_grid(self, rng, case):
+        a, b = random_volume(rng, (10, 10, 10)), random_volume(rng, (10, 10, 10))
+        mask, prior = _support_case(rng, case)
+        obj = Objective(a, b, mask, 0.0, prior)
+        ref = _FullGrid(a, b, mask, 0.0, prior)
+        coords = np.indices((10, 10, 10), dtype=np.float64) + rng.normal(
+            0.0, 1.5, size=(3, 10, 10, 10))
+        start = rng.normal(size=coords.shape)      # ncc_at adds into grad
+        grad, want_grad = start.copy(), start.copy()
+        assert obj.ncc_at(coords, grad) == ref.ncc_at(coords, want_grad)
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_lambda_0_gradient_differs_at_most_in_signed_zeros_off_the_support(self, rng):
+        # at lambda 0 the smoothness term leaves -0.0 entries, and off the
+        # support the full grid subtracts 0 * gradient of moving, whose sign
+        # of zero the support cannot know; the values are equal
+        a, b = random_volume(rng, (10, 10, 10)), random_volume(rng, (10, 10, 10))
+        mask, prior = _support_case(rng, "holes")
+        obj = Objective(a, b, mask, 0.0, prior)
+        u = rng.normal(0.0, 1.5, size=(3, 10, 10, 10))
+        grad = obj.evaluate(u)[1]
+        want = _FullGrid(a, b, mask, 0.0, prior).evaluate(u)[1]
+        assert np.array_equal(grad, want)
+        differs = grad.view(np.int64) != want.view(np.int64)
+        assert not np.any(differs & (mask.data[None] > 0)) and np.all(grad[differs] == 0)
 
 @pytest.mark.parametrize("which", ["moving", "mask", "weights", "fld"])
 @pytest.mark.parametrize("change", [{"spacing": (2.0, 2.0, 2.0)},

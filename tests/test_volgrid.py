@@ -376,6 +376,23 @@ class TestTypeInvariants:
         with pytest.raises(ValidationError):
             pr.Volume(data)
 
+    @pytest.mark.parametrize("make", [pr.Volume, lambda v: pr.DisplacementField([v] * 3)],
+                             ids=["volume", "field"])
+    @pytest.mark.parametrize("data,named", [([[["1.5"]]], "'1.5'"), ([[[True]]], "True"),
+                                            (np.ones((1, 1, 1), dtype=bool), "True")],
+                             ids=["string", "bool", "bool-array"])
+    def test_bools_and_strings_rejected(self, make, data, named):
+        # numpy would read "1.5" as 1.5 and True as 1.0
+        with pytest.raises(ValidationError, match=f"array of numbers, got .*{named}"):
+            make(data)
+
+    @pytest.mark.parametrize("data", [np.ones((2, 2, 2), dtype=np.uint8),
+                                      np.ones((2, 2, 2), dtype=np.int64),
+                                      np.ones((2, 2, 2), dtype=np.float16), [[[1, 2]]]],
+                             ids=["uint8", "int64", "float16", "int-list"])
+    def test_integers_and_floats_accepted(self, data):
+        assert pr.Volume(data).data.dtype == np.float32
+
     def test_field_shape_checked(self):
         with pytest.raises(ValidationError):
             pr.DisplacementField(np.zeros((2, 4, 4, 4), dtype=np.float32))
