@@ -326,7 +326,7 @@ def _rigid_evaluator(obj: Objective, center):
     at the voxel coordinates in moving that T(x) = R (x - c) + c + t maps
     each voxel center x of obj's fixed grid to, i.e. -maskedNCC of the
     rigidly resampled moving image, with T(x) built for the objective's
-    support alone (ncc_at_support); R is built from the angles wrapped to
+    support alone; R is built from the angles wrapped to
     (-pi, pi], as RigidTransform stores them. The gradient chains
     dL/dT(x) through T: per mm, dL/dt is the voxel sum of dL/dT(x) and
     dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>."""
@@ -336,7 +336,7 @@ def _rigid_evaluator(obj: Objective, center):
     def evaluate(p):
         Rx, Ry, Rz = _axis_rotations([_wrap_angle(float(a)) for a in p[:3]])
         g = np.zeros_like(rel)
-        total = obj.ncc_at_support(voxels(Rz @ Ry @ Rx, p[3:]), g)
+        total = obj.ncc_at(voxels(Rz @ Ry @ Rx, p[3:]), g)
         g /= spacing
         moments = np.einsum("axyz,bxyz->ab", g, rel)
         d_rot = [float((dR * moments).sum()) for dR in

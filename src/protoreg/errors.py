@@ -91,20 +91,34 @@ def _values(v, name: str, n=None, ok=_finite_number) -> tuple:
     return t
 
 
+def _numeric(v) -> bool:
+    """Whether v is a real number other than a bool, a numpy array of
+    integers or floats, or lists, tuples and object arrays of these: what
+    _array reads as an array of numbers. Finite or not is _array's own
+    check."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind in "iuf" or (v.dtype == object and all(map(_numeric, v.flat)))
+    if isinstance(v, (list, tuple)):
+        return all(map(_numeric, v))
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _array(v, name: str, dtype, shape) -> np.ndarray:
-    """v, which numpy must read as an array of integers or floats (not of
-    bools, strings or objects), cast to a numpy array of dtype, of the
-    given shape, in which None stands for any length >= 1, with finite
-    entries only; anything else is a ValidationError that names v."""
-    try:
-        a = np.asarray(v)
-    except (TypeError, ValueError):     # a ragged nesting, say
-        a = None
-    if a is None or a.dtype.kind not in "iuf":
+    """v cast to a numpy array of dtype, of the given shape, in which None
+    stands for any length >= 1, with finite entries only; anything else is
+    a ValidationError that names v. Its numbers are those _values takes:
+    no bool or string is read as one, whatever entries stand next to it
+    (see _numeric)."""
+    a = None
+    if _numeric(v):
+        try:
+            with np.errstate(over="ignore"):    # an overflowing cast gives inf
+                a = np.asarray(v, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):  # ragged, or an int past floats
+            pass
+    if a is None:
         raise ValidationError(f"{name} must be an array of numbers, "
                               f"got {reprlib.repr(v)}")
-    with np.errstate(over="ignore"):    # an overflowing cast gives inf
-        a = a.astype(dtype, copy=False)
     if a.ndim != len(shape) or 0 in a.shape or any(
             d not in (None, n) for d, n in zip(shape, a.shape)):
         want = str(tuple("n" if d is None else d for d in shape)).replace("'", "")

@@ -106,19 +106,18 @@ class Objective:
     weights, the fixed image's share of the NCC, the identity coordinates
     and one sampler of the moving image, so each trial pays only for its
     sampling and the moving-side sums, and every trial samples through the
-    same chunk buffers. ncc_at scores moving at any voxel coordinates; a
-    trial field u, a (3, nx, ny, nz) array in voxel units, is scored at
-    x + u after rounding to float32, the precision a DisplacementField
-    stores.
+    same chunk buffers. A trial field u, a (3, nx, ny, nz) array in voxel
+    units, is scored at x + u after rounding to float32, the precision a
+    DisplacementField stores.
 
     Moving is sampled only on the support, the voxels whose NCC weight is
-    > 0: support holds their flat indices, or is None when that is every
-    voxel, and then the whole grid is sampled as it is. Off the support the
-    sampled value and its gradient are 0, where they would only meet a
-    weight of 0, and every sum still runs over the whole grid in the same
-    order, so the loss and the fields it steps keep the bits of sampling
-    every voxel. (At lambda 0 a gradient entry off the support may be -0.0
-    where the whole grid gave +0.0, or the reverse.)
+    > 0; support holds their flat indices, and on_support cuts any
+    (3, nx, ny, nz) coordinates to theirs. Off the support the sampled
+    value and its gradient are 0, where they would only meet a weight of
+    0, and every sum still runs over the whole grid in the same order, so
+    the loss and the fields it steps keep the bits of sampling every
+    voxel. (At lambda 0 a gradient entry off the support may be -0.0 where
+    the whole grid gave +0.0, or the reverse.)
     """
 
     def __init__(self, fixed: Volume, moving: Volume, mask: Volume,
@@ -134,44 +133,34 @@ class Objective:
         self._sample = _Sampler(moving.data)
         self._ident = np.indices(fixed.dims, dtype=np.float64)
         self._masked_voxels = int((mask.data > 0).sum())
-        support = np.flatnonzero(self._w)
-        self.support = None if support.size == self._w.size else support
+        self.support = np.flatnonzero(self._w)
         # moving's value and d/dx, d/dy, d/dz, written on the support
         # alone, so 0 everywhere else
-        self._sampled = None if self.support is None else np.zeros((4,) + fixed.dims)
+        self._sampled = np.zeros((4,) + fixed.dims)
 
-    def _on_support(self, coords: np.ndarray) -> np.ndarray:
+    def on_support(self, coords: np.ndarray) -> np.ndarray:
         """(3, nx, ny, nz) coordinates cut to the support's, as a
-        contiguous (3, k) array."""
-        if self.support is None:
-            return coords
+        contiguous (3, k) array in support's order."""
         return np.take(coords.reshape(3, -1), self.support, axis=1)
 
     def _sampled_at(self, points: np.ndarray, want_grad: bool = False):
-        """moving sampled at points, the coordinates of the support's
-        voxels, on fixed's grid and 0 off the support: the value, or it and
-        its three derivatives."""
+        """moving sampled at points, the support's coordinates, on fixed's
+        grid and 0 off the support: the value, or it and its three
+        derivatives."""
         got = self._sample(points, want_grad)
-        if self.support is None:
-            return got
         out = self._sampled[:4 if want_grad else 1]
         for o, v in zip(out, got if want_grad else (got,)):
             o.reshape(-1)[self.support] = v.reshape(-1)
         return tuple(out) if want_grad else out[0]
 
-    def ncc_at(self, coords: np.ndarray, grad: np.ndarray) -> float:
-        """-NCC_w of moving sampled at coords, (3, nx, ny, nz) voxel
-        coordinates in moving, one per voxel of fixed; adds its gradient
-        with respect to coords into grad, an array of that shape. Sampling
-        is float64, so the finite-difference gradient check is not drowned
-        by float32 rounding of the sampled intensities."""
-        return self.ncc_at_support(self._on_support(coords), grad)
-
-    def ncc_at_support(self, points: np.ndarray, grad: np.ndarray) -> float:
-        """ncc_at given only the coordinates of the support's k voxels, in
-        support's order: a (3, k, ...) array, or coords itself when support
-        is None. grad still spans the whole grid; what is added to it off
-        the support is 0."""
+    def ncc_at(self, points: np.ndarray, grad: np.ndarray) -> float:
+        """-NCC_w of moving sampled at points, a (3, k, ...) array of the
+        voxel coordinates in moving of the support's k voxels in support's
+        order (on_support cuts them from the whole grid's); adds its gradient
+        with respect to each voxel's coordinates into grad, a
+        (3, nx, ny, nz) array, where it is 0 off the support. Sampling is
+        float64, so the finite-difference gradient check is not drowned by
+        float32 rounding of the sampled intensities."""
         b, gx, gy, gz = self._sampled_at(points, want_grad=True)
         ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._fixed, b, self._w)
         if not degenerate:
@@ -185,7 +174,7 @@ class Objective:
     def loss(self, u: np.ndarray) -> LossBreakdown:
         """The loss of trial field u; smoothness is S(u) even at lambda 0."""
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        b = self._sampled_at(self._on_support(self._ident + u))
+        b = self._sampled_at(self.on_support(self._ident + u))
         ncc, degenerate, _ = _ncc_core(self._fixed, b, self._w)
         smooth, _ = _smoothness(u)
         return LossBreakdown(ncc=ncc, smoothness=smooth,
@@ -204,7 +193,7 @@ class Objective:
         grad = self.lambda_smooth * grad
         # u is this call's own copy, so it becomes the coordinates x + u in
         # place: one (3, nx, ny, nz) temporary fewer to allocate and free
-        neg_ncc = self.ncc_at(np.add(u, self._ident, out=u), grad)
+        neg_ncc = self.ncc_at(self.on_support(np.add(u, self._ident, out=u)), grad)
         return neg_ncc + self.lambda_smooth * smooth, grad.astype(np.float32).astype(np.float64)
 
 

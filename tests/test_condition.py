@@ -111,8 +111,10 @@ class TestArrayInputs:
         # numpy would read these as 0.5 and 1.0
         lambda: pr.Embedding(["0.5"] * EMBED_DIM),
         lambda: pr.Embedding([True] * EMBED_DIM),
+        lambda: pr.Embedding([True] + [0.5] * (EMBED_DIM - 1)),
     ], ids=["embedding", "film-gamma", "film-beta", "feature-grid", "ragged-feature-grid",
-            "adapter", "embedding-numeric-strings", "embedding-bools"])
+            "adapter", "embedding-numeric-strings", "embedding-bools",
+            "embedding-bool-beside-floats"])
     def test_non_numeric_rejected(self, make):
         with pytest.raises(ValidationError, match="array of numbers"):
             make()

@@ -338,7 +338,9 @@ def test_config_probes_keep_the_exit_code_contract(register_inputs, data):
     ({}, None),     # the base every probe mutates is valid
     # a rigid stage runs its whole budget, so 2**62 iterations would never end
     ({"rigid_iterations": [2 ** 62]}, "iteration counts must lie in [0, 10000]"),
-    ({"iterations": [2, 10_001]}, "iteration counts must lie in [0, 10000]"),
+    # so does a level at convergence_tol 0
+    ({"iterations": [2, 10_001], "convergence_tol": 0.0},
+     "iteration counts must lie in [0, 10000]"),
     # 2 * sigma_mm**2 underflows to 0, and 0 / 0 gave a NaN proximity
     ({"prior_params": {"sigma_mm": 1e-300}}, "sigma_mm must be > 0 with a square > 0"),
     # sigma_mm**2 raised OverflowError (exit 3); a band_mm past float32 and

@@ -181,18 +181,18 @@ class TestTotalLoss:
 
     def test_warm_ncc_at_allocates_no_sampler_scratch(self, small_phantom):
         # numpy reports its buffers to tracemalloc; a warm call allocates
-        # only the support's coordinates, the sampler's four outputs on the
-        # support and the NCC terms (about 0.75 MB at 32^3), not the chunk
-        # buffers or the full-grid samples the objective holds
+        # only the sampler's four outputs on the support and the NCC terms,
+        # not the chunk buffers or the full-grid samples the objective holds
         img, st, _ = small_phantom
         obj = Objective(img, img, st.body, 0.2)
         coords = np.indices(img.dims, dtype=np.float64) + 0.3
+        points = obj.on_support(coords)
         grad = np.zeros_like(coords)
-        obj.ncc_at(coords, grad)
+        obj.ncc_at(points, grad)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            obj.ncc_at(coords, grad)
+            obj.ncc_at(points, grad)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -286,7 +286,7 @@ class TestSupportSampling:
             0.0, 1.5, size=(3, 10, 10, 10))
         start = rng.normal(size=coords.shape)      # ncc_at adds into grad
         grad, want_grad = start.copy(), start.copy()
-        assert obj.ncc_at(coords, grad) == ref.ncc_at(coords, want_grad)
+        assert obj.ncc_at(obj.on_support(coords), grad) == ref.ncc_at(coords, want_grad)
         assert grad.tobytes() == want_grad.tobytes()
 
     def test_lambda_0_gradient_differs_at_most_in_signed_zeros_off_the_support(self, rng):

@@ -379,8 +379,12 @@ class TestTypeInvariants:
     @pytest.mark.parametrize("make", [pr.Volume, lambda v: pr.DisplacementField([v] * 3)],
                              ids=["volume", "field"])
     @pytest.mark.parametrize("data,named", [([[["1.5"]]], "'1.5'"), ([[[True]]], "True"),
-                                            (np.ones((1, 1, 1), dtype=bool), "True")],
-                             ids=["string", "bool", "bool-array"])
+                                            (np.ones((1, 1, 1), dtype=bool), "True"),
+                                            # numpy would promote these to 1.0 and 1
+                                            ([[[True, 1.5]]], "True"), ([[[True, 2]]], "True"),
+                                            ([[[10 ** 20, True]]], "True")],
+                             ids=["string", "bool", "bool-array", "bool-beside-float",
+                                  "bool-beside-int", "bool-beside-huge-int"])
     def test_bools_and_strings_rejected(self, make, data, named):
         # numpy would read "1.5" as 1.5 and True as 1.0
         with pytest.raises(ValidationError, match=f"array of numbers, got .*{named}"):
@@ -392,6 +396,14 @@ class TestTypeInvariants:
                              ids=["uint8", "int64", "float16", "int-list"])
     def test_integers_and_floats_accepted(self, data):
         assert pr.Volume(data).data.dtype == np.float32
+
+    @pytest.mark.parametrize("data", [[[[10 ** 20]]], [[[10 ** 20, 1.5]]],
+                                      np.array([[[10 ** 20]]], dtype=object)],
+                             ids=["alone", "beside-float", "object-array"])
+    def test_integers_past_int64_accepted(self, data):
+        # finite as floats, as _values takes them; numpy reads them alone
+        # as an object array
+        assert pr.Volume(data).data[0, 0, 0] == np.float32(1e20)
 
     def test_field_shape_checked(self):
         with pytest.raises(ValidationError):
