@@ -74,9 +74,13 @@ class RigidTransform:
         return Rz @ Ry @ Rx
 
 
-# the most iterations a level or rigid stage may be given: at about 0.1 s per
-# 64^3 iteration, some 1000 s per level. A rigid stage always runs its whole
-# budget, so a budget such as 2**62 would never end
+# the most iterations a level or rigid stage may be given, about 67 times the
+# largest default budget (150). A rigid stage always runs its whole budget, as
+# a level does at convergence_tol 0, so a budget such as 2**62 would never
+# end. Each iteration evaluates the objective at least once, whose measured
+# median with a body mask is 47-54 ms at 64^3 and 0.49-0.52 s at 128^3
+# (BENCH_support_sampling.json): 10000 iterations of a 128^3 level take over
+# 80 minutes
 MAX_ITERATIONS = 10_000
 
 
@@ -288,16 +292,17 @@ def _rigid_mapping(moving: Volume, like: Volume | DisplacementField, center,
     (3, nx, ny, nz), and the map (R, t[, u]) -> continuous voxel
     coordinates in moving of T(x) = R (x - c) + c + t over like's voxel
     centers, each first displaced by u(x) (voxels of like's grid) when u
-    is given. Given support, flat indices of k voxels, the map covers
-    those alone, as a (3, k, 1, 1) array, and takes no u. The grid is
-    built once per (moving, like) pair."""
+    is given. Given support (Objective.support: flat indices of k voxels,
+    or a slice), the map covers those alone, as a (3, k, 1, 1) array, and
+    takes no u. The grid is built once per (moving, like) pair."""
     def col(v):
         return np.asarray(v, dtype=np.float64).reshape(3, 1, 1, 1)
     c = col(center)
     rel = np.indices(like.dims, dtype=np.float64) * col(like.spacing) + col(like.origin) - c
     # 4-D and contiguous, as rel is: einsum then sums each point's three
     # terms as it does over the whole grid, so the bits are the same
-    pts = rel if support is None else np.take(rel.reshape(3, -1), support, axis=1)[..., None, None]
+    pts = rel if support is None else np.ascontiguousarray(
+        rel.reshape(3, -1)[:, support])[..., None, None]
     m_origin, m_spacing = col(moving.origin), col(moving.spacing)
 
     def voxels(R, t, u=None):

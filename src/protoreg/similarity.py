@@ -111,12 +111,12 @@ class Objective:
     DisplacementField stores.
 
     Moving is sampled only on the support, the voxels whose NCC weight is
-    > 0; support holds their flat indices, and on_support cuts any
-    (3, nx, ny, nz) coordinates to theirs. Off the support the sampled
-    value and its gradient are 0, where they would only meet a weight of
-    0, and every sum still runs over the whole grid in the same order, so
-    the loss and the fields it steps keep the bits of sampling every
-    voxel. (At lambda 0 a gradient entry off the support may be -0.0 where
+    > 0; support holds their flat indices (slice(None) when that is every
+    voxel), and on_support cuts any (3, nx, ny, nz) coordinates to theirs.
+    Off the support the sampled value and its gradient are 0, where they
+    would only meet a weight of 0, and every sum still runs over the whole
+    grid in the same order, so the loss and the fields it steps keep the
+    bits of sampling every voxel. (At lambda 0 a gradient entry off the support may be -0.0 where
     the whole grid gave +0.0, or the reverse.)
     """
 
@@ -133,15 +133,18 @@ class Objective:
         self._sample = _Sampler(moving.data)
         self._ident = np.indices(fixed.dims, dtype=np.float64)
         self._masked_voxels = int((mask.data > 0).sum())
-        self.support = np.flatnonzero(self._w)
+        # every voxel as a slice when every weight is > 0 (no body mask): the
+        # cut is then a view and the scatter a plain copy, where indices
+        # would gather and scatter the whole grid
+        self.support = slice(None) if np.all(self._w > 0) else np.flatnonzero(self._w)
         # moving's value and d/dx, d/dy, d/dz, written on the support
         # alone, so 0 everywhere else
         self._sampled = np.zeros((4,) + fixed.dims)
 
     def on_support(self, coords: np.ndarray) -> np.ndarray:
-        """(3, nx, ny, nz) coordinates cut to the support's, as a
-        contiguous (3, k) array in support's order."""
-        return np.take(coords.reshape(3, -1), self.support, axis=1)
+        """(3, nx, ny, nz) coordinates cut to the support's, a (3, k) array
+        in support's order."""
+        return coords.reshape(3, -1)[:, self.support]
 
     def _sampled_at(self, points: np.ndarray, want_grad: bool = False):
         """moving sampled at points, the support's coordinates, on fixed's

@@ -289,6 +289,17 @@ class TestSupportSampling:
         assert obj.ncc_at(obj.on_support(coords), grad) == ref.ncc_at(coords, want_grad)
         assert grad.tobytes() == want_grad.tobytes()
 
+    def test_whole_grid_support_cuts_to_a_view(self, rng):
+        # with every weight > 0 the objective must not gather every voxel
+        a, b = random_volume(rng, (10, 10, 10)), random_volume(rng, (10, 10, 10))
+        mask, prior = _support_case(rng, "whole-grid")
+        obj = Objective(a, b, mask, 0.2, prior)
+        coords = np.indices((10, 10, 10), dtype=np.float64)
+        assert np.shares_memory(obj.on_support(coords), coords)
+        mask, prior = _support_case(rng, "holes")
+        obj = Objective(a, b, mask, 0.2, prior)
+        assert obj.on_support(coords).shape == (3, int((mask.data > 0).sum()))
+
     def test_lambda_0_gradient_differs_at_most_in_signed_zeros_off_the_support(self, rng):
         # at lambda 0 the smoothness term leaves -0.0 entries, and off the
         # support the full grid subtracts 0 * gradient of moving, whose sign
