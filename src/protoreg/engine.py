@@ -78,9 +78,9 @@ class RigidTransform:
 # largest default budget (150). A rigid stage always runs its whole budget, as
 # a level does at convergence_tol 0, so a budget such as 2**62 would never
 # end. Each iteration evaluates the objective at least once, whose measured
-# median with a body mask is 47-54 ms at 64^3 and 0.49-0.52 s at 128^3
+# median with a body mask is 40-52 ms at 64^3 and 0.43 s at 128^3
 # (BENCH_support_sampling.json): 10000 iterations of a 128^3 level take over
-# 80 minutes
+# 70 minutes
 MAX_ITERATIONS = 10_000
 
 

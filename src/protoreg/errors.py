@@ -91,15 +91,16 @@ def _values(v, name: str, n=None, ok=_finite_number) -> tuple:
     return t
 
 
-def _numeric(v) -> bool:
+def _numeric(v, depth: int = 0) -> bool:
     """Whether v is a real number other than a bool, a numpy array of
-    integers or floats, or lists, tuples and object arrays of these: what
-    _array reads as an array of numbers. Finite or not is _array's own
-    check."""
-    if isinstance(v, np.ndarray):
-        return v.dtype.kind in "iuf" or (v.dtype == object and all(map(_numeric, v.flat)))
-    if isinstance(v, (list, tuple)):
-        return all(map(_numeric, v))
+    integers or floats, or lists, tuples and object arrays of these nested
+    at most 64 deep, numpy's most dimensions: what _array reads as an
+    array of numbers. Finite or not is _array's own check."""
+    if isinstance(v, np.ndarray) and v.dtype != object:
+        return v.dtype.kind in "iuf"
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return depth < 64 and all(_numeric(x, depth + 1) for x in (
+            v.flat if isinstance(v, np.ndarray) else v))
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 

@@ -116,8 +116,8 @@ class Objective:
     Off the support the sampled value and its gradient are 0, where they
     would only meet a weight of 0, and every sum still runs over the whole
     grid in the same order, so the loss and the fields it steps keep the
-    bits of sampling every voxel. (At lambda 0 a gradient entry off the support may be -0.0 where
-    the whole grid gave +0.0, or the reverse.)
+    bits of sampling every voxel. (At lambda 0 a gradient entry off the
+    support may be -0.0 where the whole grid gave +0.0, or the reverse.)
     """
 
     def __init__(self, fixed: Volume, moving: Volume, mask: Volume,

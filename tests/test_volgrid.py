@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import tracemalloc
@@ -370,8 +371,12 @@ class TestTypeInvariants:
             pr.Volume(np.zeros((2, 2, 2), dtype=np.float32), spacing=(0, 1, 1))
 
     @pytest.mark.parametrize("data", [[[["a", "b"]]], [[[{}]]], [[[1.0], [1.0, 2.0]]],
-                                      [[[10 ** 400]]], np.full((2, 2, 2), 1e300)],
-                             ids=["string", "object", "ragged", "huge-int", "float32-overflow"])
+                                      [[[10 ** 400]]], np.full((2, 2, 2), 1e300),
+                                      # deeper than numpy's 64 dimensions and than
+                                      # Python's recursion limit
+                                      functools.reduce(lambda v, _: [v], range(3000), 1.0)],
+                             ids=["string", "object", "ragged", "huge-int", "float32-overflow",
+                                  "nested-3000-deep"])
     def test_non_numeric_data_rejected(self, data):
         with pytest.raises(ValidationError):
             pr.Volume(data)
