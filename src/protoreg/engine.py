@@ -24,7 +24,7 @@ from .priors import (PriorParams, StructureSet, _check_binary, anatomy_map, fuse
 # the solver never calls total_loss or loss_gradient; they stay bound here only
 # because bench/tracing.py looks them up, until the tracer wraps Objective's
 # methods instead
-from .similarity import LossBreakdown, Objective, loss_gradient, total_loss
+from .similarity import LossBreakdown, Objective, _cut, loss_gradient, total_loss
 from .volgrid import (DisplacementField, Volume, _Sampler, build_pyramid, same_grid,
                       upsample_field, warp, zero_field)
 
@@ -111,6 +111,10 @@ class RegConfig:
             raise ValidationError(f"iteration counts must lie in [0, {MAX_ITERATIONS}]")
         if self.lambda_smooth < 0:
             raise ValidationError("lambda_smooth must be >= 0")
+        if self.convergence_tol < 0:
+            # the window rule's relative change is >= 0, so it could never
+            # meet a negative tolerance and every level would run its budget
+            raise ValidationError("convergence_tol must be >= 0")
         if (self.use_gate or self.use_film) and not (self.use_anatomy or self.use_risk):
             # both act on the fused prior, so without one they would do nothing
             raise ValidationError("use_gate and use_film require use_anatomy or use_risk")
@@ -202,6 +206,13 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     start factor and the gradient. scale multiplies each step per component.
     Stops after `iterations`, or once the loss changed by less than tol,
     relative, over LEVEL_WINDOW iterations (tol 0 never stops early).
+
+    The descent runs in x's dtype: with x, the gradients and scale float32,
+    so are the moments, the step and every trial; x itself is never written
+    to. Every other scalar in the step must be a Python float: under
+    numpy 2's promotion rules (NEP 50) a numpy float64 scalar would promote
+    the float32 arrays to float64. The rigid stages pass float64
+    parameters and a float64 lr array, and descend in float64.
 
     Returns (x, trajectory, counters). The counters are deterministic:
     stop_reason ("converged" by the window rule, or "iteration_cap"); the
@@ -301,8 +312,7 @@ def _rigid_mapping(moving: Volume, like: Volume | DisplacementField, center,
     rel = np.indices(like.dims, dtype=np.float64) * col(like.spacing) + col(like.origin) - c
     # 4-D and contiguous, as rel is: einsum then sums each point's three
     # terms as it does over the whole grid, so the bits are the same
-    pts = rel if support is None else np.ascontiguousarray(
-        rel.reshape(3, -1)[:, support])[..., None, None]
+    pts = rel if support is None else _cut(rel, support)[..., None, None]
     m_origin, m_spacing = col(moving.origin), col(moving.spacing)
 
     def voxels(R, t, u=None):
@@ -437,6 +447,11 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
 
     Returns (full-resolution DisplacementField, RegReport). Inputs are
     assumed padded to one grid and rigidly pre-aligned.
+
+    Each level descends in float32, the precision its field is stored and
+    scored in: the iterate, the Adam moments, the step, every trial and the
+    gate. The objective computes the coordinates, the sampling, the NCC sums
+    and the smoothness energy and its adjoint in float64.
     """
     config = config or RegConfig()
     check_prior_inputs(fixed, config, structures, dose, embeddings, adapter_weights)
@@ -455,7 +470,7 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         flags.append(f"levels_reduced_to_{n_levels}")
 
     prior_levels = build_pyramid(fused, n_levels) if fused is not None else (None,) * n_levels
-    gate_levels = [gate(p, config.prior_params).data.astype(np.float64)[None]
+    gate_levels = [gate(p, config.prior_params).data[None]
                    if config.use_gate and p is not None else 1.0
                    for p in prior_levels]
 
@@ -469,11 +484,12 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
             flags.append(f"mask_degenerate_at_level_{li + 1}")
         up = upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)
         obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=prior_levels[li])
+        # up.data as it is: _descend never writes into its start
         x, trajectory, counters = _descend(
-            obj.evaluate, up.data.astype(np.float64), LEVEL_STEP,
+            obj.evaluate, up.data, LEVEL_STEP,
             config.iterations[min(step, len(config.iterations) - 1)],
             LEVEL_EPS, config.convergence_tol, scale=gate_levels[li])
-        # the last accepted trial, which evaluate scored at float32 precision
+        # the last accepted trial, the float32 field evaluate scored
         phi = up.with_data(x)
         level_reports.append(LevelReport(
             level=li + 1, dims=f_l.dims, iterations_used=len(trajectory) - 1,

@@ -99,25 +99,38 @@ def smoothness(fld: DisplacementField) -> float:
     return _smoothness(fld.data.astype(np.float64))[0]
 
 
+def _cut(coords: np.ndarray, support) -> np.ndarray:
+    """(3, nx, ny, nz) coordinates cut to support's k voxels, a (3, k)
+    array, contiguous when coords is: a view when support is a slice (every
+    voxel), else a gather along the voxel axis, which np.take does faster
+    than 2-D fancy indexing."""
+    flat = coords.reshape(3, -1)
+    if isinstance(support, slice):
+        return flat[:, support]
+    return np.take(flat, support, axis=1)
+
+
 class Objective:
     """L(u) = -NCC_w(fixed, moving warped by u) + lambda * S(u) on one grid.
 
     Built once per grid: the constructor checks the inputs and keeps the
-    weights, the fixed image's share of the NCC, the identity coordinates
-    and one sampler of the moving image, so each trial pays only for its
-    sampling and the moving-side sums, and every trial samples through the
-    same chunk buffers. A trial field u, a (3, nx, ny, nz) array in voxel
-    units, is scored at x + u after rounding to float32, the precision a
-    DisplacementField stores.
+    weights, the fixed image's share of the NCC, the support's identity
+    coordinates and one sampler of the moving image, so each trial pays
+    only for its sampling and the moving-side sums, and every trial samples
+    through the same chunk buffers. A trial field u, a (3, nx, ny, nz)
+    array in voxel units, is scored at x + u after rounding to float32, the
+    precision a DisplacementField stores; the coordinates, the sampling and
+    every sum run in float64.
 
     Moving is sampled only on the support, the voxels whose NCC weight is
     > 0; support holds their flat indices (slice(None) when that is every
-    voxel), and on_support cuts any (3, nx, ny, nz) coordinates to theirs.
-    Off the support the sampled value and its gradient are 0, where they
-    would only meet a weight of 0, and every sum still runs over the whole
-    grid in the same order, so the loss and the fields it steps keep the
-    bits of sampling every voxel. (At lambda 0 a gradient entry off the
-    support may be -0.0 where the whole grid gave +0.0, or the reverse.)
+    voxel), and on_support cuts any (3, nx, ny, nz) coordinates to theirs:
+    a trial adds u's support entries to the support's x. Off the support
+    the sampled value and its gradient are 0, where they would only meet a
+    weight of 0, and every sum still runs over the whole grid in the same
+    order, so the loss and the fields it steps keep the bits of sampling
+    every voxel. (At lambda 0 a gradient entry off the support may be -0.0
+    where the whole grid gave +0.0, or the reverse.)
     """
 
     def __init__(self, fixed: Volume, moving: Volume, mask: Volume,
@@ -131,20 +144,21 @@ class Objective:
         self.lambda_smooth = float(lambda_smooth)
         self._fixed = _fixed_side(fixed.data.astype(np.float64), self._w)
         self._sample = _Sampler(moving.data)
-        self._ident = np.indices(fixed.dims, dtype=np.float64)
         self._masked_voxels = int((mask.data > 0).sum())
         # every voxel as a slice when every weight is > 0 (no body mask): the
         # cut is then a view and the scatter a plain copy, where indices
         # would gather and scatter the whole grid
         self.support = slice(None) if np.all(self._w > 0) else np.flatnonzero(self._w)
+        # the support's voxel centers x, (3, k)
+        self._ident = self.on_support(np.indices(fixed.dims, dtype=np.float64))
         # moving's value and d/dx, d/dy, d/dz, written on the support
         # alone, so 0 everywhere else
         self._sampled = np.zeros((4,) + fixed.dims)
 
     def on_support(self, coords: np.ndarray) -> np.ndarray:
         """(3, nx, ny, nz) coordinates cut to the support's, a (3, k) array
-        in support's order."""
-        return coords.reshape(3, -1)[:, self.support]
+        in support's order (see _cut)."""
+        return _cut(coords, self.support)
 
     def _sampled_at(self, points: np.ndarray, want_grad: bool = False):
         """moving sampled at points, the support's coordinates, on fixed's
@@ -177,27 +191,33 @@ class Objective:
     def loss(self, u: np.ndarray) -> LossBreakdown:
         """The loss of trial field u; smoothness is S(u) even at lambda 0."""
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        b = self._sampled_at(self.on_support(self._ident + u))
-        ncc, degenerate, _ = _ncc_core(self._fixed, b, self._w)
         smooth, _ = _smoothness(u)
+        b = self._sampled_at(self._coords(u))
+        ncc, degenerate, _ = _ncc_core(self._fixed, b, self._w)
         return LossBreakdown(ncc=ncc, smoothness=smooth,
                              lambda_smooth=self.lambda_smooth,
                              total=-ncc + self.lambda_smooth * smooth,
                              masked_voxels=self._masked_voxels,
                              degenerate=degenerate)
 
+    def _coords(self, u: np.ndarray) -> np.ndarray:
+        """The support's coordinates x + u, (3, k), for u the caller's own
+        float64 copy, which it may overwrite: with every voxel in the
+        support they are written into u in place."""
+        pts = self.on_support(u)
+        return np.add(pts, self._ident, out=pts)
+
     def evaluate(self, u: np.ndarray):
         """(loss(u).total, dL/du) from one warp: ncc_at at x + u plus the
         exact adjoint of the forward-difference energy, so the
-        finite-difference check holds by construction. The gradient is
-        float64 rounded to float32 precision, as the field it steps."""
+        finite-difference check holds by construction. Both terms are
+        summed in float64; the gradient is returned as float32, the
+        precision of the field it steps."""
         u = np.asarray(u, dtype=np.float32).astype(np.float64)
         smooth, grad = _smoothness(u, True)
         grad = self.lambda_smooth * grad
-        # u is this call's own copy, so it becomes the coordinates x + u in
-        # place: one (3, nx, ny, nz) temporary fewer to allocate and free
-        neg_ncc = self.ncc_at(self.on_support(np.add(u, self._ident, out=u)), grad)
-        return neg_ncc + self.lambda_smooth * smooth, grad.astype(np.float32).astype(np.float64)
+        neg_ncc = self.ncc_at(self._coords(u), grad)
+        return neg_ncc + self.lambda_smooth * smooth, grad.astype(np.float32)
 
 
 def _objective(fixed, moving, fld, mask, lambda_smooth, weights):
@@ -220,5 +240,4 @@ def loss_gradient(fixed: Volume, moving: Volume, fld: DisplacementField,
     """Analytic dL/du (see Objective.evaluate) as a field on fld's grid."""
     g = _objective(fixed, moving, fld, mask, lambda_smooth,
                    weights).evaluate(fld.data)[1]
-    return DisplacementField(g.astype(np.float32), spacing=fld.spacing,
-                             origin=fld.origin)
+    return DisplacementField(g, spacing=fld.spacing, origin=fld.origin)

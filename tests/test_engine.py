@@ -424,6 +424,68 @@ class TestDescend:
         assert counters["evaluations"] == 15
 
 
+class TestFloat32Descent:
+    """Each level descends in float32, the dtype of the field it starts from,
+    and the rigid stages in float64."""
+
+    def test_descent_runs_in_the_start_dtype(self):
+        dims = (4, 5, 6)
+        target = np.linspace(-1.0, 1.0, 3 * 4 * 5 * 6).reshape((3,) + dims)
+        seen = []
+
+        def evaluate(x):
+            seen.append(x.dtype)
+            d = x.astype(np.float64) - target
+            return float((d * d).sum()), (2.0 * d).astype(np.float32)
+        scale = np.full((1,) + dims, 0.75, dtype=np.float32)
+        x0 = np.zeros((3,) + dims, dtype=np.float32)
+        x, traj, _ = engine._descend(evaluate, x0, engine.LEVEL_STEP, 12,
+                                     engine.LEVEL_EPS, 0.0, scale=scale)
+        assert x.dtype == np.float32 and set(seen) == {np.dtype(np.float32)}
+        assert traj[-1] < traj[0] and not x0.any()      # the start is not written
+        # a float64 start, as the rigid stages' parameters, stays float64
+        p, _, _ = engine._descend(_bowl_evaluate, np.zeros(4), np.full(4, 0.1), 5,
+                                  1e-12, 0.0)
+        assert p.dtype == np.float64
+
+    def test_register_hands_every_level_float32(self, small_phantom, monkeypatch):
+        img, st, dose = small_phantom
+        g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.0, 4.0, 3),
+                                 envelope=st.body.data.astype(np.float64))
+        calls = []
+        descend = engine._descend
+
+        def recorded(evaluate, x, *args, scale=1.0):
+            out = descend(evaluate, x, *args, scale=scale)
+            calls.append((x.dtype, np.asarray(scale).dtype, out[0].dtype))
+            return out
+        monkeypatch.setattr(engine, "_descend", recorded)
+        cfg = replace(FAST, use_anatomy=True, use_risk=True, use_gate=True)
+        fld, rep = pr.register(pr.warp(img, g), img, cfg, structures=st, dose=dose)
+        f32 = np.dtype(np.float32)
+        assert len(calls) == len(rep.levels)
+        assert calls == [(f32, f32, f32)] * len(calls)
+        assert fld.data.dtype == f32
+
+    def test_float32_descent_stays_near_the_float64_one(self, small_phantom):
+        # the same descent from a float64 start rounds every trial to
+        # float32 only where evaluate scores it; on this setup the largest
+        # |dx| is 2e-5 voxel and the relative loss gap 2.5e-9 after 25 iterations
+        img, st, _ = small_phantom
+        g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.0, 4.0, 3),
+                                 envelope=st.body.data.astype(np.float64))
+        obj = similarity.Objective(pr.warp(img, g), img, st.body, 0.2)
+        runs = [engine._descend(obj.evaluate, np.zeros((3,) + img.dims, dtype=dtype),
+                                engine.LEVEL_STEP, 25, engine.LEVEL_EPS, 0.0)
+                for dtype in (np.float32, np.float64)]
+        (x32, traj32, counters32), (x64, traj64, counters64) = runs
+        assert x32.dtype == np.float32 and x64.dtype == np.float64
+        assert counters32 == counters64
+        diff = np.abs(x32 - x64)
+        assert diff.max() < 5e-3 and diff.mean() < 1e-5
+        assert traj32[-1] == pytest.approx(traj64[-1], rel=1e-7)
+
+
 class TestRegister:
     def test_self_registration(self, small_phantom):
         img, st, _ = small_phantom
@@ -684,6 +746,11 @@ class TestRegConfig:
             pr.RegConfig(levels=0)
         with pytest.raises(ValidationError):
             pr.RegConfig(lambda_smooth=-1.0)
+        # the window rule's relative change could never fall below it
+        for tol in (-1.0, -1e300):
+            with pytest.raises(ValidationError, match="convergence_tol must be >= 0"):
+                pr.RegConfig(convergence_tol=tol)
+        pr.RegConfig(convergence_tol=0.0)
         # rigid_align runs at most two stages, so a third budget is refused
         for kwargs in ({"rigid_iterations": (-1,)}, {"rigid_iterations": (2, 1, 30)},
                        {"iterations": (40, 1.5)}):

@@ -341,6 +341,8 @@ def test_config_probes_keep_the_exit_code_contract(register_inputs, data):
     # so does a level at convergence_tol 0
     ({"iterations": [2, 10_001], "convergence_tol": 0.0},
      "iteration counts must lie in [0, 10000]"),
+    # a level's window rule could never meet it, so every level ran its budget
+    ({"convergence_tol": -1}, "convergence_tol must be >= 0"),
     # 2 * sigma_mm**2 underflows to 0, and 0 / 0 gave a NaN proximity
     ({"prior_params": {"sigma_mm": 1e-300}}, "sigma_mm must be > 0 with a square > 0"),
     # sigma_mm**2 raised OverflowError (exit 3); a band_mm past float32 and
@@ -349,8 +351,8 @@ def test_config_probes_keep_the_exit_code_contract(register_inputs, data):
     ({"prior_params": {"band_mm": 1e300}}, None),
     ({"prior_params": {"gate_steepness": -1e300}}, None),
     ({"prior_params": {"gate_steepness": 1e300, "gate_center": -1e300}}, None),
-], ids=["base", "endless-rigid-budget", "level-budget", "tiny-sigma", "huge-sigma",
-        "huge-band", "steep-gate", "far-gate"])
+], ids=["base", "endless-rigid-budget", "level-budget", "negative-tol", "tiny-sigma",
+        "huge-sigma", "huge-band", "steep-gate", "far-gate"])
 def test_config_point_probes(register_inputs, tmp_path, capsys, change, refused):
     (tmp_path / "cfg.json").write_text(json.dumps({**TINY_CONFIG, **change}))
     rc = cli(register_inputs + ["--config", str(tmp_path / "cfg.json"),

@@ -271,7 +271,10 @@ class TestSupportSampling:
             total, grad = obj.evaluate(u)
             want_total, want_grad = ref.evaluate(u)
             assert total == want_total
-            assert grad.tobytes() == want_grad.tobytes()
+            # the reference holds float32 values in float64; evaluate
+            # returns them as float32
+            assert grad.dtype == np.float32
+            assert grad.tobytes() == want_grad.astype(np.float32).tobytes()
             lb = obj.loss(u)
             assert lb.ncc == ref.loss_ncc(u)
             assert lb.total == total
@@ -300,6 +303,15 @@ class TestSupportSampling:
         obj = Objective(a, b, mask, 0.2, prior)
         assert obj.on_support(coords).shape == (3, int((mask.data > 0).sum()))
 
+    @pytest.mark.parametrize("case", SUPPORT_CASES)
+    def test_objective_keeps_the_support_coordinates_alone(self, rng, case):
+        a, b = random_volume(rng, (10, 10, 10)), random_volume(rng, (10, 10, 10))
+        mask, prior = _support_case(rng, case)
+        obj = Objective(a, b, mask, 0.2, prior)
+        ident = np.indices((10, 10, 10), dtype=np.float64).reshape(3, -1)
+        want = ident[:, similarity._weights(mask, prior).reshape(-1) > 0]
+        assert obj._ident.tobytes() == want.tobytes()
+
     def test_lambda_0_gradient_differs_at_most_in_signed_zeros_off_the_support(self, rng):
         # at lambda 0 the smoothness term leaves -0.0 entries, and off the
         # support the full grid subtracts 0 * gradient of moving, whose sign
@@ -309,9 +321,9 @@ class TestSupportSampling:
         obj = Objective(a, b, mask, 0.0, prior)
         u = rng.normal(0.0, 1.5, size=(3, 10, 10, 10))
         grad = obj.evaluate(u)[1]
-        want = _FullGrid(a, b, mask, 0.0, prior).evaluate(u)[1]
+        want = _FullGrid(a, b, mask, 0.0, prior).evaluate(u)[1].astype(np.float32)
         assert np.array_equal(grad, want)
-        differs = grad.view(np.int64) != want.view(np.int64)
+        differs = grad.view(np.int32) != want.view(np.int32)
         assert not np.any(differs & (mask.data[None] > 0)) and np.all(grad[differs] == 0)
 
 @pytest.mark.parametrize("which", ["moving", "mask", "weights", "fld"])
