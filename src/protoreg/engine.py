@@ -78,9 +78,9 @@ class RigidTransform:
 # largest default budget (150). A rigid stage always runs its whole budget, as
 # a level does at convergence_tol 0, so a budget such as 2**62 would never
 # end. Each iteration evaluates the objective at least once, whose measured
-# median with a body mask is 40-52 ms at 64^3 and 0.43 s at 128^3
-# (BENCH_support_sampling.json): 10000 iterations of a 128^3 level take over
-# 70 minutes
+# warm median with a body mask on a 2-vCPU host is 22-23 ms at 64^3 and
+# 0.20-0.22 s at 128^3 (BENCH_level_workspace.json): 10000 iterations of a
+# 128^3 level take over half an hour
 MAX_ITERATIONS = 10_000
 
 
@@ -208,11 +208,20 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     relative, over LEVEL_WINDOW iterations (tol 0 never stops early).
 
     The descent runs in x's dtype: with x, the gradients and scale float32,
-    so are the moments, the step and every trial; x itself is never written
-    to. Every other scalar in the step must be a Python float: under
-    numpy 2's promotion rules (NEP 50) a numpy float64 scalar would promote
-    the float32 arrays to float64. The rigid stages pass float64
-    parameters and a float64 lr array, and descend in float64.
+    so are the moments, the step and every trial. Every other scalar in the
+    step must be a Python float: under numpy 2's promotion rules (NEP 50) a
+    numpy float64 scalar would promote the float32 arrays to float64. The
+    rigid stages pass float64 parameters and a float64 lr array, and
+    descend in float64.
+
+    Buffers: the iterate, the trial, the two moments and the step are five
+    arrays shaped as x, allocated once per descent and updated in place,
+    each element by the same operations in the same order as the plain
+    formulas, so the bits are theirs; the trial's buffer also holds the
+    step's intermediates. x itself is copied, never written to. A taken
+    trial swaps buffers with the iterate, so evaluate must keep no
+    reference to the array it is given, and the gradient it returns, which
+    is kept across rejected trials, must be an array no later call writes.
 
     Returns (x, trajectory, counters). The counters are deterministic:
     stop_reason ("converged" by the window rule, or "iteration_cap"); the
@@ -228,16 +237,26 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     start, streak = 0, 0
     stop_reason = "iteration_cap"
     beta1, beta2 = 0.9, 0.999
-    m1 = np.zeros_like(x)
-    m2 = np.zeros_like(x)
+    x = x.copy()
+    cand, step = np.empty_like(x), np.empty_like(x)
+    m1, m2 = np.zeros_like(x), np.zeros_like(x)
     for it in range(iterations):
-        m1 = beta1 * m1 + (1.0 - beta1) * g
-        m2 = beta2 * m2 + (1.0 - beta2) * g * g
-        step = (lr * (m1 / (1.0 - beta1 ** (it + 1)))
-                / (np.sqrt(m2 / (1.0 - beta2 ** (it + 1))) + eps) * scale)
+        # m1 = beta1 * m1 + (1 - beta1) * g;  m2 = beta2 * m2 + (1 - beta2) * g * g
+        m1 *= beta1
+        m1 += np.multiply(g, 1.0 - beta1, out=cand)
+        m2 *= beta2
+        # (in g's dtype, as the plain formula forms it, even when x's differs)
+        m2 += np.multiply(np.multiply(g, 1.0 - beta2, out=cand), g, out=cand, dtype=g.dtype)
+        # step = lr * (m1 / c1) / (sqrt(m2 / c2) + eps) * scale
+        np.divide(m1, 1.0 - beta1 ** (it + 1), out=step)
+        step *= lr
+        np.sqrt(np.divide(m2, 1.0 - beta2 ** (it + 1), out=cand), out=cand)
+        cand += eps
+        step /= cand
+        step *= scale
         taken = None
         for k in range(start, len(STEP_FACTORS)):
-            cand = x - STEP_FACTORS[k] * step
+            np.subtract(x, np.multiply(step, STEP_FACTORS[k], out=cand), out=cand)
             val, cand_g = evaluate(cand)
             evaluations += 1
             if math.isfinite(val) and val <= cur:
@@ -248,7 +267,7 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
             rejected += 1
             streak = 0
         else:
-            x, cur, g = cand, val, cand_g
+            x, cand, cur, g = cand, x, val, cand_g
             accepted[taken] += 1
             if taken == start:
                 streak += 1
@@ -304,15 +323,19 @@ def _rigid_mapping(moving: Volume, like: Volume | DisplacementField, center,
     coordinates in moving of T(x) = R (x - c) + c + t over like's voxel
     centers, each first displaced by u(x) (voxels of like's grid) when u
     is given. Given support (Objective.support: flat indices of k voxels,
-    or a slice), the map covers those alone, as a (3, k, 1, 1) array, and
-    takes no u. The grid is built once per (moving, like) pair."""
+    or a slice), both cover those alone: the centers as a (3, k) array and
+    the map as a (3, k, 1, 1) one, which takes no u. The grid is built
+    once per (moving, like) pair."""
     def col(v):
         return np.asarray(v, dtype=np.float64).reshape(3, 1, 1, 1)
     c = col(center)
     rel = np.indices(like.dims, dtype=np.float64) * col(like.spacing) + col(like.origin) - c
-    # 4-D and contiguous, as rel is: einsum then sums each point's three
-    # terms as it does over the whole grid, so the bits are the same
-    pts = rel if support is None else _cut(rel, support)[..., None, None]
+    if support is not None:
+        rel = _cut(rel, support)
+    # 4-D and contiguous, as the whole grid's rel is: einsum then sums each
+    # point's three terms as it does over the whole grid, so the bits are
+    # the same
+    pts = rel if support is None else rel[..., None, None]
     m_origin, m_spacing = col(moving.origin), col(moving.spacing)
 
     def voxels(R, t, u=None):
@@ -344,19 +367,21 @@ def _rigid_evaluator(obj: Objective, center):
     support alone; R is built from the angles wrapped to
     (-pi, pi], as RigidTransform stores them. The gradient chains
     dL/dT(x) through T: per mm, dL/dt is the voxel sum of dL/dT(x) and
-    dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>."""
+    dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>, both over the support's
+    k voxels, where dL/dT(x) lives in one kept (3, k) buffer."""
     rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center, obj.support)
-    spacing = np.array(obj.moving.spacing).reshape(3, 1, 1, 1)
+    spacing = np.array(obj.moving.spacing).reshape(3, 1)
+    g = np.empty_like(rel)
 
     def evaluate(p):
         Rx, Ry, Rz = _axis_rotations([_wrap_angle(float(a)) for a in p[:3]])
-        g = np.zeros_like(rel)
+        g.fill(0.0)
         total = obj.ncc_at(voxels(Rz @ Ry @ Rx, p[3:]), g)
-        g /= spacing
-        moments = np.einsum("axyz,bxyz->ab", g, rel)
+        np.divide(g, spacing, out=g)
+        moments = np.einsum("ak,bk->ab", g, rel)
         d_rot = [float((dR * moments).sum()) for dR in
                  (Rz @ Ry @ _KX @ Rx, Rz @ _KY @ Ry @ Rx, _KZ @ Rz @ Ry @ Rx)]
-        return total, np.array(d_rot + [float(v) for v in g.sum(axis=(1, 2, 3))])
+        return total, np.array(d_rot + [float(v) for v in g.sum(axis=1)])
     return evaluate
 
 
@@ -484,21 +509,23 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
             flags.append(f"mask_degenerate_at_level_{li + 1}")
         up = upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)
         obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=prior_levels[li])
-        # up.data as it is: _descend never writes into its start
+        # up.data as it is: _descend copies its start
         x, trajectory, counters = _descend(
             obj.evaluate, up.data, LEVEL_STEP,
             config.iterations[min(step, len(config.iterations) - 1)],
             LEVEL_EPS, config.convergence_tol, scale=gate_levels[li])
         # the last accepted trial, the float32 field evaluate scored
         phi = up.with_data(x)
+        if li == 0:
+            # the finest level's objective, with the mask that level ran on
+            final = obj.loss(x)
+        del obj         # and with it the level's buffers
         level_reports.append(LevelReport(
             level=li + 1, dims=f_l.dims, iterations_used=len(trajectory) - 1,
             initial_loss=trajectory[0], final_loss=trajectory[-1],
             trajectory=tuple(trajectory),
             wall_time_s=time.perf_counter() - t0, **counters))
 
-    # the finest level's objective, with the mask that level ran on
-    final = obj.loss(phi.data)
     if final.degenerate:
         flags.append("degenerate_variance")
     return phi, RegReport(levels=tuple(level_reports), final=final,

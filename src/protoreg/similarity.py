@@ -8,6 +8,7 @@ reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,25 +42,49 @@ def _weights(mask: Volume, prior: Volume | None) -> np.ndarray:
     return w
 
 
+def _support(w: np.ndarray):
+    """The voxels whose weight in w is > 0: slice(None) when that is every
+    voxel (no body mask), so that a cut is a view and nothing gathers, else
+    their flat indices."""
+    return slice(None) if np.all(w > 0) else np.flatnonzero(w)
+
+
+def _cut(arr: np.ndarray, support, out=None) -> np.ndarray:
+    """arr, a grid (nx, ny, nz) or a (3, nx, ny, nz) array over one, cut
+    to support's k voxels: a (k,) or (3, k) array, contiguous when arr is.
+    A view when support is a slice (every voxel), else a gather along the
+    voxel axis, which np.take does faster than fancy indexing, into out
+    when it is given."""
+    flat = arr.reshape(arr.shape[:-3] + (-1,))
+    if isinstance(support, slice):
+        return flat[..., support]
+    return np.take(flat, support, axis=-1, out=out)
+
+
 def _fixed_side(a: np.ndarray, w: np.ndarray):
-    """The fixed image's share of the weighted NCC: the weight sum, the
-    centred image A and its weighted square sum s_aa."""
+    """The fixed image's share of the weighted NCC, from its values a and
+    the weights w on the support: the weight sum, the centred image A,
+    w * A and the weighted square sum s_aa."""
     wsum = w.sum()
     A = a - (w * a).sum() / wsum
-    return wsum, A, (w * A * A).sum()
+    wA = w * A
+    return wsum, A, wA, (wA * A).sum()
 
 
-def _ncc_core(fixed_side, b: np.ndarray, w: np.ndarray):
-    """Weighted global NCC of b against the fixed side, plus the
-    intermediates its gradient needs."""
-    wsum, A, s_aa = fixed_side
-    B = b - (w * b).sum() / wsum
-    s_ab = (w * A * B).sum()
-    s_bb = (w * B * B).sum()
+def _ncc_core(fixed_side, b: np.ndarray, w: np.ndarray, t: np.ndarray):
+    """Weighted global NCC of moving's values b on the support against the
+    fixed side: (ncc, degenerate, s_ab, s_bb), with ncc 0 when a variance
+    degenerates. b is centred in place, into the B its gradient needs, and
+    t, shaped as b, is scratch. Each sum is the one of the whole grid's
+    formula (w * A * B).sum() and so on, taken over the k support voxels
+    alone."""
+    wsum, _, wA, s_aa = fixed_side
+    b -= np.multiply(w, b, out=t).sum() / wsum
+    s_ab = np.multiply(wA, b, out=t).sum()
+    s_bb = np.multiply(np.multiply(w, b, out=t), b, out=t).sum()
     if s_aa < VAR_EPS or s_bb < VAR_EPS:
-        return 0.0, True, (A, B, s_aa, s_bb, 0.0)
-    ncc = s_ab / np.sqrt(s_aa * s_bb)
-    return float(ncc), False, (A, B, s_aa, s_bb, s_ab)
+        return 0.0, True, s_ab, s_bb
+    return float(s_ab / np.sqrt(s_aa * s_bb)), False, s_ab, s_bb
 
 
 def masked_ncc(fixed: Volume, warped: Volume, mask: Volume,
@@ -69,26 +94,51 @@ def masked_ncc(fixed: Volume, warped: Volume, mask: Volume,
     if not same_grid(fixed, warped, mask, weights):
         raise ValidationError("fixed, warped, mask and weights grids differ")
     w = _weights(mask, weights)
-    ncc, _, _ = _ncc_core(_fixed_side(fixed.data.astype(np.float64), w),
-                          warped.data.astype(np.float64), w)
-    return ncc
+    support = _support(w)
+    w = _cut(w, support)
+    b = _cut(warped.data, support).astype(np.float64)
+    fixed_side = _fixed_side(_cut(fixed.data, support).astype(np.float64), w)
+    return _ncc_core(fixed_side, b, w, np.empty_like(b))[0]
+
+
+class _Smoothness:
+    """S(u) and its adjoint on the fields of one grid, through buffers kept
+    between calls: one axis's differences and the float64 adjoint."""
+
+    def __init__(self, dims):
+        self._n = float(math.prod(dims))
+        self._d = np.empty(math.prod(dims))
+        self._grad = np.empty((3,) + tuple(dims))
+
+    def __call__(self, u: np.ndarray, want_grad: bool = False):
+        """S(u) of a (3, nx, ny, nz) field u of any float dtype and, when
+        asked, its adjoint 2/N * (D^T D) u (else None), from one pass over
+        the nine forward differences, each taken and summed in float64.
+        The adjoint is the kept buffer, which the next call overwrites."""
+        total = 0.0
+        grad = self._grad if want_grad else None
+        if want_grad:
+            grad.fill(0.0)
+        for c in range(3):
+            for ax in range(3):
+                lead = (slice(None),) * ax
+                lo, hi = lead + (slice(0, -1),), lead + (slice(1, None),)
+                shape = u[c][lo].shape
+                d = self._d[:math.prod(shape)].reshape(shape)
+                # np.diff's subtraction, in float64 even for a float32 u
+                np.subtract(u[c][hi], u[c][lo], out=d, dtype=np.float64)
+                if want_grad:
+                    grad[c][lo] -= d
+                    grad[c][hi] += d
+                total += float(np.multiply(d, d, out=d).sum())
+        if want_grad:
+            grad *= 2.0 / self._n
+        return total / self._n, grad
 
 
 def _smoothness(u: np.ndarray, want_grad: bool = False):
-    """S(u) and, when asked, its adjoint 2/N * (D^T D) u (else None), from
-    one pass over the nine forward differences."""
-    n = float(np.prod(u.shape[1:]))
-    total = 0.0
-    grad = np.zeros_like(u) if want_grad else None
-    for c in range(3):
-        for ax in range(3):
-            d = np.diff(u[c], axis=ax)
-            total += float((d * d).sum())
-            if want_grad:
-                lead = (slice(None),) * ax
-                grad[c][lead + (slice(0, -1),)] -= d
-                grad[c][lead + (slice(1, None),)] += d
-    return total / n, None if grad is None else (2.0 / n) * grad
+    """S(u) and, when asked, its adjoint (see _Smoothness), in new buffers."""
+    return _Smoothness(u.shape[1:])(u, want_grad)
 
 
 def smoothness(fld: DisplacementField) -> float:
@@ -96,104 +146,102 @@ def smoothness(fld: DisplacementField) -> float:
     three components along all three axes (voxel units)."""
     if min(fld.dims) < 2:
         raise ValidationError("smoothness needs at least 2 voxels per axis")
-    return _smoothness(fld.data.astype(np.float64))[0]
-
-
-def _cut(coords: np.ndarray, support) -> np.ndarray:
-    """(3, nx, ny, nz) coordinates cut to support's k voxels, a (3, k)
-    array, contiguous when coords is: a view when support is a slice (every
-    voxel), else a gather along the voxel axis, which np.take does faster
-    than 2-D fancy indexing."""
-    flat = coords.reshape(3, -1)
-    if isinstance(support, slice):
-        return flat[:, support]
-    return np.take(flat, support, axis=1)
+    return _smoothness(fld.data)[0]
 
 
 class Objective:
     """L(u) = -NCC_w(fixed, moving warped by u) + lambda * S(u) on one grid.
 
     Built once per grid: the constructor checks the inputs and keeps the
-    weights, the fixed image's share of the NCC, the support's identity
-    coordinates and one sampler of the moving image, so each trial pays
-    only for its sampling and the moving-side sums, and every trial samples
-    through the same chunk buffers. A trial field u, a (3, nx, ny, nz)
-    array in voxel units, is scored at x + u after rounding to float32, the
-    precision a DisplacementField stores; the coordinates, the sampling and
-    every sum run in float64.
+    weights, the fixed image's share of the NCC and the support's identity
+    coordinates, one sampler of the moving image and the buffers every
+    trial writes into, so each trial pays only for its sampling, the
+    moving-side sums and the smoothness pass. A trial field u, a
+    (3, nx, ny, nz) array in voxel units, is scored at x + u after rounding
+    to float32, the precision a DisplacementField stores; the coordinates,
+    the sampling and every sum run in float64.
 
-    Moving is sampled only on the support, the voxels whose NCC weight is
-    > 0; support holds their flat indices (slice(None) when that is every
-    voxel), and on_support cuts any (3, nx, ny, nz) coordinates to theirs:
-    a trial adds u's support entries to the support's x. Off the support
-    the sampled value and its gradient are 0, where they would only meet a
-    weight of 0, and every sum still runs over the whole grid in the same
-    order, so the loss and the fields it steps keep the bits of sampling
-    every voxel. (At lambda 0 a gradient entry off the support may be -0.0
-    where the whole grid gave +0.0, or the reverse.)
+    The NCC lives on the support alone, the k voxels whose weight is > 0:
+    support holds their flat indices (slice(None) when that is every voxel,
+    so nothing gathers), and on_support cuts any (3, nx, ny, nz)
+    coordinates to theirs. The weights, the fixed side and moving's sampled
+    values are k-vectors, every NCC sum runs over them, and the NCC
+    gradient is scattered into the grid's once per component; off the
+    support the gradient is the smoothness term's alone. Sums over the
+    whole grid, where the other weights are 0, may differ in the last bits
+    (on 200 random 10^3 cases: the loss not at all, the NCC gradient by at
+    most 5.9e-16 of its largest entry; BENCH_level_workspace.json).
+
+    Buffers: the k-vectors and a float64 adjoint the size of the field are
+    reused by every call, so a warm evaluate allocates only the float32
+    gradient it returns, which no later call writes. The objective is not
+    safe for two calls at once.
     """
 
     def __init__(self, fixed: Volume, moving: Volume, mask: Volume,
                  lambda_smooth: float = 0.2, weights: Volume | None = None):
         if not same_grid(fixed, moving, mask, weights):
             raise ValidationError("fixed, moving, mask and weights grids differ")
-        self._w = _weights(mask, weights)
+        w = _weights(mask, weights)
         if min(fixed.dims) < 2:
             raise ValidationError("smoothness needs at least 2 voxels per axis")
         self.fixed, self.moving = fixed, moving
         self.lambda_smooth = float(lambda_smooth)
-        self._fixed = _fixed_side(fixed.data.astype(np.float64), self._w)
+        self.support = _support(w)
+        self._w = _cut(w, self.support)
+        self._fixed = _fixed_side(_cut(fixed.data, self.support).astype(np.float64), self._w)
         self._sample = _Sampler(moving.data)
         self._masked_voxels = int((mask.data > 0).sum())
-        # every voxel as a slice when every weight is > 0 (no body mask): the
-        # cut is then a view and the scatter a plain copy, where indices
-        # would gather and scatter the whole grid
-        self.support = slice(None) if np.all(self._w > 0) else np.flatnonzero(self._w)
         # the support's voxel centers x, (3, k)
         self._ident = self.on_support(np.indices(fixed.dims, dtype=np.float64))
-        # moving's value and d/dx, d/dy, d/dz, written on the support
-        # alone, so 0 everywhere else
-        self._sampled = np.zeros((4,) + fixed.dims)
+        k = self._w.size
+        # moving's value and d/dx, d/dy, d/dz on the support, then scratch
+        self._ncc = np.empty((5, k))
+        # a trial's x + u on the support, and u's support entries gathered
+        self._pts = np.empty((3, k))
+        self._u_cut = np.empty((3, k), dtype=np.float32)
+        self._smooth = _Smoothness(fixed.dims)
 
     def on_support(self, coords: np.ndarray) -> np.ndarray:
         """(3, nx, ny, nz) coordinates cut to the support's, a (3, k) array
         in support's order (see _cut)."""
         return _cut(coords, self.support)
 
-    def _sampled_at(self, points: np.ndarray, want_grad: bool = False):
-        """moving sampled at points, the support's coordinates, on fixed's
-        grid and 0 off the support: the value, or it and its three
-        derivatives."""
-        got = self._sample(points, want_grad)
-        out = self._sampled[:4 if want_grad else 1]
-        for o, v in zip(out, got if want_grad else (got,)):
-            o.reshape(-1)[self.support] = v.reshape(-1)
-        return tuple(out) if want_grad else out[0]
-
     def ncc_at(self, points: np.ndarray, grad: np.ndarray) -> float:
         """-NCC_w of moving sampled at points, a (3, k, ...) array of the
         voxel coordinates in moving of the support's k voxels in support's
         order (on_support cuts them from the whole grid's); adds its gradient
-        with respect to each voxel's coordinates into grad, a
-        (3, nx, ny, nz) array, where it is 0 off the support. Sampling is
-        float64, so the finite-difference gradient check is not drowned by
-        float32 rounding of the sampled intensities."""
-        b, gx, gy, gz = self._sampled_at(points, want_grad=True)
-        ncc, degenerate, (A, B, s_aa, s_bb, s_ab) = _ncc_core(self._fixed, b, self._w)
+        with respect to each voxel's coordinates into grad, either a (3, k)
+        array on the support or a C-contiguous (3, nx, ny, nz) one on fixed's
+        grid, which is left as it is off the support. Sampling is float64,
+        so the finite-difference gradient check is not drowned by float32
+        rounding of the sampled intensities."""
+        b, gx, gy, gz, t = self._ncc
+        self._sample(points, True, out=self._ncc)
+        ncc, degenerate, s_ab, s_bb = _ncc_core(self._fixed, b, self._w, t)
         if not degenerate:
-            # d(NCC)/d b_j = w_j * (A_j - NCC * sqrt(Saa/Sbb) * B_j) / sqrt(Saa*Sbb)
-            dncc_db = self._w * (A - (s_ab / s_bb) * B) / np.sqrt(s_aa * s_bb)
-            grad[0] -= dncc_db * gx
-            grad[1] -= dncc_db * gy
-            grad[2] -= dncc_db * gz
+            _, A, _, s_aa = self._fixed
+            # d(NCC)/d b_j = w_j * (A_j - (s_ab / s_bb) * B_j) / sqrt(s_aa * s_bb)
+            np.subtract(A, np.multiply(b, s_ab / s_bb, out=t), out=t)
+            t *= self._w
+            t /= np.sqrt(s_aa * s_bb)
+            flat = grad.reshape(3, -1)
+            for row, d in zip(flat, (gx, gy, gz)):
+                d *= t
+                if flat.shape[1] == d.size:
+                    row -= d
+                else:       # scatter through b, which is free now
+                    row[self.support] = np.subtract(
+                        np.take(row, self.support, out=b), d, out=b)
         return -ncc
 
     def loss(self, u: np.ndarray) -> LossBreakdown:
         """The loss of trial field u; smoothness is S(u) even at lambda 0."""
-        u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        smooth, _ = _smoothness(u)
-        b = self._sampled_at(self._coords(u))
-        ncc, degenerate, _ = _ncc_core(self._fixed, b, self._w)
+        u = np.asarray(u, dtype=np.float32)
+        smooth, _ = self._smooth(u)
+        b, t = self._ncc[0], self._ncc[4]
+        self._sample(self._coords(u), out=self._ncc)
+        ncc, degenerate, _, _ = _ncc_core(self._fixed, b, self._w, t)
         return LossBreakdown(ncc=ncc, smoothness=smooth,
                              lambda_smooth=self.lambda_smooth,
                              total=-ncc + self.lambda_smooth * smooth,
@@ -201,21 +249,19 @@ class Objective:
                              degenerate=degenerate)
 
     def _coords(self, u: np.ndarray) -> np.ndarray:
-        """The support's coordinates x + u, (3, k), for u the caller's own
-        float64 copy, which it may overwrite: with every voxel in the
-        support they are written into u in place."""
-        pts = self.on_support(u)
-        return np.add(pts, self._ident, out=pts)
+        """The support's coordinates x + u, (3, k), for a float32 u, in the
+        buffer the next call overwrites."""
+        return np.add(_cut(u, self.support, self._u_cut), self._ident, out=self._pts)
 
     def evaluate(self, u: np.ndarray):
         """(loss(u).total, dL/du) from one warp: ncc_at at x + u plus the
         exact adjoint of the forward-difference energy, so the
         finite-difference check holds by construction. Both terms are
-        summed in float64; the gradient is returned as float32, the
-        precision of the field it steps."""
-        u = np.asarray(u, dtype=np.float32).astype(np.float64)
-        smooth, grad = _smoothness(u, True)
-        grad = self.lambda_smooth * grad
+        summed in float64; the gradient is returned as a new float32 array,
+        the precision of the field it steps."""
+        u = np.asarray(u, dtype=np.float32)
+        smooth, grad = self._smooth(u, True)
+        grad *= self.lambda_smooth
         neg_ncc = self.ncc_at(self._coords(u), grad)
         return neg_ncc + self.lambda_smooth * smooth, grad.astype(np.float32)
 

@@ -146,17 +146,23 @@ class _Sampler:
         self._real = np.empty((9, self._size))
         self._index = np.empty((8, self._size), dtype=np.int64)
 
-    def __call__(self, coords, want_grad: bool = False):
+    def __call__(self, coords, want_grad: bool = False, out=None):
         """The array sampled at coords, a (3, ...) array of voxel
         coordinates: the value, or (value, dv/dx, dv/dy, dv/dz) when
         want_grad is set, each of shape coords.shape[1:]; derivatives are
-        with respect to the continuous voxel coordinate. The points are
-        sampled in chunks of the buffers' size; each point's arithmetic
-        does not depend on the chunking, so neither do the output bits.
+        with respect to the continuous voxel coordinate. They are written
+        into the rows of out when it is given, a float64 array of at least
+        4 (1 without want_grad) rows of one entry per point, else into new
+        arrays. The points are sampled in chunks of the buffers' size;
+        each point's arithmetic does not depend on the chunking, so neither
+        do the output bits.
         """
         coords = np.asarray(coords, dtype=np.float64)
         flat = coords.reshape(3, -1)
-        outs = [np.zeros(flat.shape[1]) for _ in range(4 if want_grad else 1)]
+        rows = 4 if want_grad else 1
+        outs = [np.empty(flat.shape[1]) for _ in range(rows)] if out is None else list(out[:rows])
+        for o in outs:
+            o.fill(0.0)
         for s in range(0, flat.shape[1], self._size):
             part = slice(s, s + self._size)
             val, *grad = (o[part] for o in outs)

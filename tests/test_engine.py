@@ -225,7 +225,8 @@ class TestRigidObjective:
     @pytest.mark.parametrize("n", [16, 32])
     def test_loss_is_ncc_at_rigid_coordinates(self, rigid_levels, n):
         # a trial is scored where T maps each voxel, with nothing rounded
-        # to float32 on the way, so the loss matches bit for bit
+        # to float32 on the way, so the loss matches the NCC core's on the
+        # support bit for bit
         center, levels = rigid_levels
         fixed, moving, mask = levels[n]
         t = pr.RigidTransform(rotation=tuple(RIGID_PARAMS[:3]),
@@ -233,8 +234,11 @@ class TestRigidObjective:
         voxels = engine._rigid_mapping(moving, fixed, center)[-1]
         b = _Sampler(moving.data)(voxels(t.matrix(), t.translation))
         w = similarity._weights(mask, None)
-        ncc, degenerate, _ = similarity._ncc_core(
-            similarity._fixed_side(fixed.data.astype(np.float64), w), b, w)
+        support = similarity._support(w)
+        w, b = similarity._cut(w, support), similarity._cut(b, support)
+        fixed_side = similarity._fixed_side(
+            similarity._cut(fixed.data, support).astype(np.float64), w)
+        ncc, degenerate, _, _ = similarity._ncc_core(fixed_side, b, w, np.empty_like(b))
         assert not degenerate
         evaluate = engine._rigid_evaluator(
             pr.similarity.Objective(fixed, moving, mask, 0.0), center)
@@ -351,6 +355,20 @@ class TestDescend:
         assert x[0] <= 0.5
         assert all(math.isfinite(v) for v in traj)
         assert np.all(np.diff(traj) <= 0.0)
+
+    def test_start_is_never_written(self):
+        # the descent steps in buffers of its own and swaps trial and
+        # iterate; rejected trials (a loss of inf past x[0] = 0.5) run the
+        # same swap-free path
+        x0 = np.array([0.3, -0.7, 0.1, 0.9])
+        before = x0.copy()
+
+        def evaluate(x):
+            return (math.inf if x[0] > 0.5 else _bowl(x)), _bowl_evaluate(x)[1]
+        x, _, counters = engine._descend(evaluate, x0, 0.1, 30, 1e-8, 0.0)
+        assert x0.tobytes() == before.tobytes()
+        assert not np.shares_memory(x, x0) and not np.array_equal(x, x0)
+        assert counters["evaluations"] > 31
 
     def test_non_finite_initial_loss_raises(self):
         with pytest.raises(ValidationError, match="non-finite"):

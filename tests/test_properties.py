@@ -17,7 +17,8 @@ from protoreg.volgrid import _Sampler
 
 import oracles
 
-SETTINGS = settings(max_examples=30, deadline=None)
+# derandomized, so every tier-1 run draws the same examples
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
 finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 small_dims = st.tuples(*[st.integers(1, 6)] * 3)
@@ -72,7 +73,7 @@ def header_mutations(draw):
     return draw(st.lists(st.tuples(keys, values), min_size=1, max_size=3))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(obj=st.one_of(grids(), grids(field=True)), mutation=header_mutations())
 def test_read_volume_rejects_mutated_headers_cleanly(obj, mutation):
     kind = "field" if isinstance(obj, pr.DisplacementField) else "image"
@@ -141,7 +142,7 @@ def sample_points(draw, dims, count):
     return tuple(np.array(axis(n)) for n in dims)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(dims=st.tuples(*[st.integers(1, 7)] * 3), count=st.integers(1, 24),
        want_grad=st.booleans(), data=st.data())
 def test_sampler_is_bit_identical_to_masked_gather(dims, count, want_grad, data):
@@ -162,21 +163,24 @@ def _assert_same_bits(got, want, want_grad):
 shapes = st.lists(st.integers(1, 4), min_size=2, max_size=3).map(tuple)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(dims=st.tuples(*[st.integers(1, 7)] * 3), chunk=st.integers(1, 7),
-       shapes=st.tuples(shapes, shapes), want_grad=st.booleans(), data=st.data())
-def test_sampler_bits_do_not_depend_on_chunking(dims, chunk, shapes, want_grad, data):
+       shapes=st.tuples(shapes, shapes), want_grad=st.booleans(), into=st.booleans(),
+       data=st.data())
+def test_sampler_bits_do_not_depend_on_chunking(dims, chunk, shapes, want_grad, into, data):
     # a chunk of a few points splits a multi-axis set of coordinates into
     # many chunks and a ragged last one; a second, separately drawn set
     # goes through the same sampler, so nothing may carry over between
-    # calls
+    # calls, nor through one output buffer that starts as NaN
     arr = data.draw(arrays(np.float32, dims, elements=st.floats(-1e6, 1e6, width=32)))
     with mock.patch.object(volgrid, "_CHUNK", chunk):
         sample = _Sampler(arr)
+    out = np.full((4, 4 ** 3), np.nan)
     for shape in shapes:
         coords = np.stack(data.draw(sample_points(dims, math.prod(shape)))).reshape(
             (3,) + shape)
-        got = sample(coords, want_grad=want_grad)
+        got = sample(coords, want_grad=want_grad,
+                     out=out[:, :math.prod(shape)] if into else None)
         want = oracles.trilinear_arrays(arr, *coords, want_grad=want_grad)
         _assert_same_bits(got, want, want_grad)
 
@@ -240,7 +244,7 @@ BUILDS = {
 }
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=st.data(), what=st.sampled_from(sorted(BUILDS)))
 def test_config_builds_hold_only_finite_numbers(data, what):
     # objects are only built, never run: a drawn dims could ask for terabytes
