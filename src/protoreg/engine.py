@@ -25,8 +25,8 @@ from .priors import (PriorParams, StructureSet, _check_binary, anatomy_map, fuse
 # because bench/tracing.py looks them up, until the tracer wraps Objective's
 # methods instead
 from .similarity import LossBreakdown, Objective, _cut, loss_gradient, total_loss
-from .volgrid import (DisplacementField, Volume, _Sampler, build_pyramid, same_grid,
-                      upsample_field, warp, zero_field)
+from .volgrid import (DisplacementField, Volume, _Sampler, _slab_planes, build_pyramid,
+                      jacobian_det, same_grid, upsample_field, warp, zero_field)
 
 
 def _wrap_angle(a: float) -> float:
@@ -158,6 +158,9 @@ class RegReport:
     levels: tuple
     final: LossBreakdown
     fold_fraction_pct: float
+    # the foreground voxels (the body, or every voxel without structures)
+    # whose jacobian_det is <= 0, the border included
+    folded_voxels: int
     flags: tuple = ()
 
     def to_dict(self) -> dict:
@@ -172,6 +175,7 @@ class RegReport:
             "levels": levels,
             "final": asdict(self.final),
             "fold_fraction_pct": self.fold_fraction_pct,
+            "folded_voxels": self.folded_voxels,
             "flags": list(self.flags),
         }
 
@@ -317,19 +321,23 @@ def _physical_center(vol: Volume) -> tuple:
 
 
 def _rigid_mapping(moving: Volume, like: Volume | DisplacementField, center,
-                   support=None):
+                   support=None, planes=slice(None)):
     """like's voxel centers x relative to the rotation center c in mm,
-    (3, nx, ny, nz), and the map (R, t[, u]) -> continuous voxel
-    coordinates in moving of T(x) = R (x - c) + c + t over like's voxel
-    centers, each first displaced by u(x) (voxels of like's grid) when u
-    is given. Given support (Objective.support: flat indices of k voxels,
-    or a slice), both cover those alone: the centers as a (3, k) array and
-    the map as a (3, k, 1, 1) one, which takes no u. The grid is built
-    once per (moving, like) pair."""
+    (3, p, ny, nz) over its x-planes `planes` (all by default), and the map
+    (R, t[, u]) -> continuous voxel coordinates in moving of
+    T(x) = R (x - c) + c + t over those centers, each first displaced by
+    u(x) (voxels of like's grid, u over the same planes) when u is given.
+    Given support (Objective.support: flat indices of k voxels, or a
+    slice), both cover those alone: the centers as a (3, k) array and the
+    map as a (3, k, 1, 1) one, which takes no u. A center's bits do not
+    depend on the planes asked for."""
     def col(v):
         return np.asarray(v, dtype=np.float64).reshape(3, 1, 1, 1)
     c = col(center)
-    rel = np.indices(like.dims, dtype=np.float64) * col(like.spacing) + col(like.origin) - c
+    first, last, _ = planes.indices(like.dims[0])
+    index = np.indices((last - first,) + like.dims[1:], dtype=np.float64)
+    index[0] += first
+    rel = index * col(like.spacing) + col(like.origin) - c
     if support is not None:
         rel = _cut(rel, support)
     # 4-D and contiguous, as the whole grid's rel is: einsum then sums each
@@ -351,11 +359,20 @@ def resample_rigid(moving: Volume, like: Volume | DisplacementField,
     itself when like is a DisplacementField, the whole mapping of a field
     that register found after rigid_align's T, and zero when like is a
     Volume. The mapping is physical, so moving may lie on another grid
-    (say, unpadded)."""
-    u = like.data.astype(np.float64) if isinstance(like, DisplacementField) else None
-    _, voxels = _rigid_mapping(moving, like, t.center)
-    out = _Sampler(moving.data)(voxels(t.matrix(), t.translation, u))
-    return Volume(out.astype(np.float32), spacing=like.spacing, origin=like.origin)
+    (say, unpadded). It is mapped and sampled in blocks of x-planes of
+    about volgrid._CHUNK voxels (see _slab_planes), each through the one
+    sampler, with the bits of mapping the whole grid at once."""
+    sample = _Sampler(moving.data)
+    R = t.matrix()
+    out = np.empty(like.dims, dtype=np.float32)
+    step = _slab_planes(like.dims)
+    for first in range(0, like.dims[0], step):
+        planes = slice(first, first + step)
+        u = like.data[:, planes].astype(np.float64) \
+            if isinstance(like, DisplacementField) else None
+        _, voxels = _rigid_mapping(moving, like, t.center, planes=planes)
+        out[planes] = sample(voxels(R, t.translation, u))
+    return Volume(out, spacing=like.spacing, origin=like.origin)
 
 
 def _rigid_evaluator(obj: Objective, center):
@@ -465,6 +482,13 @@ def _build_fused_prior(config: RegConfig, structures: StructureSet | None,
     return fused
 
 
+def _folds(phi: DisplacementField, mask: Volume):
+    """(fold_fraction(phi), the voxels of mask > 0, border included, whose
+    jacobian_det is <= 0), from one determinant."""
+    det = jacobian_det(phi)
+    return fold_fraction(phi, det), int((det.data[mask.data > 0] <= 0).sum())
+
+
 def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
              structures: StructureSet | None = None, dose: Volume | None = None,
              embeddings=(), adapter_weights: AdapterWeights | None = None):
@@ -507,15 +531,16 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         f_l, m_l, k_l, degenerate = levels[li]
         if degenerate:
             flags.append(f"mask_degenerate_at_level_{li + 1}")
-        up = upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)
         obj = Objective(f_l, m_l, k_l, config.lambda_smooth, weights=prior_levels[li])
-        # up.data as it is: _descend copies its start
+        # the start is passed on unnamed, so that once _descend has copied
+        # it, nothing holds it; the upsampled grid is f_l's
         x, trajectory, counters = _descend(
-            obj.evaluate, up.data, LEVEL_STEP,
-            config.iterations[min(step, len(config.iterations) - 1)],
+            obj.evaluate,
+            (upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)).data,
+            LEVEL_STEP, config.iterations[min(step, len(config.iterations) - 1)],
             LEVEL_EPS, config.convergence_tol, scale=gate_levels[li])
         # the last accepted trial, the float32 field evaluate scored
-        phi = up.with_data(x)
+        phi = DisplacementField(x, spacing=f_l.spacing, origin=f_l.origin)
         if li == 0:
             # the finest level's objective, with the mask that level ran on
             final = obj.loss(x)
@@ -528,5 +553,7 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
 
     if final.degenerate:
         flags.append("degenerate_variance")
+    fold_pct, folded = _folds(phi, mask)
     return phi, RegReport(levels=tuple(level_reports), final=final,
-                          fold_fraction_pct=fold_fraction(phi), flags=tuple(flags))
+                          fold_fraction_pct=fold_pct, folded_voxels=folded,
+                          flags=tuple(flags))

@@ -113,9 +113,10 @@ def endpoint_error(fld: DisplacementField, truth: DisplacementField,
                          p95=float(np.percentile(err, 95)))
 
 
-def fold_fraction(fld: DisplacementField) -> float:
-    """Percentage of interior voxels with non-positive Jacobian determinant."""
-    det = jacobian_det(fld).data
+def fold_fraction(fld: DisplacementField, det: Volume | None = None) -> float:
+    """Percentage of interior voxels with non-positive Jacobian determinant;
+    det is jacobian_det(fld) when the caller has it already."""
+    det = (jacobian_det(fld) if det is None else det).data
     interior = det[1:-1, 1:-1, 1:-1]
     if interior.size == 0:
         interior = det

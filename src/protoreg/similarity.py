@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .volgrid import DisplacementField, Volume, _Sampler, same_grid
+from .volgrid import DisplacementField, Volume, _Sampler, _slab_planes, same_grid
 
 VAR_EPS = 1e-12
 
@@ -54,11 +54,12 @@ def _cut(arr: np.ndarray, support, out=None) -> np.ndarray:
     to support's k voxels: a (k,) or (3, k) array, contiguous when arr is.
     A view when support is a slice (every voxel), else a gather along the
     voxel axis, which np.take does faster than fancy indexing, into out
-    when it is given."""
+    when it is given (in mode "clip", for indices in range, np.take writes
+    straight into out rather than through a copy of it)."""
     flat = arr.reshape(arr.shape[:-3] + (-1,))
     if isinstance(support, slice):
         return flat[..., support]
-    return np.take(flat, support, axis=-1, out=out)
+    return np.take(flat, support, axis=-1, out=out, mode="clip")
 
 
 def _fixed_side(a: np.ndarray, w: np.ndarray):
@@ -102,43 +103,112 @@ def masked_ncc(fixed: Volume, warped: Volume, mask: Volume,
 
 
 class _Smoothness:
-    """S(u) and its adjoint on the fields of one grid, through buffers kept
-    between calls: one axis's differences and the float64 adjoint."""
+    """S(u) and lambda times its adjoint on the fields of one grid, a
+    component at a time over x-slabs of volgrid._slab_planes(dims) planes,
+    so that a slab's differences and adjoint stay in cache while it is
+    worked on: 8 planes at 64^3, 2 at 128^3, the whole grid at 32^3 and
+    below. The scratch is one slab's differences and, on a support of flat
+    indices, one slab's adjoint; nothing the size of the grid is kept.
 
-    def __init__(self, dims):
-        self._n = float(math.prod(dims))
-        self._d = np.empty(math.prod(dims))
-        self._grad = np.empty((3,) + tuple(dims))
+    Each element's adjoint takes its updates in the order of the whole
+    grid's pass (-d0[i], +d0[i-1], -d1[j], +d1[j-1], -d2[k], +d2[k-1],
+    starting from 0.0), then is scaled by 2/N and then by lambda, so its
+    bits do not depend on the slabs. The energy adds up each slab's sums
+    of squares, so on a grid of more than one slab it may differ from the
+    one-pass sum in the last bits (< 2e-15 relative); on one slab it is
+    that sum."""
 
-    def __call__(self, u: np.ndarray, want_grad: bool = False):
-        """S(u) of a (3, nx, ny, nz) field u of any float dtype and, when
-        asked, its adjoint 2/N * (D^T D) u (else None), from one pass over
-        the nine forward differences, each taken and summed in float64.
-        The adjoint is the kept buffer, which the next call overwrites."""
-        total = 0.0
-        grad = self._grad if want_grad else None
-        if want_grad:
-            grad.fill(0.0)
+    def __init__(self, dims, support=slice(None)):
+        nx, ny, nz = dims
+        self._plane = ny * nz
+        planes = min(_slab_planes(dims), nx)
+        self._n = float(nx * self._plane)
+        self._slabs = [(a, min(a + planes, nx)) for a in range(0, nx, planes)]
+        # axis 0's differences take one plane beyond the slab's
+        self._d = np.empty(min(planes + 1, nx) * self._plane)
+        self._support = support
+        if not isinstance(support, slice):
+            self._adj = np.empty((planes, ny, nz))
+            self._local = np.empty(planes * self._plane, dtype=np.intp)
+            # each slab's support voxels: a run of the sorted indices
+            self._runs = np.searchsorted(
+                support, [a * self._plane for a, _ in self._slabs] + [nx * self._plane])
+
+    def __call__(self, u: np.ndarray, out=None, rows=None, lam: float = 1.0) -> float:
+        """S(u) of a (3, nx, ny, nz) field u of any float dtype, each
+        difference taken and summed in float64. Given out, a C-contiguous
+        (3, nx, ny, nz) array of any float dtype, and rows, a (3, k) float64
+        array over the support, also lam * 2/N * (D^T D) u: unrounded into
+        rows, and rounded once into out off the support (nowhere, when the
+        support is every voxel), which is left to the caller on it."""
+        # numpy runs a strided operation on short rows, as most of a slab's
+        # are, through buffers of bufsize elements per operand, allocated
+        # by each call: 128 KiB for two float64 operands at the default
+        # 8192. 2048 keeps them at 32 KiB, and measured no slower at 32^3 to
+        # 128^3. errstate puts the default back on the way out.
+        with np.errstate():
+            np.setbufsize(2048)
+            return self._pass(u, out, rows, lam)
+
+    def _pass(self, u, out, rows, lam):
+        nx, ny, nz = u.shape[1:]
+        gather = not isinstance(self._support, slice)
+        parts = [0.0] * 9
         for c in range(3):
-            for ax in range(3):
-                lead = (slice(None),) * ax
-                lo, hi = lead + (slice(0, -1),), lead + (slice(1, None),)
-                shape = u[c][lo].shape
-                d = self._d[:math.prod(shape)].reshape(shape)
+            uc = u[c]
+            for i, (a, b) in enumerate(self._slabs):
+                adj = None if out is None else \
+                    self._adj[:b - a] if gather else rows[c].reshape(nx, ny, nz)[a:b]
+                # axis 0: the differences d0[lo .. hi-2], one before the
+                # slab's own d0[a .. e-1], which its energy sums
+                lo, hi, e = max(a - 1, 0), min(b + 1, nx), min(b, nx - 1)
+                d = self._d[:(hi - lo - 1) * self._plane].reshape(hi - lo - 1, ny, nz)
                 # np.diff's subtraction, in float64 even for a float32 u
-                np.subtract(u[c][hi], u[c][lo], out=d, dtype=np.float64)
-                if want_grad:
-                    grad[c][lo] -= d
-                    grad[c][hi] += d
-                total += float(np.multiply(d, d, out=d).sum())
-        if want_grad:
-            grad *= 2.0 / self._n
-        return total / self._n, grad
+                np.subtract(uc[lo + 1:hi], uc[lo:hi - 1], out=d, dtype=np.float64)
+                if adj is not None:
+                    np.subtract(0.0, d[a - lo:e - lo], out=adj[:e - a])
+                    adj[e - a:] = 0.0       # plane nx - 1 has no forward difference
+                    s = max(a, 1)
+                    adj[s - a:] += d[s - 1 - lo:b - 1 - lo]
+                own = d[a - lo:e - lo]
+                parts[3 * c] += float(np.multiply(own, own, out=own).sum())
+                slab = uc[a:b]
+                for ax in (1, 2):
+                    lead = (slice(None),) * ax
+                    first, rest = lead + (slice(0, -1),), lead + (slice(1, None),)
+                    shape = slab[first].shape
+                    d = self._d[:math.prod(shape)].reshape(shape)
+                    np.subtract(slab[rest], slab[first], out=d, dtype=np.float64)
+                    if adj is not None:
+                        adj[first] -= d
+                        adj[rest] += d
+                    parts[3 * c + ax] += float(np.multiply(d, d, out=d).sum())
+                if adj is not None:
+                    adj *= 2.0 / self._n
+                    adj *= lam
+                    if gather:
+                        out[c, a:b] = adj
+                        s0, s1 = self._runs[i], self._runs[i + 1]
+                        local = np.subtract(self._support[s0:s1], a * self._plane,
+                                            out=self._local[:s1 - s0])
+                        # mode "clip" (the indices are in range) takes
+                        # straight into out, not through a copy of it
+                        np.take(adj.reshape(-1), local, out=rows[c, s0:s1], mode="clip")
+        total = 0.0
+        for p in parts:
+            total += p
+        return total / self._n
 
 
 def _smoothness(u: np.ndarray, want_grad: bool = False):
-    """S(u) and, when asked, its adjoint (see _Smoothness), in new buffers."""
-    return _Smoothness(u.shape[1:])(u, want_grad)
+    """S(u) and, when asked, its float64 adjoint 2/N * (D^T D) u (else
+    None), through a new _Smoothness over every voxel, whose rows are the
+    adjoint's own."""
+    smooth = _Smoothness(u.shape[1:])
+    if not want_grad:
+        return smooth(u), None
+    grad = np.empty(u.shape)
+    return smooth(u, grad, grad.reshape(3, -1)), grad
 
 
 def smoothness(fld: DisplacementField) -> float:
@@ -166,16 +236,17 @@ class Objective:
     so nothing gathers), and on_support cuts any (3, nx, ny, nz)
     coordinates to theirs. The weights, the fixed side and moving's sampled
     values are k-vectors, every NCC sum runs over them, and the NCC
-    gradient is scattered into the grid's once per component; off the
+    gradient is subtracted from the gradient's support rows; off the
     support the gradient is the smoothness term's alone. Sums over the
     whole grid, where the other weights are 0, may differ in the last bits
     (on 200 random 10^3 cases: the loss not at all, the NCC gradient by at
     most 5.9e-16 of its largest entry; BENCH_level_workspace.json).
 
-    Buffers: the k-vectors and a float64 adjoint the size of the field are
-    reused by every call, so a warm evaluate allocates only the float32
-    gradient it returns, which no later call writes. The objective is not
-    safe for two calls at once.
+    Buffers: the k-vectors, the smoothness pass's slab scratch and a (3, k)
+    float64 array of the gradient's support rows are reused by every call,
+    so a warm evaluate allocates only the float32 gradient it returns,
+    which no later call writes. The objective is not safe for two calls at
+    once.
     """
 
     def __init__(self, fixed: Volume, moving: Volume, mask: Volume,
@@ -200,7 +271,9 @@ class Objective:
         # a trial's x + u on the support, and u's support entries gathered
         self._pts = np.empty((3, k))
         self._u_cut = np.empty((3, k), dtype=np.float32)
-        self._smooth = _Smoothness(fixed.dims)
+        # the gradient's support entries, summed in float64 before rounding
+        self._rows = np.empty((3, k))
+        self._smooth = _Smoothness(fixed.dims, self.support)
 
     def on_support(self, coords: np.ndarray) -> np.ndarray:
         """(3, nx, ny, nz) coordinates cut to the support's, a (3, k) array
@@ -211,11 +284,10 @@ class Objective:
         """-NCC_w of moving sampled at points, a (3, k, ...) array of the
         voxel coordinates in moving of the support's k voxels in support's
         order (on_support cuts them from the whole grid's); adds its gradient
-        with respect to each voxel's coordinates into grad, either a (3, k)
-        array on the support or a C-contiguous (3, nx, ny, nz) one on fixed's
-        grid, which is left as it is off the support. Sampling is float64,
-        so the finite-difference gradient check is not drowned by float32
-        rounding of the sampled intensities."""
+        with respect to each voxel's coordinates into grad, a (3, k) float64
+        array in the same order. Sampling is float64, so the
+        finite-difference gradient check is not drowned by float32 rounding
+        of the sampled intensities."""
         b, gx, gy, gz, t = self._ncc
         self._sample(points, True, out=self._ncc)
         ncc, degenerate, s_ab, s_bb = _ncc_core(self._fixed, b, self._w, t)
@@ -225,20 +297,15 @@ class Objective:
             np.subtract(A, np.multiply(b, s_ab / s_bb, out=t), out=t)
             t *= self._w
             t /= np.sqrt(s_aa * s_bb)
-            flat = grad.reshape(3, -1)
-            for row, d in zip(flat, (gx, gy, gz)):
+            for row, d in zip(grad, (gx, gy, gz)):
                 d *= t
-                if flat.shape[1] == d.size:
-                    row -= d
-                else:       # scatter through b, which is free now
-                    row[self.support] = np.subtract(
-                        np.take(row, self.support, out=b), d, out=b)
+                row -= d
         return -ncc
 
     def loss(self, u: np.ndarray) -> LossBreakdown:
         """The loss of trial field u; smoothness is S(u) even at lambda 0."""
         u = np.asarray(u, dtype=np.float32)
-        smooth, _ = self._smooth(u)
+        smooth = self._smooth(u)
         b, t = self._ncc[0], self._ncc[4]
         self._sample(self._coords(u), out=self._ncc)
         ncc, degenerate, _, _ = _ncc_core(self._fixed, b, self._w, t)
@@ -257,13 +324,28 @@ class Objective:
         """(loss(u).total, dL/du) from one warp: ncc_at at x + u plus the
         exact adjoint of the forward-difference energy, so the
         finite-difference check holds by construction. Both terms are
-        summed in float64; the gradient is returned as a new float32 array,
-        the precision of the field it steps."""
+        summed in float64 and rounded once into the float32 gradient
+        returned, a new array, the precision of the field it steps. The
+        smoothness pass writes lambda times its adjoint into that gradient
+        off the support and into the kept support rows, ncc_at subtracts
+        the NCC term from the rows, and they are rounded into the gradient
+        last."""
         u = np.asarray(u, dtype=np.float32)
-        smooth, grad = self._smooth(u, True)
-        grad *= self.lambda_smooth
-        neg_ncc = self.ncc_at(self._coords(u), grad)
-        return neg_ncc + self.lambda_smooth * smooth, grad.astype(np.float32)
+        # the coordinates before the gradient, so that the buffer numpy
+        # takes for their mixed-dtype add is freed before it is allocated
+        points = self._coords(u)
+        grad = np.empty(u.shape, dtype=np.float32)
+        smooth = self._smooth(u, grad, self._rows, self.lambda_smooth)
+        neg_ncc = self.ncc_at(points, self._rows)
+        flat = grad.reshape(3, -1)
+        if isinstance(self.support, slice):
+            np.copyto(flat, self._rows, casting="same_kind")
+        else:
+            # rounded through the coordinates' float32 buffer, free now
+            np.copyto(self._u_cut, self._rows, casting="same_kind")
+            for row, r in zip(flat, self._u_cut):
+                row.put(self.support, r)
+        return neg_ncc + self.lambda_smooth * smooth, grad
 
 
 def _objective(fixed, moving, fld, mask, lambda_smooth, weights):

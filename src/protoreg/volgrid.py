@@ -129,6 +129,13 @@ def _corner_offsets(c: np.ndarray, n: int, stride: int, frac, low, o0, o1):
 _CHUNK = 32768
 
 
+def _slab_planes(dims) -> int:
+    """x-planes per slab of a pass over a grid of dims that works through
+    it in slabs of about _CHUNK voxels, at least 1: 8 at 64^3, 2 at 128^3,
+    and the whole grid at 32^3 and below."""
+    return max(1, _CHUNK // (dims[1] * dims[2]))
+
+
 class _Sampler:
     """Trilinear interpolation of one 3-D array with a zero border.
 

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,28 @@ class TestWarpRigid:
             cut.data, *voxels(t.matrix(), t.translation, fld.data.astype(np.float64)))
         got = resample_rigid(cut, fld, t)
         assert got.data.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_blocks_keep_the_whole_grid_bits(self):
+        # at 64^3 resample_rigid maps and samples 8 x-planes at a time; a
+        # 3 deg / 3 mm set-up error, with and without a field, must give
+        # the bytes of mapping every voxel at once, and so must the
+        # contour warped through them
+        img, st, _ = pr.make_phantom(pr.PhantomSpec())
+        assert img.dims == (64, 64, 64)
+        center = engine._physical_center(img)
+        t = pr.RigidTransform(rotation=(0.03, -0.025, 0.035),
+                              translation=(1.8, -1.7, 1.6), center=center)
+        fld = pr.make_smooth_field(img.dims, pr.FieldSpec(2.0, 6.0, 5),
+                                   envelope=st.body.data)
+        voxels = engine._rigid_mapping(img, img, center)[-1]
+        for vol in (img, st.ctv):
+            for like, u in ((img, None), (fld, fld.data.astype(np.float64))):
+                want = _Sampler(vol.data)(voxels(t.matrix(), t.translation, u))
+                want = want.astype(np.float32)
+                assert resample_rigid(vol, like, t).data.tobytes() == want.tobytes()
+        # want is the CTV through the field now, which warp_contour binarizes
+        got = pr.warp_contour(st.ctv, fld, t).data
+        assert got.tobytes() == (want >= 0.5).astype(np.float32).tobytes()
 
 
 class TestRigidAlign:
@@ -259,7 +285,7 @@ class TestRigidObjective:
         cut = engine._rigid_mapping(moving, fixed, center, obj.support)[1](
             t.matrix(), t.translation)
         assert cut.tobytes() == obj.on_support(full).tobytes()
-        g_full, g_cut = np.zeros_like(full), np.zeros_like(full)
+        g_full, g_cut = np.zeros((2, 3, obj.support.size))
         assert obj.ncc_at(obj.on_support(full), g_full) == obj.ncc_at(cut, g_cut)
         assert g_full.tobytes() == g_cut.tobytes()
 
@@ -688,6 +714,43 @@ class TestRegister:
             assert lvl.rejected < lvl.iterations_used, lvl
         assert rep.levels[-1].iterations_used > engine.LEVEL_WINDOW
 
+    def test_folds_count_the_foreground_border_included(self):
+        # a bump of -3 in u_x one voxel up x folds the voxel below it, where
+        # the central difference gives 1 - 1.5; on the border the
+        # one-sided one gives 1 - 3
+        u = np.zeros((3, 6, 6, 6), dtype=np.float32)
+        u[0, 3, 2, 2] = -3.0
+        u[0, 1, 4, 4] = -3.0
+        fld = pr.DisplacementField(u)
+        det = pr.jacobian_det(fld).data
+        assert sorted(zip(*np.nonzero(det <= 0))) == [(0, 4, 4), (2, 2, 2)]
+        # fold_fraction counts the 4^3 interior, the folded voxels the mask
+        whole = pr.Volume(np.ones((6, 6, 6), dtype=np.float32))
+        assert engine._folds(fld, whole) == (100.0 / 64, 2)
+        inner = np.zeros((6, 6, 6), dtype=np.float32)
+        inner[2, 2, 2] = 1.0
+        assert engine._folds(fld, pr.Volume(inner)) == (100.0 / 64, 1)
+
+    def test_report_counts_the_folded_body_voxels(self, small_phantom, monkeypatch):
+        # the finest level hands back a field folded at two body voxels and
+        # at one outside the body
+        img, st, _ = small_phantom
+        folds = [(16, 16, 16), (16, 16, 22), (2, 2, 2)]
+        assert [st.body.data[p] for p in folds] == [1.0, 1.0, 0.0]
+        u = np.zeros((3,) + img.dims, dtype=np.float32)
+        for x, y, z in folds:
+            u[0, x + 1, y, z] = -3.0
+        descend = engine._descend
+
+        def finest_folds(evaluate, x, *args, **kwargs):
+            x, trajectory, counters = descend(evaluate, x, *args, **kwargs)
+            return (u.copy() if x.shape == u.shape else x), trajectory, counters
+        monkeypatch.setattr(engine, "_descend", finest_folds)
+        _, rep = pr.register(img, img, FAST, structures=st)
+        assert rep.folded_voxels == 2
+        assert rep.to_dict()["folded_voxels"] == 2
+        assert rep.fold_fraction_pct == 100.0 * 3 / 30 ** 3
+
     def test_flat_grid_rejected_before_any_iteration(self, rng, monkeypatch):
         def no_trial(self, u):
             raise AssertionError("a trial was evaluated")
@@ -797,3 +860,38 @@ class TestRegConfig:
         # a truthy string would silently turn a flag on
         with pytest.raises(ValidationError, match=f"must be a JSON {kind}"):
             pr.RegConfig.from_dict(doc)
+
+
+# a prior-free 64^3 register of five iterations per level, alone in a fresh
+# interpreter (as BENCH_level_workspace.json scale measures it); prints the
+# bytes per voxel by which it raised the process's peak RSS
+SCALE_64 = """
+import resource
+import protoreg as pr
+n = 64
+img, st, _ = pr.make_phantom(pr.PhantomSpec(dims=(n,) * 3, spacing=(64 / n,) * 3))
+fld = pr.make_smooth_field(img.dims, pr.FieldSpec(4 * n / 64, 6 * n / 64, 11),
+                           spacing=img.spacing, envelope=st.body.data)
+structures = pr.StructureSet(ctv=pr.warp_contour(st.ctv, fld),
+                             body=pr.warp_contour(st.body, fld))
+fixed = pr.warp(img, fld)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+pr.register(fixed, img, pr.RegConfig(iterations=(5,), convergence_tol=0),
+            structures=structures)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024 / n ** 3)     # ru_maxrss is in KiB on Linux
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_64_cubed_level_adds_at_most_120_bytes_per_voxel():
+    # a level keeps its images, the support's k-vectors, the descent's five
+    # float32 fields and one slab of smoothness scratch: about 90 bytes per
+    # voxel here. One more float64 array over the grid's three components
+    # adds 24
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SCALE_64], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 120

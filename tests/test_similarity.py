@@ -191,7 +191,7 @@ class TestTotalLoss:
         obj = Objective(img, img, st.body, 0.2)
         coords = np.indices(img.dims, dtype=np.float64) + 0.3
         points = obj.on_support(coords)
-        grad = np.zeros_like(coords)
+        grad = np.zeros_like(points)
         obj.ncc_at(points, grad)
         tracemalloc.start()
         try:
@@ -288,6 +288,31 @@ class _FullGrid:
         return neg_ncc + self.lam * smooth, grad
 
 
+class _OnSupport(_FullGrid):
+    """_FullGrid's formulas with every NCC sum taken over the support's
+    values alone, in support's order, as Objective takes them: equal to
+    _FullGrid when every weight is > 0."""
+
+    def __init__(self, fixed, moving, mask, lam, prior):
+        super().__init__(fixed, moving, mask, lam, prior)
+        self.on = self.w.reshape(-1) > 0
+        self.w = self.w.reshape(-1)[self.on]
+        a = fixed.data.astype(np.float64).reshape(-1)[self.on]
+        self.wsum = self.w.sum()
+        self.A = a - (self.w * a).sum() / self.wsum
+        self.s_aa = (self.w * self.A * self.A).sum()
+        self.ident = self.ident.reshape(3, -1)[:, self.on]
+
+    def evaluate(self, u):
+        u = np.asarray(u, dtype=np.float32).astype(np.float64)
+        smooth, grad = oracles.smoothness_two_pass(u)
+        grad = (self.lam * grad).reshape(3, -1)
+        rows = grad[:, self.on]
+        neg_ncc = self.ncc_at(self.ident + u.reshape(3, -1)[:, self.on], rows)
+        grad[:, self.on] = rows
+        return neg_ncc + self.lam * smooth, grad.reshape(u.shape)
+
+
 # the k-vector NCC against the whole grid's sums: on 200 random 10^3 cases
 # of these kinds the loss did not differ and the NCC gradient differed by at
 # most 5.9e-16 of its largest entry
@@ -337,13 +362,33 @@ class TestSupportSampling:
         coords = np.indices((10, 10, 10), dtype=np.float64) + rng.normal(
             0.0, 1.5, size=(3, 10, 10, 10))
         start = rng.normal(size=coords.shape)      # ncc_at adds into grad
-        grad, want_grad = start.copy(), start.copy()
+        want_grad = start.copy()
+        # ncc_at's gradient lives on the support: (3, k) in support's order
+        grad = obj.on_support(start).copy()
         got = obj.ncc_at(obj.on_support(coords), grad)
         assert got == pytest.approx(ref.ncc_at(coords, want_grad), rel=0, abs=LOSS_ABS)
-        assert_gradient_close(grad - start, want_grad - start)
-        # off the support the gradient is left as it was
-        off = (similarity._weights(mask, prior) == 0)[None].repeat(3, axis=0)
-        assert grad[off].tobytes() == start[off].tobytes()
+        assert_gradient_close(grad - obj.on_support(start),
+                              obj.on_support(want_grad - start))
+
+    @pytest.mark.parametrize("case", ["holes", "whole-grid"])
+    def test_evaluate_keeps_the_formulas_bits_across_slabs(self, rng, case):
+        # slabs of 3 x-planes split the 10^3 grid into four, the last of one
+        # plane; the smoothness streams each into the float32 gradient and
+        # the support rows, and the gradient must keep the bits of the
+        # formulas rounded once
+        a, b = random_volume(rng, (10, 10, 10)), random_volume(rng, (10, 10, 10))
+        mask, prior = _support_case(rng, case)
+        with mock.patch.object(volgrid, "_CHUNK", 3 * 10 * 10):
+            obj = Objective(a, b, mask, 0.2, prior)
+        ref = _OnSupport(a, b, mask, 0.2, prior)
+        for _ in range(3):
+            u = rng.normal(0.0, 1.5, size=(3, 10, 10, 10))
+            total, grad = obj.evaluate(u)
+            want_total, want_grad = ref.evaluate(u)
+            assert grad.tobytes() == want_grad.astype(np.float32).tobytes()
+            # and before the rounding, the support rows in float64
+            assert obj._rows.tobytes() == want_grad.reshape(3, -1)[:, ref.on].tobytes()
+            assert total == pytest.approx(want_total, rel=0, abs=LOSS_ABS)
 
     def test_whole_grid_support_cuts_to_a_view(self, rng):
         # with every weight > 0 the objective must not gather every voxel
