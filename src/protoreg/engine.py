@@ -327,8 +327,8 @@ def _rigid_mapping(moving: Volume, like: Volume | DisplacementField, center,
     (R, t[, u]) -> continuous voxel coordinates in moving of
     T(x) = R (x - c) + c + t over those centers, each first displaced by
     u(x) (voxels of like's grid, u over the same planes) when u is given.
-    Given support (Objective.support: flat indices of k voxels, or a
-    slice), both cover those alone: the centers as a (3, k) array and the
+    Given support (Objective.support: the sorted flat indices of k
+    voxels), both cover those alone: the centers as a (3, k) array and the
     map as a (3, k, 1, 1) one, which takes no u. A center's bits do not
     depend on the planes asked for."""
     def col(v):

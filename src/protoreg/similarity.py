@@ -42,23 +42,14 @@ def _weights(mask: Volume, prior: Volume | None) -> np.ndarray:
     return w
 
 
-def _support(w: np.ndarray):
-    """The voxels whose weight in w is > 0: slice(None) when that is every
-    voxel (no body mask), so that a cut is a view and nothing gathers, else
-    their flat indices."""
-    return slice(None) if np.all(w > 0) else np.flatnonzero(w)
-
-
-def _cut(arr: np.ndarray, support, out=None) -> np.ndarray:
+def _cut(arr: np.ndarray, support: np.ndarray, out=None) -> np.ndarray:
     """arr, a grid (nx, ny, nz) or a (3, nx, ny, nz) array over one, cut
-    to support's k voxels: a (k,) or (3, k) array, contiguous when arr is.
-    A view when support is a slice (every voxel), else a gather along the
-    voxel axis, which np.take does faster than fancy indexing, into out
-    when it is given (in mode "clip", for indices in range, np.take writes
-    straight into out rather than through a copy of it)."""
+    to support's k voxels (sorted flat indices): a (k,) or (3, k) array,
+    contiguous, gathered along the voxel axis by np.take, which is faster
+    than fancy indexing, into out when it is given (in mode "clip", for
+    indices in range, np.take writes straight into out rather than through
+    a copy of it)."""
     flat = arr.reshape(arr.shape[:-3] + (-1,))
-    if isinstance(support, slice):
-        return flat[..., support]
     return np.take(flat, support, axis=-1, out=out, mode="clip")
 
 
@@ -95,7 +86,7 @@ def masked_ncc(fixed: Volume, warped: Volume, mask: Volume,
     if not same_grid(fixed, warped, mask, weights):
         raise ValidationError("fixed, warped, mask and weights grids differ")
     w = _weights(mask, weights)
-    support = _support(w)
+    support = np.flatnonzero(w)
     w = _cut(w, support)
     b = _cut(warped.data, support).astype(np.float64)
     fixed_side = _fixed_side(_cut(fixed.data, support).astype(np.float64), w)
@@ -107,8 +98,10 @@ class _Smoothness:
     component at a time over x-slabs of volgrid._slab_planes(dims) planes,
     so that a slab's differences and adjoint stay in cache while it is
     worked on: 8 planes at 64^3, 2 at 128^3, the whole grid at 32^3 and
-    below. The scratch is one slab's differences and, on a support of flat
-    indices, one slab's adjoint; nothing the size of the grid is kept.
+    below. The scratch is one slab's differences and one slab's adjoint;
+    nothing the size of the grid is kept. Given support, the sorted flat
+    indices of the k voxels an objective's NCC lives on, a pass can also
+    take the adjoint's entries there into (3, k) rows.
 
     Each element's adjoint takes its updates in the order of the whole
     grid's pass (-d0[i], +d0[i-1], -d1[j], +d1[j-1], -d2[k], +d2[k-1],
@@ -118,7 +111,7 @@ class _Smoothness:
     one-pass sum in the last bits (< 2e-15 relative); on one slab it is
     that sum."""
 
-    def __init__(self, dims, support=slice(None)):
+    def __init__(self, dims, support=None):
         nx, ny, nz = dims
         self._plane = ny * nz
         planes = min(_slab_planes(dims), nx)
@@ -126,9 +119,9 @@ class _Smoothness:
         self._slabs = [(a, min(a + planes, nx)) for a in range(0, nx, planes)]
         # axis 0's differences take one plane beyond the slab's
         self._d = np.empty(min(planes + 1, nx) * self._plane)
+        self._adj = np.empty((planes, ny, nz))
         self._support = support
-        if not isinstance(support, slice):
-            self._adj = np.empty((planes, ny, nz))
+        if support is not None:
             self._local = np.empty(planes * self._plane, dtype=np.intp)
             # each slab's support voxels: a run of the sorted indices
             self._runs = np.searchsorted(
@@ -137,10 +130,9 @@ class _Smoothness:
     def __call__(self, u: np.ndarray, out=None, rows=None, lam: float = 1.0) -> float:
         """S(u) of a (3, nx, ny, nz) field u of any float dtype, each
         difference taken and summed in float64. Given out, a C-contiguous
-        (3, nx, ny, nz) array of any float dtype, and rows, a (3, k) float64
-        array over the support, also lam * 2/N * (D^T D) u: unrounded into
-        rows, and rounded once into out off the support (nowhere, when the
-        support is every voxel), which is left to the caller on it."""
+        (3, nx, ny, nz) array of any float dtype, also lam * 2/N * (D^T D) u,
+        rounded once into out; given rows as well, a (3, k) float64 array
+        over the support, its support entries unrounded into rows."""
         # numpy runs a strided operation on short rows, as most of a slab's
         # are, through buffers of bufsize elements per operand, allocated
         # by each call: 128 KiB for two float64 operands at the default
@@ -152,13 +144,11 @@ class _Smoothness:
 
     def _pass(self, u, out, rows, lam):
         nx, ny, nz = u.shape[1:]
-        gather = not isinstance(self._support, slice)
         parts = [0.0] * 9
         for c in range(3):
             uc = u[c]
             for i, (a, b) in enumerate(self._slabs):
-                adj = None if out is None else \
-                    self._adj[:b - a] if gather else rows[c].reshape(nx, ny, nz)[a:b]
+                adj = None if out is None else self._adj[:b - a]
                 # axis 0: the differences d0[lo .. hi-2], one before the
                 # slab's own d0[a .. e-1], which its energy sums
                 lo, hi, e = max(a - 1, 0), min(b + 1, nx), min(b, nx - 1)
@@ -186,8 +176,8 @@ class _Smoothness:
                 if adj is not None:
                     adj *= 2.0 / self._n
                     adj *= lam
-                    if gather:
-                        out[c, a:b] = adj
+                    out[c, a:b] = adj
+                    if rows is not None:
                         s0, s1 = self._runs[i], self._runs[i + 1]
                         local = np.subtract(self._support[s0:s1], a * self._plane,
                                             out=self._local[:s1 - s0])
@@ -202,13 +192,12 @@ class _Smoothness:
 
 def _smoothness(u: np.ndarray, want_grad: bool = False):
     """S(u) and, when asked, its float64 adjoint 2/N * (D^T D) u (else
-    None), through a new _Smoothness over every voxel, whose rows are the
-    adjoint's own."""
+    None), through a new _Smoothness with no support."""
     smooth = _Smoothness(u.shape[1:])
     if not want_grad:
         return smooth(u), None
     grad = np.empty(u.shape)
-    return smooth(u, grad, grad.reshape(3, -1)), grad
+    return smooth(u, grad), grad
 
 
 def smoothness(fld: DisplacementField) -> float:
@@ -231,16 +220,16 @@ class Objective:
     to float32, the precision a DisplacementField stores; the coordinates,
     the sampling and every sum run in float64.
 
-    The NCC lives on the support alone, the k voxels whose weight is > 0:
-    support holds their flat indices (slice(None) when that is every voxel,
-    so nothing gathers), and on_support cuts any (3, nx, ny, nz)
-    coordinates to theirs. The weights, the fixed side and moving's sampled
-    values are k-vectors, every NCC sum runs over them, and the NCC
-    gradient is subtracted from the gradient's support rows; off the
-    support the gradient is the smoothness term's alone. Sums over the
-    whole grid, where the other weights are 0, may differ in the last bits
-    (on 200 random 10^3 cases: the loss not at all, the NCC gradient by at
-    most 5.9e-16 of its largest entry; BENCH_level_workspace.json).
+    The NCC lives on the support alone, the k voxels whose weight is > 0
+    (every voxel when nothing is masked): support holds their sorted flat
+    indices, and on_support gathers any (3, nx, ny, nz) coordinates to
+    theirs. The weights, the fixed side and moving's sampled values are
+    k-vectors, every NCC sum runs over them, and the NCC gradient is
+    subtracted from the gradient's support rows; off the support the
+    gradient is the smoothness term's alone. Sums over the whole grid,
+    where the other weights are 0, may differ in the last bits (on 200
+    random 10^3 cases: the loss not at all, the NCC gradient by at most
+    5.9e-16 of its largest entry; BENCH_level_workspace.json).
 
     Buffers: the k-vectors, the smoothness pass's slab scratch and a (3, k)
     float64 array of the gradient's support rows are reused by every call,
@@ -258,13 +247,13 @@ class Objective:
             raise ValidationError("smoothness needs at least 2 voxels per axis")
         self.fixed, self.moving = fixed, moving
         self.lambda_smooth = float(lambda_smooth)
-        self.support = _support(w)
+        self.support = np.flatnonzero(w)
         self._w = _cut(w, self.support)
         self._fixed = _fixed_side(_cut(fixed.data, self.support).astype(np.float64), self._w)
         self._sample = _Sampler(moving.data)
         self._masked_voxels = int((mask.data > 0).sum())
         # the support's voxel centers x, (3, k)
-        self._ident = self.on_support(np.indices(fixed.dims, dtype=np.float64))
+        self._ident = np.array(np.unravel_index(self.support, fixed.dims), dtype=np.float64)
         k = self._w.size
         # moving's value and d/dx, d/dy, d/dz on the support, then scratch
         self._ncc = np.empty((5, k))
@@ -318,7 +307,11 @@ class Objective:
     def _coords(self, u: np.ndarray) -> np.ndarray:
         """The support's coordinates x + u, (3, k), for a float32 u, in the
         buffer the next call overwrites."""
-        return np.add(_cut(u, self.support, self._u_cut), self._ident, out=self._pts)
+        # widened first, so that the add runs on one dtype and numpy takes
+        # no buffer for it
+        np.copyto(self._pts, _cut(u, self.support, self._u_cut))
+        self._pts += self._ident
+        return self._pts
 
     def evaluate(self, u: np.ndarray):
         """(loss(u).total, dL/du) from one warp: ncc_at at x + u plus the
@@ -327,24 +320,18 @@ class Objective:
         summed in float64 and rounded once into the float32 gradient
         returned, a new array, the precision of the field it steps. The
         smoothness pass writes lambda times its adjoint into that gradient
-        off the support and into the kept support rows, ncc_at subtracts
-        the NCC term from the rows, and they are rounded into the gradient
-        last."""
+        and its support entries into the kept support rows, ncc_at
+        subtracts the NCC term from the rows, and they are written into
+        the gradient last, over the smoothness term's entries there."""
         u = np.asarray(u, dtype=np.float32)
-        # the coordinates before the gradient, so that the buffer numpy
-        # takes for their mixed-dtype add is freed before it is allocated
-        points = self._coords(u)
         grad = np.empty(u.shape, dtype=np.float32)
         smooth = self._smooth(u, grad, self._rows, self.lambda_smooth)
-        neg_ncc = self.ncc_at(points, self._rows)
-        flat = grad.reshape(3, -1)
-        if isinstance(self.support, slice):
-            np.copyto(flat, self._rows, casting="same_kind")
-        else:
-            # rounded through the coordinates' float32 buffer, free now
-            np.copyto(self._u_cut, self._rows, casting="same_kind")
-            for row, r in zip(flat, self._u_cut):
-                row.put(self.support, r)
+        neg_ncc = self.ncc_at(self._coords(u), self._rows)
+        # rounded through the coordinates' float32 buffer, free now, and
+        # scattered by index assignment, which is 2-3 times faster than put
+        np.copyto(self._u_cut, self._rows, casting="same_kind")
+        for row, r in zip(grad.reshape(3, -1), self._u_cut):
+            row[self.support] = r
         return neg_ncc + self.lambda_smooth * smooth, grad
 
 

@@ -260,7 +260,7 @@ class TestRigidObjective:
         voxels = engine._rigid_mapping(moving, fixed, center)[-1]
         b = _Sampler(moving.data)(voxels(t.matrix(), t.translation))
         w = similarity._weights(mask, None)
-        support = similarity._support(w)
+        support = np.flatnonzero(w)
         w, b = similarity._cut(w, support), similarity._cut(b, support)
         fixed_side = similarity._fixed_side(
             similarity._cut(fixed.data, support).astype(np.float64), w)
