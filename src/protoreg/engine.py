@@ -78,9 +78,9 @@ class RigidTransform:
 # largest default budget (150). A rigid stage always runs its whole budget, as
 # a level does at convergence_tol 0, so a budget such as 2**62 would never
 # end. Each iteration evaluates the objective at least once, whose measured
-# warm median with a body mask on a 2-vCPU host is 22-23 ms at 64^3 and
-# 0.20-0.22 s at 128^3 (BENCH_level_workspace.json): 10000 iterations of a
-# 128^3 level take over half an hour
+# warm median with a body mask on a 2-vCPU host is 12-17 ms at 64^3 and
+# 0.12-0.13 s at 128^3 (BENCH_finest_kernels.json): 10000 iterations of a
+# 128^3 level take over 20 minutes
 MAX_ITERATIONS = 10_000
 
 
@@ -196,6 +196,8 @@ LEVEL_WINDOW = 5
 RIGID_LEVELS = 3
 STEP_FACTORS = (1.0, 0.5, 0.25, 0.125)
 STEP_UP_AFTER = 3
+# elements per block of a descent's moment update and trial (see _descend)
+DESCENT_BLOCK = 32768
 
 
 def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
@@ -218,14 +220,18 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     rigid stages pass float64 parameters and a float64 lr array, and
     descend in float64.
 
-    Buffers: the iterate, the trial, the two moments and the step are five
-    arrays shaped as x, allocated once per descent and updated in place,
-    each element by the same operations in the same order as the plain
-    formulas, so the bits are theirs; the trial's buffer also holds the
-    step's intermediates. x itself is copied, never written to. A taken
-    trial swaps buffers with the iterate, so evaluate must keep no
-    reference to the array it is given, and the gradient it returns, which
-    is kept across rejected trials, must be an array no later call writes.
+    Buffers: the iterate, the trial and the two moments are four arrays
+    shaped as x, allocated once per descent and updated in place. The
+    moments are updated and each trial formed in blocks of DESCENT_BLOCK
+    elements per component (x's first axis; a 1-D x is one component),
+    through two block-sized scratch arrays, so a block's arithmetic stays
+    in cache; a retried trial recomputes its step from the moments. Each
+    element takes the same operations in the same order as the plain
+    formulas, so the bits are theirs. x itself is copied, never written
+    to. A taken trial swaps buffers with the iterate, so evaluate must keep
+    no reference to the array it is given, and the gradient it returns,
+    which is kept across rejected trials, must be an array no later call
+    writes.
 
     Returns (x, trajectory, counters). The counters are deterministic:
     stop_reason ("converged" by the window rule, or "iteration_cap"); the
@@ -242,25 +248,54 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     stop_reason = "iteration_cap"
     beta1, beta2 = 0.9, 0.999
     x = x.copy()
-    cand, step = np.empty_like(x), np.empty_like(x)
+    cand = np.empty_like(x)
     m1, m2 = np.zeros_like(x), np.zeros_like(x)
+    # blocks of up to DESCENT_BLOCK elements along each component (x's first
+    # axis; a 1-D x is one), and lr's and scale's share of each: a view of
+    # the array broadcast over x, or the scalar itself, which NEP 50 keeps
+    # weak
+    rows = x.shape[0] if x.ndim > 1 else 1
+    n = x.size // rows
+    blocks = [(r, slice(s, s + DESCENT_BLOCK)) for r in range(rows)
+              for s in range(0, n, DESCENT_BLOCK)]
+
+    def share(v):
+        if np.ndim(v) == 0:
+            return [v] * len(blocks)
+        v = np.broadcast_to(v, x.shape).reshape(rows, n)
+        return [v[b] for b in blocks]
+    lrs, scales = share(lr), share(scale)
+    scratch = np.empty((2, min(DESCENT_BLOCK, n)), dtype=x.dtype)
+
+    def trial(it, factor, update):
+        """cand = x - factor * step, block by block, each block's moments
+        first updated by g when update is set."""
+        c1, c2 = 1.0 - beta1 ** (it + 1), 1.0 - beta2 ** (it + 1)
+        views = [a.reshape(rows, n) for a in (m1, m2, g, x, cand)]
+        for b, lr_b, scale_b in zip(blocks, lrs, scales):
+            m1_b, m2_b, g_b, x_b, cand_b = (v[b] for v in views)
+            t, q = scratch[:, :m1_b.size]
+            if update:
+                # m1 = beta1 * m1 + (1 - beta1) * g;  m2 = beta2 * m2 + (1 - beta2) * g * g
+                m1_b *= beta1
+                m1_b += np.multiply(g_b, 1.0 - beta1, out=t)
+                m2_b *= beta2
+                # (in g's dtype, as the plain formula forms it, even when x's differs)
+                m2_b += np.multiply(np.multiply(g_b, 1.0 - beta2, out=t), g_b, out=t,
+                                    dtype=g.dtype)
+            # step = lr * (m1 / c1) / (sqrt(m2 / c2) + eps) * scale
+            np.divide(m1_b, c1, out=t)
+            t *= lr_b
+            np.sqrt(np.divide(m2_b, c2, out=q), out=q)
+            q += eps
+            t /= q
+            t *= scale_b
+            np.subtract(x_b, np.multiply(t, factor, out=t), out=cand_b)
+
     for it in range(iterations):
-        # m1 = beta1 * m1 + (1 - beta1) * g;  m2 = beta2 * m2 + (1 - beta2) * g * g
-        m1 *= beta1
-        m1 += np.multiply(g, 1.0 - beta1, out=cand)
-        m2 *= beta2
-        # (in g's dtype, as the plain formula forms it, even when x's differs)
-        m2 += np.multiply(np.multiply(g, 1.0 - beta2, out=cand), g, out=cand, dtype=g.dtype)
-        # step = lr * (m1 / c1) / (sqrt(m2 / c2) + eps) * scale
-        np.divide(m1, 1.0 - beta1 ** (it + 1), out=step)
-        step *= lr
-        np.sqrt(np.divide(m2, 1.0 - beta2 ** (it + 1), out=cand), out=cand)
-        cand += eps
-        step /= cand
-        step *= scale
         taken = None
         for k in range(start, len(STEP_FACTORS)):
-            np.subtract(x, np.multiply(step, STEP_FACTORS[k], out=cand), out=cand)
+            trial(it, STEP_FACTORS[k], k == start)
             val, cand_g = evaluate(cand)
             evaluations += 1
             if math.isfinite(val) and val <= cur:
@@ -361,7 +396,9 @@ def resample_rigid(moving: Volume, like: Volume | DisplacementField,
     Volume. The mapping is physical, so moving may lie on another grid
     (say, unpadded). It is mapped and sampled in blocks of x-planes of
     about volgrid._CHUNK voxels (see _slab_planes), each through the one
-    sampler, with the bits of mapping the whole grid at once."""
+    sampler, with the bits of mapping the whole grid at once. A mapping
+    that leaves float64's range, as a transform of numbers near its ends
+    can, is a ValidationError."""
     sample = _Sampler(moving.data)
     R = t.matrix()
     out = np.empty(like.dims, dtype=np.float32)
@@ -371,7 +408,11 @@ def resample_rigid(moving: Volume, like: Volume | DisplacementField,
         u = like.data[:, planes].astype(np.float64) \
             if isinstance(like, DisplacementField) else None
         _, voxels = _rigid_mapping(moving, like, t.center, planes=planes)
-        out[planes] = sample(voxels(R, t.translation, u))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coords = voxels(R, t.translation, u)
+        if not np.isfinite(coords).all():
+            raise ValidationError(f"rigid transform {t} maps voxels beyond float64's range")
+        out[planes] = sample(coords)
     return Volume(out, spacing=like.spacing, origin=like.origin)
 
 

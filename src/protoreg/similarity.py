@@ -8,7 +8,6 @@ reproducible.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +97,14 @@ class _Smoothness:
     component at a time over x-slabs of volgrid._slab_planes(dims) planes,
     so that a slab's differences and adjoint stay in cache while it is
     worked on: 8 planes at 64^3, 2 at 128^3, the whole grid at 32^3 and
-    below. The scratch is one slab's differences and one slab's adjoint;
-    nothing the size of the grid is kept. Given support, the sorted flat
-    indices of the k voxels an objective's NCC lives on, a pass can also
-    take the adjoint's entries there into (3, k) rows.
+    below. The scratch is one float64 copy of a slab and its neighbour
+    planes, one slab's differences and one slab's adjoint; nothing the
+    size of the grid is kept. Every difference is taken from the float64
+    copy, so no operation of the pass casts, and axis 2's are taken over
+    the flattened slab, so its two adjoint updates are contiguous 1-D
+    passes. Given support, the sorted flat indices of the k voxels an
+    objective's NCC lives on, a pass can also take the adjoint's entries
+    there into (3, k) rows.
 
     Each element's adjoint takes its updates in the order of the whole
     grid's pass (-d0[i], +d0[i-1], -d1[j], +d1[j-1], -d2[k], +d2[k-1],
@@ -117,6 +120,8 @@ class _Smoothness:
         planes = min(_slab_planes(dims), nx)
         self._n = float(nx * self._plane)
         self._slabs = [(a, min(a + planes, nx)) for a in range(0, nx, planes)]
+        # the slab and a plane either side of it, widened to float64
+        self._v = np.empty(min(planes + 2, nx) * self._plane)
         # axis 0's differences take one plane beyond the slab's
         self._d = np.empty(min(planes + 1, nx) * self._plane)
         self._adj = np.empty((planes, ny, nz))
@@ -133,11 +138,12 @@ class _Smoothness:
         (3, nx, ny, nz) array of any float dtype, also lam * 2/N * (D^T D) u,
         rounded once into out; given rows as well, a (3, k) float64 array
         over the support, its support entries unrounded into rows."""
-        # numpy runs a strided operation on short rows, as most of a slab's
-        # are, through buffers of bufsize elements per operand, allocated
-        # by each call: 128 KiB for two float64 operands at the default
-        # 8192. 2048 keeps them at 32 KiB, and measured no slower at 32^3 to
-        # 128^3. errstate puts the default back on the way out.
+        # numpy runs an operation on short strided rows, as the square of
+        # axis 2's differences is, through buffers of bufsize elements per
+        # operand, allocated by each call: 128 KiB for two float64 operands
+        # at the default 8192. 2048 keeps them at 32 KiB, and measured no
+        # slower at 32^3 to 128^3. errstate puts the default back on the way
+        # out.
         with np.errstate():
             np.setbufsize(2048)
             return self._pass(u, out, rows, lam)
@@ -152,9 +158,11 @@ class _Smoothness:
                 # axis 0: the differences d0[lo .. hi-2], one before the
                 # slab's own d0[a .. e-1], which its energy sums
                 lo, hi, e = max(a - 1, 0), min(b + 1, nx), min(b, nx - 1)
+                v = self._v[:(hi - lo) * self._plane].reshape(hi - lo, ny, nz)
+                # widened once: np.diff's subtraction in float64, with no cast
+                np.copyto(v, uc[lo:hi])
                 d = self._d[:(hi - lo - 1) * self._plane].reshape(hi - lo - 1, ny, nz)
-                # np.diff's subtraction, in float64 even for a float32 u
-                np.subtract(uc[lo + 1:hi], uc[lo:hi - 1], out=d, dtype=np.float64)
+                np.subtract(v[1:], v[:-1], out=d)
                 if adj is not None:
                     np.subtract(0.0, d[a - lo:e - lo], out=adj[:e - a])
                     adj[e - a:] = 0.0       # plane nx - 1 has no forward difference
@@ -162,17 +170,29 @@ class _Smoothness:
                     adj[s - a:] += d[s - 1 - lo:b - 1 - lo]
                 own = d[a - lo:e - lo]
                 parts[3 * c] += float(np.multiply(own, own, out=own).sum())
-                slab = uc[a:b]
-                for ax in (1, 2):
-                    lead = (slice(None),) * ax
-                    first, rest = lead + (slice(0, -1),), lead + (slice(1, None),)
-                    shape = slab[first].shape
-                    d = self._d[:math.prod(shape)].reshape(shape)
-                    np.subtract(slab[rest], slab[first], out=d, dtype=np.float64)
-                    if adj is not None:
-                        adj[first] -= d
-                        adj[rest] += d
-                    parts[3 * c + ax] += float(np.multiply(d, d, out=d).sum())
+                slab = v[a - lo:b - lo]
+                d = self._d[:(b - a) * (ny - 1) * nz].reshape(b - a, ny - 1, nz)
+                np.subtract(slab[:, 1:], slab[:, :-1], out=d)
+                if adj is not None:
+                    adj[:, :-1] -= d
+                    adj[:, 1:] += d
+                parts[3 * c + 1] += float(np.multiply(d, d, out=d).sum())
+                # axis 2 over the flattened slab: entry j is slab[j + 1] -
+                # slab[j], and each row's last, which spans two rows, is
+                # 0.0, whose subtraction or addition leaves an adjoint entry
+                # as it was (no entry of it is ever -0.0)
+                flat, d = slab.reshape(-1), self._d[:slab.size]
+                np.subtract(flat[1:], flat[:-1], out=d[:-1])
+                d2 = d.reshape(slab.shape)
+                d2[..., -1] = 0.0
+                if adj is not None:
+                    g = adj.reshape(-1)
+                    g -= d
+                    g[1:] += d[:-1]
+                # squared into the slab's copy, free now, in the contiguous
+                # (planes, ny, nz - 1) layout whose sum the energy takes
+                sq = self._v[:(b - a) * ny * (nz - 1)].reshape(b - a, ny, nz - 1)
+                parts[3 * c + 2] += float(np.multiply(d2[..., :-1], d2[..., :-1], out=sq).sum())
                 if adj is not None:
                     adj *= 2.0 / self._n
                     adj *= lam

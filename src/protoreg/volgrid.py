@@ -97,36 +97,36 @@ def zero_field(like: Volume | DisplacementField) -> DisplacementField:
 # ---------------------------------------------------------------------------
 # sampling / warping
 
-def _corner_offsets(c: np.ndarray, n: int, stride: int, frac, low, o0, o1):
-    """Along one axis of a zero-ringed array: the fractional part of
-    coordinate c into frac, 1 - frac into low, and the flat offsets of its
-    two corners floor(c) and floor(c) + 1 into o0 and o1. Each corner is
-    clamped into [-1, n] on its own, so one outside the grid lands on the
-    ring."""
+def _corner_offset(c: np.ndarray, n: int, stride: int, frac, low, o):
+    """Along one axis of an array with a two-voxel ring of zeros: the
+    fractional part of coordinate c into frac, 1 - frac into low, and the
+    flat offset of its corner floor(c) into o; corner floor(c) + 1 lies one
+    stride on."""
     np.floor(c, out=low)          # floor(c) until low becomes 1 - frac
     np.subtract(c, low, out=frac)
-    # below -2 or above n both corners already read the ring, so clipping
-    # floor(c) into [-2, n] changes no read; it also sends a non-finite c
-    # to the ring (fmax and fmin drop NaN) and keeps the int64 cast exact
+    # below -2 or above n both corners read the ring, so clipping floor(c)
+    # into [-2, n] changes no read, and keeps both corners on the ringed
+    # array; it also sends a non-finite c to the ring (fmax and fmin drop
+    # NaN) and keeps the int64 cast exact
     np.fmax(low, -2.0, out=low)
     np.fmin(low, n, out=low)
-    np.copyto(o1, low, casting="unsafe")
-    np.maximum(o1, -1, out=o0)    # corner floor(c), clamped below
-    o0 += 1                       # ringed index
-    o0 *= stride
-    np.minimum(o1, n - 1, out=o1)  # corner floor(c) + 1, clamped above
-    o1 += 2
-    o1 *= stride
+    np.copyto(o, low, casting="unsafe")
+    o += 2                        # ringed index
+    o *= stride
     np.subtract(1.0, frac, out=low)
 
 
-# points per pass of a _Sampler, and the most its chunk buffers hold. A
-# sampler's 17 float64/int64 buffers of min(_CHUNK, voxels) points are
-# allocated once, with the sampler, and reused by every chunk of every call:
-# they stay in cache, and their pages are not handed back to the OS and
-# faulted in again on every call, as per-call temporaries were (about 1200
-# minor faults per 32^3 call)
+# voxels per slab of a pass that works through a grid in x-slabs (see
+# _slab_planes): the smoothness pass and resample_rigid
 _CHUNK = 32768
+
+# points per pass of a _Sampler, and the most its chunk buffers hold. A
+# sampler's 13 float64/int64 buffers of min(_SAMPLER_CHUNK, voxels) points,
+# 0.81 MiB at 8192, are allocated once, with the sampler, and reused by every
+# chunk of every call: they stay in a core's L2 cache, and their pages are not
+# handed back to the OS and faulted in again on every call, as per-call
+# temporaries were (about 1200 minor faults per 32^3 call)
+_SAMPLER_CHUNK = 8192
 
 
 def _slab_planes(dims) -> int:
@@ -139,19 +139,20 @@ def _slab_planes(dims) -> int:
 class _Sampler:
     """Trilinear interpolation of one 3-D array with a zero border.
 
-    The constructor keeps a float64 copy of arr with a one-voxel ring of
-    zeros, so a corner outside the grid reads 0 from the ring, and the
-    chunk buffers: the fractions and weights, each axis's corner offsets,
-    the flat index, the gathered corner and the weighted product. One
-    sampler serves any number of calls in turn (nothing carries over
-    between them), but not two at once.
+    The constructor keeps a float64 copy of arr with a two-voxel ring of
+    zeros, so that a corner outside the grid reads 0 from the ring and each
+    point's eight corners lie at fixed offsets from one base index, and the
+    chunk buffers: the fractions and weights, the base index and two axes'
+    offsets, the corner index, the gathered corner and the weighted
+    product. One sampler serves any number of calls in turn (nothing
+    carries over between them), but not two at once.
     """
 
     def __init__(self, arr: np.ndarray):
-        self._ringed = np.pad(arr.astype(np.float64), 1)
-        self._size = min(_CHUNK, arr.size)
+        self._ringed = np.pad(arr.astype(np.float64), 2)
+        self._size = min(_SAMPLER_CHUNK, arr.size)
         self._real = np.empty((9, self._size))
-        self._index = np.empty((8, self._size), dtype=np.int64)
+        self._index = np.empty((4, self._size), dtype=np.int64)
 
     def __call__(self, coords, want_grad: bool = False, out=None):
         """The array sampled at coords, a (3, ...) array of voxel
@@ -189,15 +190,17 @@ class _Sampler:
         gathering each corner of the unringed array through an
         inside-the-grid mask.
         """
-        nx, ny, nz = (n - 2 for n in self._ringed.shape)
+        nx, ny, nz = (n - 4 for n in self._ringed.shape)
+        strides = ((ny + 4) * (nz + 4), nz + 4, 1)
         flat = self._ringed.ravel()
         fx, fy, fz, wx0, wy0, wz0, wxy, c, t = self._real[:, :x.size]
-        ox0, ox1, oy0, oy1, oz0, oz1, oxy, idx = self._index[:, :x.size]
-        _corner_offsets(x, nx, (ny + 2) * (nz + 2), fx, wx0, ox0, ox1)
-        _corner_offsets(y, ny, nz + 2, fy, wy0, oy0, oy1)
-        _corner_offsets(z, nz, 1, fz, wz0, oz0, oz1)
+        base, oy, oz, idx = self._index[:, :x.size]
+        _corner_offset(x, nx, strides[0], fx, wx0, base)
+        _corner_offset(y, ny, strides[1], fy, wy0, oy)
+        _corner_offset(z, nz, 1, fz, wz0, oz)
+        base += oy                # the flat index of corner (0, 0, 0)
+        base += oz
         wxs, wys, wzs = (wx0, fx), (wy0, fy), (wz0, fz)
-        ox, oy, oz = (ox0, ox1), (oy0, oy1), (oz0, oz1)
 
         if grad:
             gx, gy, gz = grad
@@ -206,10 +209,9 @@ class _Sampler:
             for dy in (0, 1):
                 wy = wys[dy]
                 np.multiply(wx, wy, out=wxy)
-                np.add(ox[dx], oy[dy], out=oxy)
                 for dz in (0, 1):
                     wz = wzs[dz]
-                    np.add(oxy, oz[dz], out=idx)
+                    np.add(base, dx * strides[0] + dy * strides[1] + dz, out=idx)
                     flat.take(idx, mode="clip", out=c)   # always in range
                     val += np.multiply(np.multiply(wxy, wz, out=t), c, out=t)
                     if grad:

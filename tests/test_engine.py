@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -302,9 +303,10 @@ def _bowl_evaluate(x):
     return _bowl(x), 2.0 * (x - C)
 
 
-def _plain_descend(loss, gradient, x, lr, iterations, eps):
+def _plain_descend(loss, gradient, x, lr, iterations, eps, scale=1.0):
     """_descend's step rule at tol 0, evaluated plainly: a fresh gradient
-    every iteration and every trial scored by loss alone."""
+    every iteration, one step over the whole of x and every trial scored
+    by loss alone."""
     cur = loss(x)
     trajectory = [cur]
     m1 = np.zeros_like(x)
@@ -315,7 +317,7 @@ def _plain_descend(loss, gradient, x, lr, iterations, eps):
         m1 = 0.9 * m1 + (1.0 - 0.9) * g
         m2 = 0.999 * m2 + (1.0 - 0.999) * g * g
         step = (lr * (m1 / (1.0 - 0.9 ** (it + 1)))
-                / (np.sqrt(m2 / (1.0 - 0.999 ** (it + 1))) + eps) * 1.0)
+                / (np.sqrt(m2 / (1.0 - 0.999 ** (it + 1))) + eps) * scale)
         for k in range(start, len(engine.STEP_FACTORS)):
             cand = x - engine.STEP_FACTORS[k] * step
             val = loss(cand)
@@ -422,6 +424,40 @@ class TestDescend:
         # one per iteration was a rejected trial before a later one was taken
         assert sum(counters["accepted"].values()) == 25
         assert counters["evaluations"] > 1 + 25
+
+    def test_blocked_float32_trials_match_the_plain_rule(self, small_phantom):
+        # a level's float32 descent under a float32 gate, stepped in blocks
+        # of 1000 voxels per component, the last of each ragged; at a step
+        # of 0.5 voxels some trials are rejected, and each retried trial
+        # recomputes its step from the moments
+        img, st, _ = small_phantom
+        g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.0, 4.0, 3),
+                                 envelope=st.body.data.astype(np.float64))
+        obj = similarity.Objective(pr.warp(img, g), img, st.body, 0.2)
+        x0 = np.zeros((3,) + img.dims, dtype=np.float32)
+        gate = np.random.default_rng(5).uniform(0.5, 1.0, (1,) + img.dims).astype(np.float32)
+        with mock.patch.object(engine, "DESCENT_BLOCK", 1000):
+            x, traj, counters = engine._descend(obj.evaluate, x0, 0.5, 25,
+                                                engine.LEVEL_EPS, 0.0, scale=gate)
+        want_x, want_traj = _plain_descend(lambda u: obj.loss(u).total,
+                                           lambda u: obj.evaluate(u)[1],
+                                           x0, 0.5, 25, engine.LEVEL_EPS, gate)
+        assert x.dtype == want_x.dtype == np.float32
+        assert x.tobytes() == want_x.tobytes()
+        assert traj == want_traj
+        assert counters["evaluations"] > 1 + 25
+
+    def test_rigid_parameters_match_the_plain_rule(self, rigid_levels):
+        # a rigid stage's float64 6-vector, one block, with an lr per parameter
+        center, levels = rigid_levels
+        fixed, moving, mask = levels[16]
+        evaluate = engine._rigid_evaluator(similarity.Objective(fixed, moving, mask), center)
+        lr = np.array([0.01] * 3 + [0.25 * min(fixed.spacing)] * 3)
+        x, traj, _ = engine._descend(evaluate, np.zeros(6), lr, 30, 1e-12, 0.0)
+        want_x, want_traj = _plain_descend(lambda p: evaluate(p)[0], lambda p: evaluate(p)[1],
+                                           np.zeros(6), lr, 30, 1e-12)
+        assert x.tobytes() == want_x.tobytes()
+        assert traj == want_traj
 
     def test_rejected_iteration_reuses_its_gradient(self):
         x0 = np.zeros(4)
@@ -885,10 +921,11 @@ print((after - before) * 1024 / n ** 3)     # ru_maxrss is in KiB on Linux
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_64_cubed_level_adds_at_most_120_bytes_per_voxel():
-    # a level keeps its images, the support's k-vectors, the descent's five
-    # float32 fields and one slab of smoothness scratch: about 90 bytes per
-    # voxel here. One more float64 array over the grid's three components
-    # adds 24
+    # a level keeps its images, the support's k-vectors, the descent's four
+    # float32 fields and one slab of smoothness scratch: about 77 bytes per
+    # voxel here. The fold count after the level, one float64 jacobian_det,
+    # reaches about 89 and sets the peak, so one float32 field more in the
+    # level (12 bytes per voxel) does not show here
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", SCALE_64], capture_output=True, text=True,

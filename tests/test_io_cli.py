@@ -457,6 +457,9 @@ class TestCli:
                              "center": [0.0, 0.0, 0.0]}},
         {"rigid_transform": {"rotation": [0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.0],
                              "center": [0.0, 0.0, 0.0], "scale": 2.0}},
+        # finite, but T(x) overflows float64
+        {"rigid_transform": {"rotation": [0.0, 0.0, 0.5], "translation": [0.0, 0.0, 0.0],
+                             "center": [1.7e308] * 3}},
     ])
     def test_warp_rigid_refuses_bad_report(self, phantom_dir, tmp_path, capsys, doc):
         img = io.read_volume(str(phantom_dir / "image"))

@@ -2,7 +2,9 @@
 import json
 import math
 import tempfile
+from contextlib import redirect_stderr
 from dataclasses import fields, is_dataclass
+from io import StringIO
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import protoreg as pr
 from protoreg import io, similarity, volgrid
+from protoreg.cli import cli
 from protoreg.errors import ValidationError, _finite_number, _known_keys
 from protoreg.volgrid import _Sampler
 
@@ -173,7 +176,7 @@ def test_sampler_bits_do_not_depend_on_chunking(dims, chunk, shapes, want_grad, 
     # goes through the same sampler, so nothing may carry over between
     # calls, nor through one output buffer that starts as NaN
     arr = data.draw(arrays(np.float32, dims, elements=st.floats(-1e6, 1e6, width=32)))
-    with mock.patch.object(volgrid, "_CHUNK", chunk):
+    with mock.patch.object(volgrid, "_SAMPLER_CHUNK", chunk):
         sample = _Sampler(arr)
     out = np.full((4, 4 ** 3), np.nan)
     for shape in shapes:
@@ -295,3 +298,67 @@ def test_slabbed_smoothness_matches_two_passes(case):
     assert grad.tobytes() == want_grad.tobytes()
     assert energy == alone
     assert abs(energy - want_energy) <= 2e-15 * abs(want_energy)
+
+
+# a report that `protoreg warp --rigid` takes, on a 6^3 grid of 2 mm voxels
+VALID_RIGID = {"rotation": [0.05, -0.1, 0.2], "translation": [1.5, -2.0, 0.5],
+               "center": [5.0, 5.0, 5.0]}
+RIGID_KEYS = sorted(VALID_RIGID)
+
+
+@st.composite
+def rigid_reports(draw):
+    """register's report, its rigid_transform mutated up to three times: a
+    key dropped, added or retyped, a number replaced by any JSON number
+    (non-finite, or an integer too large for a float), a list of another
+    length, a list of finite numbers near the float range's ends, or the
+    whole transform replaced."""
+    doc = {"levels": [], "rigid_transform": json.loads(json.dumps(VALID_RIGID))}
+    for _ in range(draw(st.integers(0, 3))):
+        rt = doc.get("rigid_transform")
+        kind = draw(st.sampled_from(["drop", "add", "retype", "number", "length", "huge",
+                                     "whole"]))
+        if kind == "whole" or not isinstance(rt, dict):
+            if draw(st.booleans()):
+                doc["rigid_transform"] = draw(config_values)
+            else:
+                doc.pop("rigid_transform", None)
+            continue
+        key = draw(st.sampled_from(RIGID_KEYS))
+        if kind == "drop":
+            rt.pop(key, None)
+        elif kind == "add":
+            rt[draw(st.sampled_from(["scale", "rotation", "", "centre"]))] = draw(config_values)
+        elif kind == "retype":
+            rt[key] = draw(config_values)
+        elif kind == "number" and isinstance(rt.get(key), list) and rt[key]:
+            rt[key][draw(st.integers(0, len(rt[key]) - 1))] = draw(json_numbers)
+        elif kind == "length":
+            rt[key] = draw(st.lists(json_numbers, max_size=5))
+        elif kind == "huge":
+            rt[key] = draw(st.lists(st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308]),
+                                    min_size=3, max_size=3))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=rigid_reports())
+def test_warp_rigid_report_exits_0_or_2(doc):
+    # whatever the report holds, warp --rigid either warps (exit 0, silent)
+    # or refuses it as a validation error (exit 2); nothing escapes cli()
+    img = pr.Volume(np.arange(216, dtype=np.float32).reshape(6, 6, 6), spacing=(2.0,) * 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        io.write_volume(str(tmp / "img"), img, kind="image")
+        io.write_volume(str(tmp / "fld"), pr.zero_field(img), kind="field")
+        (tmp / "report.json").write_text(json.dumps(doc))
+        err = StringIO()
+        with redirect_stderr(err):
+            rc = cli(["warp", "--image", str(tmp / "img"), "--field", str(tmp / "fld"),
+                      "--rigid", str(tmp / "report.json"), "--out", str(tmp / "out")])
+        if rc == 0:
+            assert err.getvalue() == ""
+            assert io.read_volume(str(tmp / "out")).dims == img.dims
+        else:
+            assert rc == 2, (doc, err.getvalue())
+            assert err.getvalue().startswith("validation error: "), (doc, err.getvalue())

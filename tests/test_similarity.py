@@ -170,7 +170,7 @@ class TestTotalLoss:
         # on another field in between must leave nothing behind
         a = random_volume(rng, (12, 12, 12))
         b = random_volume(rng, (12, 12, 12))
-        with mock.patch.object(volgrid, "_CHUNK", 1000):
+        with mock.patch.object(volgrid, "_SAMPLER_CHUNK", 1000):
             obj = Objective(a, b, _full_mask((12, 12, 12)), 0.2)
         u, v = rng.normal(0.0, 1.5, size=(2, 3, 12, 12, 12))
         first = obj.evaluate(u)

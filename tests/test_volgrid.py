@@ -84,7 +84,7 @@ class TestSamplerMemory:
         # the sampler works through cache-sized chunks of points, so its
         # chunk buffers do not grow with the grid (34 MB when unchunked);
         # it is built inside the traced block, so its buffers and its
-        # 2.2 MB zero-ringed copy count towards the peak
+        # 2.5 MB zero-ringed copy count towards the peak
         r = np.random.default_rng(0)
         n = 64
         arr = r.random((n, n, n), dtype=np.float32)
