@@ -250,10 +250,8 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     x = x.copy()
     cand = np.empty_like(x)
     m1, m2 = np.zeros_like(x), np.zeros_like(x)
-    # blocks of up to DESCENT_BLOCK elements along each component (x's first
-    # axis; a 1-D x is one), and lr's and scale's share of each: a view of
-    # the array broadcast over x, or the scalar itself, which NEP 50 keeps
-    # weak
+    # lr's and scale's share of each block: a view of the array broadcast
+    # over x, or the scalar itself, which NEP 50 keeps weak
     rows = x.shape[0] if x.ndim > 1 else 1
     n = x.size // rows
     blocks = [(r, slice(s, s + DESCENT_BLOCK)) for r in range(rows)
