@@ -128,7 +128,7 @@ def _cmd_register(args) -> int:
     # refuse missing prior inputs before paying for the rigid stage
     engine.check_prior_inputs(fixed, config, structures, dose, embeddings, adapter_w)
 
-    transform, moving_aligned = engine.rigid_align(
+    transform, moving_aligned, rigid_stages = engine._rigid_align(
         fixed, moving, engine.foreground_mask(fixed, structures), config)
     fld, report = engine.register(fixed, moving_aligned, config,
                                   structures=structures, dose=dose,
@@ -141,6 +141,7 @@ def _cmd_register(args) -> int:
         "translation": list(transform.translation),
         "center": list(transform.center),
     }
+    doc["rigid"] = rigid_stages
     io.write_json(os.path.join(args.out, "report.json"), doc)
     io.write_json(os.path.join(args.out, "timing.json"), report.timing())
     return EXIT_OK

@@ -75,12 +75,12 @@ class RigidTransform:
 
 
 # the most iterations a level or rigid stage may be given, about 67 times the
-# largest default budget (150). A rigid stage always runs its whole budget, as
-# a level does at convergence_tol 0, so a budget such as 2**62 would never
-# end. Each iteration evaluates the objective at least once, whose measured
-# warm median with a body mask on a 2-vCPU host is 12-17 ms at 64^3 and
-# 0.12-0.13 s at 128^3 (BENCH_finest_kernels.json): 10000 iterations of a
-# 128^3 level take over 20 minutes
+# largest default budget (150). A level at convergence_tol 0 runs its whole
+# budget, and a rigid stage whose loss keeps falling may, so a budget such as
+# 2**62 need never end. Each iteration evaluates the objective at least once,
+# whose measured warm median with a body mask on a 2-vCPU host is 12-17 ms at
+# 64^3 and 0.12-0.13 s at 128^3 (BENCH_finest_kernels.json): 10000
+# iterations of a 128^3 level take over 20 minutes
 MAX_ITERATIONS = 10_000
 
 
@@ -184,12 +184,12 @@ class RegReport:
 
 
 # ---------------------------------------------------------------------------
-# level inputs and descent shared by the rigid stages and the pyramid levels
+# the descents, and the level inputs of the rigid stages and pyramid levels
 
 # fixed optimizer settings, not RegConfig keys: each pyramid level's Adam
-# step and epsilon, every descent's convergence window, the depth of the
-# rigid pyramid, the line search's ladder of step factors and the number of
-# consecutive first-trial accepts after which it moves one rung up
+# step and epsilon, its convergence window, the depth of the rigid pyramid,
+# the line search's ladder of step factors and the number of consecutive
+# first-trial accepts after which it moves one rung up
 LEVEL_STEP = 0.125     # voxels; small enough that most first trials are taken
 LEVEL_EPS = 1e-8
 LEVEL_WINDOW = 5
@@ -216,9 +216,8 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     The descent runs in x's dtype: with x, the gradients and scale float32,
     so are the moments, the step and every trial. Every other scalar in the
     step must be a Python float: under numpy 2's promotion rules (NEP 50) a
-    numpy float64 scalar would promote the float32 arrays to float64. The
-    rigid stages pass float64 parameters and a float64 lr array, and
-    descend in float64.
+    numpy float64 scalar would promote the float32 arrays to float64; a
+    float64 x with a float64 lr array descends in float64.
 
     Buffers: the iterate, the trial and the two moments are four arrays
     shaped as x, allocated once per descent and updated in place. The
@@ -325,6 +324,82 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
         "rejected": rejected,
     }
     return x, trajectory, counters
+
+
+# fixed settings of the rigid stages' quasi-Newton descent, not RegConfig
+# keys: the Armijo constant, the most halvings of a trial step, the smallest
+# curvature s.y an update takes, and the stop rules' bounds on the largest
+# gradient component and on the relative decrease of one step (L-BFGS-B's
+# default factr times the float64 epsilon)
+QN_ARMIJO = 1e-4
+QN_HALVINGS = 20
+QN_CURVATURE = 1e-12
+QN_GRADIENT_TOL = 1e-5
+QN_DECREASE_TOL = 2.2e-9
+
+
+def _quasi_newton(evaluate, x, iterations):
+    """Dense BFGS (Nocedal & Wright, Numerical Optimization, Alg. 6.1) from
+    the float64 vector x, with evaluate(x) -> (loss, gradient) as for
+    _descend; x should be scaled so that one unit is a sensible step in
+    every component.
+
+    The inverse Hessian starts as the identity and is rescaled by s.y / y.y
+    before its first update (N&W eq. 6.20); an update with s.y <=
+    QN_CURVATURE is skipped, and a direction that is not a descent direction
+    starts again from the unscaled identity. A step from the unscaled
+    identity is cut to at most unit length. Each step backtracks by halving
+    from its full length until a finite trial meets the Armijo condition
+    (QN_ARMIJO), at most QN_HALVINGS times, so the trajectory (initial
+    loss, then one per iteration) never rises.
+
+    Returns (x, trajectory, counters), counters as _descend's: stop_reason
+    ("gradient" once no gradient component exceeds QN_GRADIENT_TOL,
+    "relative_decrease" once a step lowered the loss by at most
+    QN_DECREASE_TOL relative to max(|loss|, 1), "line_search_failed", or
+    "iteration_cap") and the calls to evaluate (`evaluations`)."""
+    cur, g = evaluate(x)
+    if not math.isfinite(cur):
+        raise ValidationError("non-finite loss at the start of a descent")
+    x = np.array(x, dtype=np.float64)
+    trajectory = [cur]
+    evaluations = 1
+    eye = np.eye(x.size)
+    H = None        # the unscaled identity
+    stop_reason = "iteration_cap"
+    for _ in range(iterations):
+        if np.abs(g).max() <= QN_GRADIENT_TOL:
+            stop_reason = "gradient"
+            break
+        d = -g if H is None else -(H @ g)
+        slope = float(d @ g)
+        if not slope < 0.0:
+            H, d, slope = None, -g, -float(g @ g)
+        alpha = min(1.0, 1.0 / float(np.linalg.norm(d))) if H is None else 1.0
+        for _ in range(QN_HALVINGS + 1):
+            trial = x + alpha * d
+            val, trial_g = evaluate(trial)
+            evaluations += 1
+            if math.isfinite(val) and val <= cur + QN_ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            stop_reason = "line_search_failed"
+            break
+        s, y = trial - x, trial_g - g
+        sy = float(s @ y)
+        if sy > QN_CURVATURE:
+            if H is None:
+                H = sy / float(y @ y) * eye
+            v = eye - np.outer(s, y) / sy
+            H = v @ H @ v.T + np.outer(s, s) / sy
+        decrease = (cur - val) / max(abs(cur), abs(val), 1.0)
+        x, cur, g = trial, val, trial_g
+        trajectory.append(cur)
+        if decrease <= QN_DECREASE_TOL:
+            stop_reason = "relative_decrease"
+            break
+    return x, trajectory, {"stop_reason": stop_reason, "evaluations": evaluations}
 
 
 def foreground_mask(fixed: Volume, structures: StructureSet | None) -> Volume:
@@ -441,17 +516,12 @@ def _rigid_evaluator(obj: Objective, center):
     return evaluate
 
 
-def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
-                config: RegConfig | None = None):
-    """Six-parameter gradient descent maximizing masked NCC at the
-    coarsest rigid pyramid level, refined one level up.
-
-    Each trial is scored by the deformable objective's NCC core at the
-    voxel coordinates the rigid transform maps each voxel to, and
-    differentiated with its analytic gradient. Returns the transform and
-    the moving image resampled at full resolution.
-    """
-    config = config or RegConfig()
+def _rigid_align(fixed: Volume, moving: Volume, mask: Volume, config: RegConfig):
+    """rigid_align's transform and resampled image, and one dict of
+    deterministic counters per rigid stage, coarse first: the stage's dims,
+    its iterations, evaluations and stop_reason (see _quasi_newton), its
+    initial_loss and final_loss, and whether its pooled mask fell back to
+    the whole grid (degenerate)."""
     if not same_grid(fixed, moving, mask):
         raise ValidationError("rigid_align requires one shared grid")
     if int((mask.data > 0).sum()) < 8:
@@ -459,16 +529,40 @@ def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
     center = _physical_center(fixed)
     levels = _level_inputs(fixed, moving, mask, RIGID_LEVELS)
     params = np.zeros(6)
-    # the coarsest level, then one up; a whole-grid fallback is not flagged
-    for stage_idx, (f_l, m_l, k_l, _) in enumerate(levels[::-1][:2]):
+    stages = []
+    # the coarsest level, then one up
+    for stage_idx, (f_l, m_l, k_l, degenerate) in enumerate(levels[::-1][:2]):
         evaluate = _rigid_evaluator(Objective(f_l, m_l, k_l), center)
         iters = config.rigid_iterations[min(stage_idx, len(config.rigid_iterations) - 1)]
-        lr = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
-        # tol 0: a rigid stage always runs its full budget
-        params, _, _ = _descend(evaluate, params, lr, iters, eps=1e-12, tol=0.0)
+        # one unit of the descent: 0.01 rad and a quarter of the level's
+        # smallest spacing, halved at the second stage
+        unit = np.array([0.01] * 3 + [0.25 * min(f_l.spacing)] * 3) / (2.0 ** stage_idx)
+
+        def in_units(z, evaluate=evaluate, unit=unit):
+            loss, grad = evaluate(z * unit)
+            return loss, grad * unit
+        z, trajectory, counters = _quasi_newton(in_units, params / unit, iters)
+        params = z * unit
+        stages.append({"dims": list(f_l.dims), "iterations": len(trajectory) - 1,
+                       **counters, "initial_loss": trajectory[0],
+                       "final_loss": trajectory[-1], "degenerate": degenerate})
     transform = RigidTransform(rotation=tuple(params[:3]),
                                translation=tuple(params[3:]), center=center)
-    return transform, resample_rigid(moving, fixed, transform)
+    return transform, resample_rigid(moving, fixed, transform), stages
+
+
+def rigid_align(fixed: Volume, moving: Volume, mask: Volume,
+                config: RegConfig | None = None):
+    """Six-parameter quasi-Newton descent (_quasi_newton) maximizing masked
+    NCC at the coarsest rigid pyramid level, refined one level up.
+
+    Each trial is scored by the deformable objective's NCC core at the
+    voxel coordinates the rigid transform maps each voxel to, and
+    differentiated with its analytic gradient. Returns the transform and
+    the moving image resampled at full resolution.
+    """
+    transform, aligned, _ = _rigid_align(fixed, moving, mask, config or RegConfig())
+    return transform, aligned
 
 
 # ---------------------------------------------------------------------------

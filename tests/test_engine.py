@@ -448,7 +448,8 @@ class TestDescend:
         assert counters["evaluations"] > 1 + 25
 
     def test_rigid_parameters_match_the_plain_rule(self, rigid_levels):
-        # a rigid stage's float64 6-vector, one block, with an lr per parameter
+        # the float64 6-vector of the rigid parameters, one block, with an lr
+        # per parameter
         center, levels = rigid_levels
         fixed, moving, mask = levels[16]
         evaluate = engine._rigid_evaluator(similarity.Objective(fixed, moving, mask), center)
@@ -505,8 +506,7 @@ class TestDescend:
 
 
 class TestFloat32Descent:
-    """Each level descends in float32, the dtype of the field it starts from,
-    and the rigid stages in float64."""
+    """Each level descends in float32, the dtype of the field it starts from."""
 
     def test_descent_runs_in_the_start_dtype(self):
         dims = (4, 5, 6)
@@ -523,7 +523,7 @@ class TestFloat32Descent:
                                      engine.LEVEL_EPS, 0.0, scale=scale)
         assert x.dtype == np.float32 and set(seen) == {np.dtype(np.float32)}
         assert traj[-1] < traj[0] and not x0.any()      # the start is not written
-        # a float64 start, as the rigid stages' parameters, stays float64
+        # a float64 start stays float64
         p, _, _ = engine._descend(_bowl_evaluate, np.zeros(4), np.full(4, 0.1), 5,
                                   1e-12, 0.0)
         assert p.dtype == np.float64
@@ -564,6 +564,106 @@ class TestFloat32Descent:
         diff = np.abs(x32 - x64)
         assert diff.max() < 5e-3 and diff.mean() < 1e-5
         assert traj32[-1] == pytest.approx(traj64[-1], rel=1e-7)
+
+
+# a bowl whose curvatures span 1 to 1000 across its six axes
+BOWL_CURVATURE = np.geomspace(1.0, 1000.0, 6)
+BOWL_MIN = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0])
+
+
+def _steep_bowl(x):
+    d = x - BOWL_MIN
+    return 0.5 * float((BOWL_CURVATURE * d * d).sum()) + 1.0, BOWL_CURVATURE * d
+
+
+class TestQuasiNewton:
+    def test_reaches_an_ill_conditioned_minimum(self):
+        x0 = np.zeros(6)
+        x, traj, counters = engine._quasi_newton(_steep_bowl, x0, 100)
+        # 37 iterations here, each taking its first trial
+        assert len(traj) - 1 <= 40
+        assert np.abs(x - BOWL_MIN).max() < 1e-5
+        assert traj[0] == _steep_bowl(x0)[0] and traj[-1] == _steep_bowl(x)[0]
+        assert np.all(np.diff(traj) <= 0.0)
+        assert counters["evaluations"] >= len(traj)
+        assert not x0.any()                     # the start is not written
+
+    def test_gradient_stop(self):
+        # a plain bowl stops on the gradient rule, as does a start at its
+        # minimum, before any trial
+        x, traj, counters = engine._quasi_newton(_bowl_evaluate, np.zeros(4), 100)
+        assert counters["stop_reason"] == "gradient"
+        assert np.abs(_bowl_evaluate(x)[1]).max() <= engine.QN_GRADIENT_TOL
+        _, traj, counters = engine._quasi_newton(_bowl_evaluate, C.copy(), 100)
+        assert traj == [1.0]
+        assert counters == {"stop_reason": "gradient", "evaluations": 1}
+
+    def test_relative_decrease_stop(self):
+        # an offset of 1e12 makes each step's decrease about 1e-12 of the loss
+        def evaluate(x):
+            loss, grad = _bowl_evaluate(x)
+            return loss + 1e12, grad
+        _, traj, counters = engine._quasi_newton(evaluate, np.zeros(4), 100)
+        assert len(traj) == 2 and traj[1] < traj[0]
+        assert counters == {"stop_reason": "relative_decrease", "evaluations": 2}
+
+    def test_iteration_cap(self):
+        _, traj, counters = engine._quasi_newton(_steep_bowl, np.zeros(6), 3)
+        assert len(traj) == 4
+        assert counters["stop_reason"] == "iteration_cap"
+
+    def test_line_search_failure(self):
+        # every trial is non-finite: each is halved, and none is taken
+        def evaluate(x):
+            return (1.0 if not x.any() else math.nan), np.ones(4)
+        x, traj, counters = engine._quasi_newton(evaluate, np.zeros(4), 100)
+        assert not x.any() and traj == [1.0]
+        assert counters == {"stop_reason": "line_search_failed",
+                            "evaluations": 2 + engine.QN_HALVINGS}
+
+    def test_non_finite_trials_backtracked(self):
+        # the minimum lies behind a wall of inf at x[0] > 0.5
+        def evaluate(x):
+            loss, grad = _bowl_evaluate(x)
+            return (math.inf if x[0] > 0.5 else loss), grad
+        x, traj, counters = engine._quasi_newton(evaluate, np.zeros(4), 100)
+        assert x[0] <= 0.5
+        assert all(math.isfinite(v) for v in traj)
+        assert np.all(np.diff(traj) <= 0.0)
+        assert traj[-1] < traj[0]
+        # some trial was refused: more calls than the start and one per step
+        assert counters["evaluations"] > len(traj)
+
+    def test_non_finite_start_raises(self):
+        with pytest.raises(ValidationError,
+                           match="^non-finite loss at the start of a descent$"):
+            engine._quasi_newton(lambda x: (math.inf, x), np.zeros(4), 10)
+
+    def test_zero_budget_returns_the_start(self):
+        x0 = np.array([0.3, -0.7, 0.1, 0.9])
+        x, traj, counters = engine._quasi_newton(_bowl_evaluate, x0, 0)
+        assert x.tobytes() == x0.tobytes() and not np.shares_memory(x, x0)
+        assert traj == [_bowl(x0)]
+        assert counters == {"stop_reason": "iteration_cap", "evaluations": 1}
+
+    def test_rigid_stages_evaluation_budget(self, small_phantom):
+        # a 2 deg / 2 mm set-up error on the 32^3 phantom: the stages at 8^3
+        # and 16^3 make 88 and 82 evaluations here, where Adam at 150 + 75
+        # iterations made at least one per iteration plus its backtracking
+        img, st, _ = small_phantom
+        center = engine._physical_center(img)
+        moving = resample_rigid(img, img, pr.RigidTransform(
+            rotation=(0.0, 0.0, math.radians(2.0)), translation=(1.2, 0.0, 1.6),
+            center=center))
+        t, aligned, stages = engine._rigid_align(img, moving, st.body, pr.RegConfig())
+        assert [s["dims"] for s in stages] == [[8, 8, 8], [16, 16, 16]]
+        for s in stages:
+            assert s["evaluations"] <= 100
+            assert s["final_loss"] < s["initial_loss"] and not s["degenerate"]
+        assert pr.masked_ncc(img, aligned, st.body) > pr.masked_ncc(img, moving, st.body)
+        # rigid_align returns the same transform and image
+        t2, aligned2 = pr.rigid_align(img, moving, st.body)
+        assert t2 == t and aligned2.data.tobytes() == aligned.data.tobytes()
 
 
 class TestRegister:
@@ -932,3 +1032,28 @@ def test_64_cubed_level_adds_at_most_120_bytes_per_voxel():
                           env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) <= 120
+
+
+# a small rigid_align and register in a fresh interpreter; prints whether
+# either imported scipy.optimize, which alone raises a process's RSS by about
+# 21.5 MB
+SCIPY_OPTIMIZE = """
+import sys
+import protoreg as pr
+img, st, _ = pr.make_phantom(pr.PhantomSpec(
+    dims=(16, 16, 16), body_semi_axes_mm=(7.0, 6.0, 7.0), ctv_center_mm=(1.0, 0.5, -0.5),
+    ctv_radius_mm=2.0, oars=(((-2.0, -1.0, 1.0), 1.5),), dose_tau_mm=3.0, seed=7))
+moving = pr.engine.resample_rigid(img, img, pr.RigidTransform(translation=(1.0, 0.0, 0.5)))
+_, aligned = pr.rigid_align(img, moving, st.body)
+pr.register(img, aligned, pr.RegConfig(levels=2, iterations=(3,)), structures=st)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_no_scipy_optimize_import():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SCIPY_OPTIMIZE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -336,7 +336,8 @@ def test_config_probes_keep_the_exit_code_contract(register_inputs, data):
 
 @pytest.mark.parametrize("change, refused", [
     ({}, None),     # the base every probe mutates is valid
-    # a rigid stage runs its whole budget, so 2**62 iterations would never end
+    # a rigid stage whose loss keeps falling may run its whole budget, so 2**62
+    # iterations need never end
     ({"rigid_iterations": [2 ** 62]}, "iteration counts must lie in [0, 10000]"),
     # so does a level at convergence_tol 0
     ({"iterations": [2, 10_001], "convergence_tol": 0.0},
@@ -573,7 +574,7 @@ class TestCli:
                                                      adapter_channels):
         def no_rigid(*args, **kwargs):
             raise AssertionError("the rigid stage ran")
-        monkeypatch.setattr(pr.engine, "rigid_align", no_rigid)
+        monkeypatch.setattr(pr.engine, "_rigid_align", no_rigid)
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = ["register", "--fixed", str(phantom_dir / "image"),
                 "--moving", str(phantom_dir / "image"),
@@ -811,6 +812,36 @@ class TestCliRegisterDeterminism:
         assert (a / "field.raw").read_bytes() == (b / "field.raw").read_bytes()
         assert (a / "field.json").read_bytes() == (b / "field.json").read_bytes()
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+    def test_rigid_block_reported_and_reproducible(self, phantom_dir, tmp_path):
+        # a moving image under a set-up error, so both rigid stages descend
+        img = io.read_volume(str(phantom_dir / "image"))
+        io.write_volume(str(tmp_path / "moving"), engine.resample_rigid(
+            img, img, pr.RigidTransform(rotation=(0.0, 0.02, 0.03),
+                                        translation=(1.0, -0.5, 0.0),
+                                        center=engine._physical_center(img))),
+            kind="image")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levels": 2, "iterations": [3], "rigid_iterations": [20]}))
+        reports = []
+        for run in ("a", "b"):
+            assert cli(["register", "--fixed", str(phantom_dir / "image"),
+                        "--moving", str(tmp_path / "moving"),
+                        "--body", str(phantom_dir / "body"), "--config", str(cfg),
+                        "--out", str(tmp_path / run)]) == EXIT_OK
+            reports.append((tmp_path / run / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        rigid = json.loads(reports[0])["rigid"]
+        assert [stage["dims"] for stage in rigid] == [[6, 6, 6], [12, 12, 12]]
+        for stage in rigid:
+            assert set(stage) == {"dims", "iterations", "evaluations", "stop_reason",
+                                  "initial_loss", "final_loss", "degenerate"}
+            assert 1 <= stage["iterations"] <= 20
+            assert stage["evaluations"] > stage["iterations"]
+            assert stage["stop_reason"] in ("gradient", "relative_decrease",
+                                            "line_search_failed", "iteration_cap")
+            assert stage["final_loss"] < stage["initial_loss"]
+            assert stage["degenerate"] is False
 
     def test_report_contents(self, phantom_dir, tmp_path):
         cfg = pr.RegConfig(levels=2, iterations=(6, 8),
