@@ -24,8 +24,8 @@ from .priors import (PriorParams, StructureSet, _check_binary, anatomy_map, fuse
 # the solver never calls total_loss or loss_gradient; they stay bound here only
 # because bench/tracing.py looks them up, until the tracer wraps Objective's
 # methods instead
-from .similarity import LossBreakdown, Objective, _cut, loss_gradient, total_loss
-from .volgrid import (DisplacementField, Volume, _Sampler, _slab_planes, build_pyramid,
+from .similarity import LossBreakdown, Objective, loss_gradient, total_loss
+from .volgrid import (DisplacementField, Volume, _indices, _Sampler, _slabs, build_pyramid,
                       jacobian_det, same_grid, upsample_field, warp, zero_field)
 
 
@@ -196,8 +196,6 @@ LEVEL_WINDOW = 5
 RIGID_LEVELS = 3
 STEP_FACTORS = (1.0, 0.5, 0.25, 0.125)
 STEP_UP_AFTER = 3
-# elements per block of a descent's moment update and trial (see _descend)
-DESCENT_BLOCK = 32768
 
 
 def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
@@ -209,28 +207,28 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     hands its gradient to the next iteration. Each iteration starts at the
     factor taken last, and one rung higher after STEP_UP_AFTER consecutive
     first-trial accepts. An iteration that takes no trial keeps x, the
-    start factor and the gradient. scale multiplies each step per component.
-    Stops after `iterations`, or once the loss changed by less than tol,
-    relative, over LEVEL_WINDOW iterations (tol 0 never stops early).
+    start factor and the gradient. x is a (components, nx, ny, nz) field
+    and lr a Python float; scale, a scalar or an array that broadcasts to
+    x, multiplies each step per element. Stops after `iterations`, or once
+    the loss changed by less than tol, relative, over LEVEL_WINDOW
+    iterations (tol 0 never stops early).
 
     The descent runs in x's dtype: with x, the gradients and scale float32,
     so are the moments, the step and every trial. Every other scalar in the
     step must be a Python float: under numpy 2's promotion rules (NEP 50) a
-    numpy float64 scalar would promote the float32 arrays to float64; a
-    float64 x with a float64 lr array descends in float64.
+    numpy float64 scalar would promote the float32 arrays to float64.
 
     Buffers: the iterate, the trial and the two moments are four arrays
     shaped as x, allocated once per descent and updated in place. The
-    moments are updated and each trial formed in blocks of DESCENT_BLOCK
-    elements per component (x's first axis; a 1-D x is one component),
-    through two block-sized scratch arrays, so a block's arithmetic stays
-    in cache; a retried trial recomputes its step from the moments. Each
-    element takes the same operations in the same order as the plain
-    formulas, so the bits are theirs. x itself is copied, never written
-    to. A taken trial swaps buffers with the iterate, so evaluate must keep
-    no reference to the array it is given, and the gradient it returns,
-    which is kept across rejected trials, must be an array no later call
-    writes.
+    moments are updated and each trial formed a component's x-slab of
+    volgrid._slabs at a time, through two slab-sized scratch arrays, so a
+    slab's arithmetic stays in cache; a retried trial recomputes its step
+    from the moments. Each element takes the same operations in the same
+    order as the plain formulas, so the bits are theirs. x itself is
+    copied, never written to. A taken trial swaps buffers with the
+    iterate, so evaluate must keep no reference to the array it is given,
+    and the gradient it returns, which is kept across rejected trials, must
+    be an array no later call writes.
 
     Returns (x, trajectory, counters). The counters are deterministic:
     stop_reason ("converged" by the window rule, or "iteration_cap"); the
@@ -249,29 +247,19 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     x = x.copy()
     cand = np.empty_like(x)
     m1, m2 = np.zeros_like(x), np.zeros_like(x)
-    # lr's and scale's share of each block: a view of the array broadcast
-    # over x, or the scalar itself, which NEP 50 keeps weak
-    rows = x.shape[0] if x.ndim > 1 else 1
-    n = x.size // rows
-    blocks = [(r, slice(s, s + DESCENT_BLOCK)) for r in range(rows)
-              for s in range(0, n, DESCENT_BLOCK)]
-
-    def share(v):
-        if np.ndim(v) == 0:
-            return [v] * len(blocks)
-        v = np.broadcast_to(v, x.shape).reshape(rows, n)
-        return [v[b] for b in blocks]
-    lrs, scales = share(lr), share(scale)
-    scratch = np.empty((2, min(DESCENT_BLOCK, n)), dtype=x.dtype)
+    blocks = [(c, planes) for c in range(x.shape[0]) for planes in _slabs(x.shape[1:])]
+    # a scalar scale stays itself, which NEP 50 keeps weak
+    scales = np.broadcast_to(scale, x.shape) if np.ndim(scale) else None
+    scratch = np.empty((2, blocks[0][1].stop) + x.shape[2:], dtype=x.dtype)
 
     def trial(it, factor, update):
         """cand = x - factor * step, block by block, each block's moments
         first updated by g when update is set."""
         c1, c2 = 1.0 - beta1 ** (it + 1), 1.0 - beta2 ** (it + 1)
-        views = [a.reshape(rows, n) for a in (m1, m2, g, x, cand)]
-        for b, lr_b, scale_b in zip(blocks, lrs, scales):
-            m1_b, m2_b, g_b, x_b, cand_b = (v[b] for v in views)
-            t, q = scratch[:, :m1_b.size]
+        for b in blocks:
+            m1_b, m2_b, g_b, x_b, cand_b = (v[b] for v in (m1, m2, g, x, cand))
+            scale_b = scale if scales is None else scales[b]
+            t, q = scratch[:, :m1_b.shape[0]]
             if update:
                 # m1 = beta1 * m1 + (1 - beta1) * g;  m2 = beta2 * m2 + (1 - beta2) * g * g
                 m1_b *= beta1
@@ -282,7 +270,7 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
                                     dtype=g.dtype)
             # step = lr * (m1 / c1) / (sqrt(m2 / c2) + eps) * scale
             np.divide(m1_b, c1, out=t)
-            t *= lr_b
+            t *= lr
             np.sqrt(np.divide(m2_b, c2, out=q), out=q)
             q += eps
             t /= q
@@ -428,34 +416,24 @@ def _physical_center(vol: Volume) -> tuple:
                  for o, n, s in zip(vol.origin, vol.dims, vol.spacing))
 
 
-def _rigid_mapping(moving: Volume, like: Volume | DisplacementField, center,
-                   support=None, planes=slice(None)):
-    """like's voxel centers x relative to the rotation center c in mm,
-    (3, p, ny, nz) over its x-planes `planes` (all by default), and the map
-    (R, t[, u]) -> continuous voxel coordinates in moving of
+def _rigid_mapping(moving: Volume, like: Volume | DisplacementField, center, index):
+    """The voxel centers x of like's grid at the float64 voxel indices
+    `index`, a (3, ...) array, relative to the rotation center c in mm, and
+    the map (R, t[, u]) -> continuous voxel coordinates in moving of
     T(x) = R (x - c) + c + t over those centers, each first displaced by
-    u(x) (voxels of like's grid, u over the same planes) when u is given.
-    Given support (Objective.support: the sorted flat indices of k
-    voxels), both cover those alone: the centers as a (3, k) array and the
-    map as a (3, k, 1, 1) one, which takes no u. A center's bits do not
-    depend on the planes asked for."""
+    u(x) (voxels of like's grid, u shaped as the centers) when u is given.
+    index is an x-slab's volgrid._indices or the unravelled indices of a
+    support, kept 4-D and contiguous as (3, k, 1, 1): einsum then sums each
+    point's three terms as it does over the whole grid, and each center is
+    formed per element, so no bit depends on the indices asked for."""
     def col(v):
         return np.asarray(v, dtype=np.float64).reshape(3, 1, 1, 1)
     c = col(center)
-    first, last, _ = planes.indices(like.dims[0])
-    index = np.indices((last - first,) + like.dims[1:], dtype=np.float64)
-    index[0] += first
     rel = index * col(like.spacing) + col(like.origin) - c
-    if support is not None:
-        rel = _cut(rel, support)
-    # 4-D and contiguous, as the whole grid's rel is: einsum then sums each
-    # point's three terms as it does over the whole grid, so the bits are
-    # the same
-    pts = rel if support is None else rel[..., None, None]
     m_origin, m_spacing = col(moving.origin), col(moving.spacing)
 
     def voxels(R, t, u=None):
-        r = pts if u is None else pts + u * col(like.spacing)
+        r = rel if u is None else rel + u * col(like.spacing)
         moved = np.einsum("ij,jxyz->ixyz", R, r) + c + col(t)
         return (moved - m_origin) / m_spacing
     return rel, voxels
@@ -467,20 +445,17 @@ def resample_rigid(moving: Volume, like: Volume | DisplacementField,
     itself when like is a DisplacementField, the whole mapping of a field
     that register found after rigid_align's T, and zero when like is a
     Volume. The mapping is physical, so moving may lie on another grid
-    (say, unpadded). It is mapped and sampled in blocks of x-planes of
-    about volgrid._CHUNK voxels (see _slab_planes), each through the one
-    sampler, with the bits of mapping the whole grid at once. A mapping
-    that leaves float64's range, as a transform of numbers near its ends
-    can, is a ValidationError."""
+    (say, unpadded). It is mapped and sampled an x-slab of volgrid._slabs
+    at a time, each through the one sampler, with the bits of mapping the
+    whole grid at once. A mapping that leaves float64's range, as a
+    transform of numbers near its ends can, is a ValidationError."""
     sample = _Sampler(moving.data)
     R = t.matrix()
     out = np.empty(like.dims, dtype=np.float32)
-    step = _slab_planes(like.dims)
-    for first in range(0, like.dims[0], step):
-        planes = slice(first, first + step)
+    for planes in _slabs(like.dims):
         u = like.data[:, planes].astype(np.float64) \
             if isinstance(like, DisplacementField) else None
-        _, voxels = _rigid_mapping(moving, like, t.center, planes=planes)
+        _, voxels = _rigid_mapping(moving, like, t.center, _indices(like.dims, planes))
         with np.errstate(over="ignore", invalid="ignore"):
             coords = voxels(R, t.translation, u)
         if not np.isfinite(coords).all():
@@ -500,7 +475,9 @@ def _rigid_evaluator(obj: Objective, center):
     dL/dT(x) through T: per mm, dL/dt is the voxel sum of dL/dT(x) and
     dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>, both over the support's
     k voxels, where dL/dT(x) lives in one kept (3, k) buffer."""
-    rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center, obj.support)
+    index = np.array(np.unravel_index(obj.support, obj.fixed.dims), dtype=np.float64)
+    rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center, index[..., None, None])
+    rel = rel[..., 0, 0]
     spacing = np.array(obj.moving.spacing).reshape(3, 1)
     g = np.empty_like(rel)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .volgrid import DisplacementField, Volume, _Sampler, _slab_planes, same_grid
+from .volgrid import DisplacementField, Volume, _Sampler, _slabs, same_grid
 
 VAR_EPS = 1e-12
 
@@ -94,17 +94,16 @@ def masked_ncc(fixed: Volume, warped: Volume, mask: Volume,
 
 class _Smoothness:
     """S(u) and lambda times its adjoint on the fields of one grid, a
-    component at a time over x-slabs of volgrid._slab_planes(dims) planes,
-    so that a slab's differences and adjoint stay in cache while it is
-    worked on: 8 planes at 64^3, 2 at 128^3, the whole grid at 32^3 and
-    below. The scratch is one float64 copy of a slab and its neighbour
-    planes, one slab's differences and one slab's adjoint; nothing the
-    size of the grid is kept. Every difference is taken from the float64
-    copy, so no operation of the pass casts, and axis 2's are taken over
-    the flattened slab, so its two adjoint updates are contiguous 1-D
-    passes. Given support, the sorted flat indices of the k voxels an
-    objective's NCC lives on, a pass can also take the adjoint's entries
-    there into (3, k) rows.
+    component at a time over the x-slabs of volgrid._slabs(dims), so that
+    a slab's differences and adjoint stay in cache while it is worked on.
+    The scratch is one float64 copy of a slab and its neighbour planes, one
+    slab's differences and one slab's adjoint; nothing the size of the
+    grid is kept. Every difference is taken from the float64 copy, so no
+    operation of the pass casts, and axis 2's are taken over the flattened
+    slab, so its two adjoint updates are contiguous 1-D passes. Given
+    support, the sorted flat indices of the k voxels an objective's NCC
+    lives on, a pass can also take the adjoint's entries there into (3, k)
+    rows.
 
     Each element's adjoint takes its updates in the order of the whole
     grid's pass (-d0[i], +d0[i-1], -d1[j], +d1[j-1], -d2[k], +d2[k-1],
@@ -117,9 +116,9 @@ class _Smoothness:
     def __init__(self, dims, support=None):
         nx, ny, nz = dims
         self._plane = ny * nz
-        planes = min(_slab_planes(dims), nx)
         self._n = float(nx * self._plane)
-        self._slabs = [(a, min(a + planes, nx)) for a in range(0, nx, planes)]
+        self._slabs = _slabs(dims)
+        planes = self._slabs[0].stop
         # the slab and a plane either side of it, widened to float64
         self._v = np.empty(min(planes + 2, nx) * self._plane)
         # axis 0's differences take one plane beyond the slab's
@@ -130,7 +129,7 @@ class _Smoothness:
             self._local = np.empty(planes * self._plane, dtype=np.intp)
             # each slab's support voxels: a run of the sorted indices
             self._runs = np.searchsorted(
-                support, [a * self._plane for a, _ in self._slabs] + [nx * self._plane])
+                support, [s.start * self._plane for s in self._slabs] + [nx * self._plane])
 
     def __call__(self, u: np.ndarray, out=None, rows=None, lam: float = 1.0) -> float:
         """S(u) of a (3, nx, ny, nz) field u of any float dtype, each
@@ -153,7 +152,8 @@ class _Smoothness:
         parts = [0.0] * 9
         for c in range(3):
             uc = u[c]
-            for i, (a, b) in enumerate(self._slabs):
+            for i, planes in enumerate(self._slabs):
+                a, b = planes.start, planes.stop
                 adj = None if out is None else self._adj[:b - a]
                 # axis 0: the differences d0[lo .. hi-2], one before the
                 # slab's own d0[a .. e-1], which its energy sums

@@ -116,8 +116,9 @@ def _corner_offset(c: np.ndarray, n: int, stride: int, frac, low, o):
     np.subtract(1.0, frac, out=low)
 
 
-# voxels per slab of a pass that works through a grid in x-slabs (see
-# _slab_planes): the smoothness pass and resample_rigid
+# voxels per x-slab of every pass that works through a whole grid (see
+# _slabs): the smoothness pass, the descent's Adam step, resample_rigid, warp,
+# upsample_field and jacobian_det
 _CHUNK = 32768
 
 # points per pass of a _Sampler, and the most its chunk buffers hold. A
@@ -129,11 +130,20 @@ _CHUNK = 32768
 _SAMPLER_CHUNK = 8192
 
 
-def _slab_planes(dims) -> int:
-    """x-planes per slab of a pass over a grid of dims that works through
-    it in slabs of about _CHUNK voxels, at least 1: 8 at 64^3, 2 at 128^3,
-    and the whole grid at 32^3 and below."""
-    return max(1, _CHUNK // (dims[1] * dims[2]))
+def _slabs(dims) -> list:
+    """The x-plane slices that cut a grid of dims into slabs of about _CHUNK
+    voxels, at least one plane each, the last possibly short: 8 planes at
+    64^3, 2 at 128^3, and the whole grid at 32^3 and below."""
+    step = max(1, _CHUNK // (dims[1] * dims[2]))
+    return [slice(a, min(a + step, dims[0])) for a in range(0, dims[0], step)]
+
+
+def _indices(dims, planes: slice) -> np.ndarray:
+    """The float64 voxel indices (3, p, ny, nz) of the x-planes `planes`, a
+    slice of _slabs(dims): np.indices(dims) over those planes."""
+    index = np.indices((planes.stop - planes.start,) + tuple(dims[1:]), dtype=np.float64)
+    index[0] += planes.start
+    return index
 
 
 class _Sampler:
@@ -245,8 +255,11 @@ def warp(moving: Volume, fld: DisplacementField) -> Volume:
         raise ValidationError("field grid differs from input grid")
     if np.all(fld.data == 0):
         return moving  # bit-exact identity
-    out = _Sampler(moving.data)(np.indices(moving.dims, dtype=np.float64) + fld.data)
-    return Volume(out.astype(np.float32), spacing=moving.spacing, origin=moving.origin)
+    sample = _Sampler(moving.data)
+    out = np.empty(moving.dims, dtype=np.float32)
+    for planes in _slabs(moving.dims):
+        out[planes] = sample(_indices(moving.dims, planes) + fld.data[:, planes])
+    return Volume(out, spacing=moving.spacing, origin=moving.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +318,14 @@ def upsample_field(fld: DisplacementField, target_dims) -> DisplacementField:
         if math.ceil(target_dims[a] / 2) != src[a]:
             raise ValidationError(
                 f"target dims {target_dims} not a factor-2 refinement of {src}")
-    coords = np.minimum(np.indices(target_dims, dtype=np.float64) / 2.0,
-                        np.subtract(src, 1.0).reshape(3, 1, 1, 1))
-    out = [(2.0 * _Sampler(u)(coords)).astype(np.float32) for u in fld.data]
-    return DisplacementField(np.stack(out),
+    samplers = [_Sampler(u) for u in fld.data]
+    top = np.subtract(src, 1.0).reshape(3, 1, 1, 1)
+    out = np.empty((3,) + target_dims, dtype=np.float32)
+    for planes in _slabs(target_dims):
+        coords = np.minimum(_indices(target_dims, planes) / 2.0, top)
+        for o, sample in zip(out, samplers):
+            o[planes] = 2.0 * sample(coords)
+    return DisplacementField(out,
                              spacing=tuple(s / 2 for s in fld.spacing),
                              origin=fld.origin)
 
@@ -327,18 +344,24 @@ def compose_additive(up: DisplacementField, residual: DisplacementField) -> Disp
 
 def jacobian_det(fld: DisplacementField) -> Volume:
     """det(I + grad u) per voxel; central differences in the interior,
-    one-sided at the faces (voxel units)."""
+    one-sided at the faces (voxel units). Taken in x-slabs, each widened
+    by a plane of u either side for axis 0's differences; np.gradient
+    works per element, so the bits are the whole grid's."""
     if min(fld.dims) < 2:
         raise ValidationError("jacobian needs at least 2 voxels per axis")
-    u = fld.data.astype(np.float64)
-    # J[i][j] = d u_i / d x_j
-    J = [[np.gradient(u[i], axis=j) for j in range(3)] for i in range(3)]
-    for i in range(3):
-        J[i][i] = J[i][i] + 1.0
-    det = (J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1])
-           - J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0])
-           + J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0]))
-    return Volume(det.astype(np.float32), spacing=fld.spacing, origin=fld.origin)
+    det = np.empty(fld.dims, dtype=np.float32)
+    for planes in _slabs(fld.dims):
+        lo = max(planes.start - 1, 0)
+        u = fld.data[:, lo:planes.stop + 1].astype(np.float64)
+        own = slice(planes.start - lo, planes.stop - lo)
+        # J[i][j] = d u_i / d x_j over the slab
+        J = [[np.gradient(u[i], axis=j)[own] for j in range(3)] for i in range(3)]
+        for i in range(3):
+            J[i][i] = J[i][i] + 1.0
+        det[planes] = (J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1])
+                       - J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0])
+                       + J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0]))
+    return Volume(det, spacing=fld.spacing, origin=fld.origin)
 
 
 def pad_to_shape(vol: Volume, target_dims) -> Volume:

@@ -247,6 +247,19 @@ def test_degenerate_phantom_spec_names_key(tmp_path, capsys, key, value):
     assert not (tmp_path / "ph").exists()
 
 
+def _exit_code_contract(argv):
+    """cli(argv) in-process: exit 0 with nothing on stderr, or exit 2 or 3
+    with its stderr prefix; an exception escaping cli() fails the caller."""
+    err = stdio.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli(argv)
+    out = err.getvalue()
+    prefix = {EXIT_VALIDATION: "validation error: ", EXIT_RUNTIME: "runtime error: "}
+    assert (rc == EXIT_OK and out == "") or (
+        rc in prefix and out.startswith(prefix[rc])), (rc, out)
+    return rc
+
+
 # a valid 6^3 spec; each drawn example replaces a few of its numbers by
 # values from PROBES only. No entry of PROBES makes a grid or a texture
 # kernel this machine could allocate: a mid-sized texture_corr_mm (say 1e6)
@@ -264,15 +277,10 @@ PROBES = [0, -1, 5e-324, 1e-300, 1e300, 2 ** 62, math.nan]
                                st.sampled_from(PROBES), max_size=3))
 def test_phantom_spec_probes_keep_the_exit_code_contract(changes):
     doc = with_numbers(TINY_SPEC, changes)
-    err = stdio.StringIO()
-    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as d:
         spec = Path(d, "spec.json")
         spec.write_text(json.dumps(doc))
-        rc = cli(["phantom", "--spec", str(spec), "--out", str(Path(d, "ph"))])
-    prefix = {EXIT_VALIDATION: "validation error: ", EXIT_RUNTIME: "runtime error: "}
-    out = err.getvalue()
-    assert (rc == EXIT_OK and out == "") or (
-        rc in prefix and out.startswith(prefix[rc])), (changes, rc, out)
+        _exit_code_contract(["phantom", "--spec", str(spec), "--out", str(Path(d, "ph"))])
 
 
 # a valid register --config with every prior on and small budgets, and the
@@ -290,8 +298,10 @@ CONFIG_LISTS = [None, ("iterations", 0), ("iterations", 7), ("rigid_iterations",
 
 
 @pytest.fixture(scope="module")
-def register_inputs(tmp_path_factory):
-    d = tmp_path_factory.mktemp("register_inputs")
+def tiny_phantom(tmp_path_factory):
+    """The paths of the 8^3 phantom's volumes by name, and of an embedding
+    ("emb") and an adapter ("adapter") for it."""
+    d = tmp_path_factory.mktemp("tiny_phantom")
     spec = d / "spec.json"
     spec.write_text(json.dumps({
         "dims": [8, 8, 8], "body_semi_axes_mm": [3.5, 3.5, 3.5],
@@ -300,11 +310,81 @@ def register_inputs(tmp_path_factory):
     assert cli(["phantom", "--spec", str(spec), "--out", str(d / "ph")]) == EXIT_OK
     pr.condition.save_embedding(str(d / "emb.json"), pr.pseudo_embedding("oropharynx"))
     pr.condition.save_adapter(str(d / "adapter.json"), pr.AdapterWeights.random(1))
-    ph = {name: str(d / "ph" / name) for name in ("image", "body", "ctv", "oar_0", "dose")}
+    return {name: str(d / "ph" / name) for name in ("image", "body", "ctv", "oar_0", "dose")} \
+        | {"emb": str(d / "emb.json"), "adapter": str(d / "adapter.json")}
+
+
+@pytest.fixture(scope="module")
+def register_inputs(tiny_phantom):
+    ph = tiny_phantom
     return ["register", "--fixed", ph["image"], "--moving", ph["image"],
             "--body", ph["body"], "--ctv", ph["ctv"], "--oars", ph["oar_0"],
-            "--dose", ph["dose"], "--embeddings", str(d / "emb.json"),
-            "--adapter", str(d / "adapter.json")]
+            "--dose", ph["dose"], "--embeddings", ph["emb"], "--adapter", ph["adapter"]]
+
+
+# each drawn example replaces up to three numbers of the default priors
+# --params document by CONFIG_PROBES, then drops, adds or retypes one key
+PARAMS = asdict(pr.PriorParams())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_prior_params_probes_keep_the_exit_code_contract(tiny_phantom, data):
+    doc = with_numbers(PARAMS, data.draw(st.dictionaries(
+        st.sampled_from(number_paths(PARAMS)), st.sampled_from(CONFIG_PROBES), max_size=3)))
+    op, key, value = data.draw(st.tuples(st.sampled_from(["keep", "drop", "add", "retype"]),
+                                         st.sampled_from(sorted(PARAMS)),
+                                         st.sampled_from(CONFIG_RETYPED)))
+    if op == "drop":
+        del doc[key]
+    elif op != "keep":
+        doc["extra" if op == "add" else key] = value
+    ph = tiny_phantom
+    with tempfile.TemporaryDirectory() as d:
+        Path(d, "params.json").write_text(json.dumps(doc))
+        _exit_code_contract(["priors", "--ctv", ph["ctv"], "--body", ph["body"],
+                             "--oars", ph["oar_0"], "--dose", ph["dose"],
+                             "--params", str(Path(d, "params.json")),
+                             "--out", str(Path(d, "o"))])
+
+
+# a 4 x 5 x 6 image or field written by write_volume; each drawn example sets
+# up to three header values to HEADER_PROBES, then cuts or pads its raw
+# file, or resizes it to the length the header asks for. Every grid the
+# probes make either needs under 64 KiB or is refused for its raw length,
+# so none is allocated
+HEADER_PROBES = [0, 1, 3, 7, -1, 2 ** 40, 10 ** 400, 2.0, 1e-320, 1e308, math.nan, True,
+                 "field", "mask"]
+RAW_CHANGES = ["keep", "header", -4, -1, 1, 4]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_header_and_raw_length_probes_keep_the_exit_code_contract(data):
+    img = pr.Volume(np.arange(120, dtype=np.float32).reshape(4, 5, 6), spacing=(1.0, 2.0, 1.5))
+    fld = pr.DisplacementField(np.full((3,) + img.dims, 0.5, dtype=np.float32),
+                               spacing=img.spacing)
+    which = data.draw(st.sampled_from(["image", "field"]))
+    raw_change = data.draw(st.sampled_from(RAW_CHANGES))
+    with tempfile.TemporaryDirectory() as d:
+        io.write_volume(str(Path(d, "image")), img, kind="image")
+        io.write_volume(str(Path(d, "field")), fld, kind="field")
+        header_path, raw_path = Path(d, which + ".json"), Path(d, which + ".raw")
+        header = json.loads(header_path.read_text())
+        header = with_numbers(header, data.draw(st.dictionaries(
+            st.sampled_from(number_paths(header)), st.sampled_from(HEADER_PROBES),
+            max_size=3)))
+        header_path.write_text(json.dumps(header))
+        raw = raw_path.read_bytes()
+        counts = [header["components"], *header["dims"]]
+        if raw_change == "header" and all(type(c) is int for c in counts) \
+                and 0 <= 4 * math.prod(counts) <= 65536:
+            raw = np.resize(np.frombuffer(raw, dtype=np.uint8), 4 * math.prod(counts)).tobytes()
+        elif raw_change not in ("keep", "header"):
+            raw = raw[:raw_change] if raw_change < 0 else raw + bytes(raw_change)
+        raw_path.write_bytes(raw)
+        _exit_code_contract(["warp", "--image", str(Path(d, "image")),
+                             "--field", str(Path(d, "field")), "--out", str(Path(d, "o"))])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -324,14 +404,12 @@ def test_config_probes_keep_the_exit_code_contract(register_inputs, data):
         del doc[key]
     elif op != "keep":
         doc["extra" if op == "add" else key] = value
-    err = stdio.StringIO()
-    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as d:
         config = Path(d, "cfg.json")
         config.write_text(json.dumps(doc))
-        rc = cli(register_inputs + ["--config", str(config), "--out", str(Path(d, "o"))])
-    out = err.getvalue()
-    assert (rc == EXIT_OK and out == "") or (
-        rc == EXIT_VALIDATION and out.startswith("validation error: ")), (doc, rc, out)
+        rc = _exit_code_contract(register_inputs + ["--config", str(config),
+                                                    "--out", str(Path(d, "o"))])
+    assert rc != EXIT_RUNTIME, doc
 
 
 @pytest.mark.parametrize("change, refused", [

@@ -9,11 +9,11 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import protoreg as pr
-from protoreg import io, similarity, volgrid
+from protoreg import engine, io, similarity, volgrid
 from protoreg.cli import cli
 from protoreg.errors import ValidationError, _finite_number, _known_keys
 from protoreg.volgrid import _Sampler
@@ -274,10 +274,11 @@ def test_fused_smoothness_matches_two_passes(u):
 
 @st.composite
 def slabbed_fields(draw):
-    """(planes, u): a field of float32 or float64 whose grid spans 2-6 slabs
-    of `planes` x-planes, the last one possibly short."""
-    planes, slabs = draw(st.integers(1, 3)), draw(st.integers(2, 6))
-    nx = draw(st.integers((slabs - 1) * planes + 1, slabs * planes))
+    """(planes, u): a field of float32 or float64 whose grid of at least 2
+    x-planes spans 1-6 slabs of `planes` x-planes, the last one possibly
+    short."""
+    planes, slabs = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    nx = draw(st.integers(max(2, (slabs - 1) * planes + 1), max(2, slabs * planes)))
     dims = (nx,) + draw(st.tuples(st.integers(2, 5), st.integers(2, 5)))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     width = 32 if dtype == np.float32 else 64
@@ -298,6 +299,56 @@ def test_slabbed_smoothness_matches_two_passes(case):
     assert grad.tobytes() == want_grad.tobytes()
     assert energy == alone
     assert abs(energy - want_energy) <= 2e-15 * abs(want_energy)
+
+
+def _slabbed(planes, dims, f, *args, **kwargs):
+    """f(*args, **kwargs) with every whole-grid pass cut into x-slabs of
+    `planes` planes of a grid of dims."""
+    with mock.patch.object(volgrid, "_CHUNK", planes * dims[1] * dims[2]):
+        return f(*args, **kwargs)
+
+
+def _field_example(nx):
+    u = np.linspace(-1e3, 1e3, 3 * nx * 3 * 4).reshape(3, nx, 3, 4)
+    return np.sin(u) * u
+
+
+@SETTINGS
+@given(case=slabbed_fields(), odd=st.tuples(*[st.booleans()] * 3))
+# the halo's edge cases: a grid of 2 planes in two one-plane slabs, and a
+# one-plane last slab at the high face
+@example(case=(1, _field_example(2)), odd=(True, False, True))
+@example(case=(3, _field_example(7)), odd=(False, True, False))
+def test_slabbed_passes_keep_the_one_slab_bits(case, odd):
+    # each whole-grid pass, cut into slabs of 1 plane up to the whole grid,
+    # returns the bytes of the one-slab pass (these grids are one slab of
+    # volgrid._CHUNK); the field moves voxels by up to 4, so warps sample
+    # both inside the grid and off it
+    planes, u = case
+    dims = u.shape[1:]
+    fld = pr.DisplacementField(u / 250.0, spacing=(1.0, 2.0, 1.5), origin=(3.0, -1.0, 0.5))
+    img = pr.Volume(u[0], spacing=fld.spacing, origin=fld.origin)
+    t = pr.RigidTransform(rotation=(0.2, -0.1, 0.3), translation=(1.0, -0.5, 2.0),
+                          center=engine._physical_center(img))
+    passes = [(pr.jacobian_det, fld), (pr.warp, img, fld),
+              (engine.resample_rigid, img, fld, t), (engine.resample_rigid, img, img, t)]
+    for f, *args in passes:
+        assert _slabbed(planes, dims, f, *args).data.tobytes() == f(*args).data.tobytes()
+    # upsampled onto a grid of twice the voxels per axis, or one fewer, cut there
+    target = tuple(2 * n - o for n, o in zip(dims, odd))
+    want = pr.upsample_field(fld, target).data
+    assert _slabbed(planes, target, pr.upsample_field, fld, target).data.tobytes() \
+        == want.tobytes()
+
+    # a few descent steps on a bowl at u, under a gate in u's dtype
+    def evaluate(x):
+        d = x - u
+        return float((d.astype(np.float64) ** 2).sum()), 2 * d
+    gate = (1.0 + np.abs(u[:1]) / 2e3).astype(u.dtype)
+    args = (evaluate, np.zeros_like(u), 0.5, 4, engine.LEVEL_EPS, 0.0)
+    want = engine._descend(*args, scale=gate)
+    got = _slabbed(planes, dims, engine._descend, *args, scale=gate)
+    assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
 
 # a report that `protoreg warp --rigid` takes, on a 6^3 grid of 2 mm voxels
