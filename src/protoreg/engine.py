@@ -198,25 +198,27 @@ STEP_FACTORS = (1.0, 0.5, 0.25, 0.125)
 STEP_UP_AFTER = 3
 
 
-def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
-    """Adam (betas 0.9, 0.999) from x with backtracking down STEP_FACTORS:
-    the first trial whose loss is finite and not higher is taken, so the
-    trajectory (initial loss, then one per iteration) never rises.
+def _descend(evaluate, x, iterations, tol, gate=None):
+    """Adam (betas 0.9, 0.999, step LEVEL_STEP, epsilon LEVEL_EPS) from x
+    with backtracking down STEP_FACTORS: the first trial whose loss is
+    finite and not higher is taken, so the trajectory (initial loss, then
+    one per iteration) never rises.
 
     evaluate(x) returns (loss, gradient) from one warp, so the trial taken
     hands its gradient to the next iteration. Each iteration starts at the
     factor taken last, and one rung higher after STEP_UP_AFTER consecutive
     first-trial accepts. An iteration that takes no trial keeps x, the
-    start factor and the gradient. x is a (components, nx, ny, nz) field
-    and lr a Python float; scale, a scalar or an array that broadcasts to
-    x, multiplies each step per element. Stops after `iterations`, or once
-    the loss changed by less than tol, relative, over LEVEL_WINDOW
-    iterations (tol 0 never stops early).
+    start factor and the gradient. x is a (components, nx, ny, nz) field;
+    gate, None or an (nx, ny, nz) array, multiplies each component's step
+    per element. Stops after `iterations`, or once the loss changed by less
+    than tol, relative, over LEVEL_WINDOW iterations (tol 0 never stops
+    early).
 
-    The descent runs in x's dtype: with x, the gradients and scale float32,
-    so are the moments, the step and every trial. Every other scalar in the
-    step must be a Python float: under numpy 2's promotion rules (NEP 50) a
-    numpy float64 scalar would promote the float32 arrays to float64.
+    The descent runs in x's dtype: with x, the gradients and the gate
+    float32, so are the moments, the step and every trial. Every scalar in
+    the step, LEVEL_STEP and LEVEL_EPS included, must be a Python float:
+    under numpy 2's promotion rules (NEP 50) a numpy float64 scalar would
+    promote the float32 arrays to float64.
 
     Buffers: the iterate, the trial and the two moments are four arrays
     shaped as x, allocated once per descent and updated in place. The
@@ -248,17 +250,14 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
     cand = np.empty_like(x)
     m1, m2 = np.zeros_like(x), np.zeros_like(x)
     blocks = [(c, planes) for c in range(x.shape[0]) for planes in _slabs(x.shape[1:])]
-    # a scalar scale stays itself, which NEP 50 keeps weak
-    scales = np.broadcast_to(scale, x.shape) if np.ndim(scale) else None
     scratch = np.empty((2, blocks[0][1].stop) + x.shape[2:], dtype=x.dtype)
 
     def trial(it, factor, update):
         """cand = x - factor * step, block by block, each block's moments
         first updated by g when update is set."""
         c1, c2 = 1.0 - beta1 ** (it + 1), 1.0 - beta2 ** (it + 1)
-        for b in blocks:
-            m1_b, m2_b, g_b, x_b, cand_b = (v[b] for v in (m1, m2, g, x, cand))
-            scale_b = scale if scales is None else scales[b]
+        for c, planes in blocks:
+            m1_b, m2_b, g_b, x_b, cand_b = (v[c, planes] for v in (m1, m2, g, x, cand))
             t, q = scratch[:, :m1_b.shape[0]]
             if update:
                 # m1 = beta1 * m1 + (1 - beta1) * g;  m2 = beta2 * m2 + (1 - beta2) * g * g
@@ -268,13 +267,14 @@ def _descend(evaluate, x, lr, iterations, eps, tol, scale=1.0):
                 # (in g's dtype, as the plain formula forms it, even when x's differs)
                 m2_b += np.multiply(np.multiply(g_b, 1.0 - beta2, out=t), g_b, out=t,
                                     dtype=g.dtype)
-            # step = lr * (m1 / c1) / (sqrt(m2 / c2) + eps) * scale
+            # step = LEVEL_STEP * (m1 / c1) / (sqrt(m2 / c2) + LEVEL_EPS) * gate
             np.divide(m1_b, c1, out=t)
-            t *= lr
+            t *= LEVEL_STEP
             np.sqrt(np.divide(m2_b, c2, out=q), out=q)
-            q += eps
+            q += LEVEL_EPS
             t /= q
-            t *= scale_b
+            if gate is not None:
+                t *= gate[planes]
             np.subtract(x_b, np.multiply(t, factor, out=t), out=cand_b)
 
     for it in range(iterations):
@@ -475,8 +475,7 @@ def _rigid_evaluator(obj: Objective, center):
     dL/dT(x) through T: per mm, dL/dt is the voxel sum of dL/dT(x) and
     dL/dr_k = <dR/dr_k, sum_x dL/dT(x) (x - c)^T>, both over the support's
     k voxels, where dL/dT(x) lives in one kept (3, k) buffer."""
-    index = np.array(np.unravel_index(obj.support, obj.fixed.dims), dtype=np.float64)
-    rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center, index[..., None, None])
+    rel, voxels = _rigid_mapping(obj.moving, obj.fixed, center, obj._ident[..., None, None])
     rel = rel[..., 0, 0]
     spacing = np.array(obj.moving.spacing).reshape(3, 1)
     g = np.empty_like(rel)
@@ -549,8 +548,8 @@ def warp_contour(mask: Volume, fld: DisplacementField,
                  t: RigidTransform | None = None) -> Volume:
     """Warp a 0/1 mask as a real image, through T(x + u(x)) when the rigid
     transform t is given (resample_rigid), and re-binarize at 0.5."""
-    warped = warp(mask, fld) if t is None else resample_rigid(mask, fld, t)
     _check_binary(mask, "contour")
+    warped = warp(mask, fld) if t is None else resample_rigid(mask, fld, t)
     return warped.with_data((warped.data >= 0.5).astype(np.float32))
 
 
@@ -629,8 +628,8 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         flags.append(f"levels_reduced_to_{n_levels}")
 
     prior_levels = build_pyramid(fused, n_levels) if fused is not None else (None,) * n_levels
-    gate_levels = [gate(p, config.prior_params).data[None]
-                   if config.use_gate and p is not None else 1.0
+    # RegConfig refuses use_gate without a prior
+    gate_levels = [gate(p, config.prior_params).data if config.use_gate else None
                    for p in prior_levels]
 
     phi = None
@@ -647,8 +646,8 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
         x, trajectory, counters = _descend(
             obj.evaluate,
             (upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)).data,
-            LEVEL_STEP, config.iterations[min(step, len(config.iterations) - 1)],
-            LEVEL_EPS, config.convergence_tol, scale=gate_levels[li])
+            config.iterations[min(step, len(config.iterations) - 1)],
+            config.convergence_tol, gate=gate_levels[li])
         # the last accepted trial, the float32 field evaluate scored
         phi = DisplacementField(x, spacing=f_l.spacing, origin=f_l.origin)
         if li == 0:

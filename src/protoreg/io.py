@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -119,12 +120,17 @@ def read_volume(path: str):
     except ValidationError as e:
         raise FormatError(f"{path}.json: {e}") from e
 
+    expected = 4 * components * dims[0] * dims[1] * dims[2]
     try:
         with open(path + ".raw", "rb") as f:
+            st = os.fstat(f.fileno())
+            # a regular file's size is known before it is read, so a long
+            # one is refused without reading it
+            if stat.S_ISREG(st.st_mode) and st.st_size != expected:
+                raise FormatError(f"{path}.raw has {st.st_size} bytes, expected {expected}")
             raw = f.read()
     except OSError as e:
         raise OSError(f"failed reading {path!r}: {e}") from e
-    expected = 4 * components * dims[0] * dims[1] * dims[2]
     if len(raw) != expected:
         raise FormatError(
             f"{path}.raw has {len(raw)} bytes, expected {expected}")

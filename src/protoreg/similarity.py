@@ -100,10 +100,10 @@ class _Smoothness:
     slab's differences and one slab's adjoint; nothing the size of the
     grid is kept. Every difference is taken from the float64 copy, so no
     operation of the pass casts, and axis 2's are taken over the flattened
-    slab, so its two adjoint updates are contiguous 1-D passes. Given
-    support, the sorted flat indices of the k voxels an objective's NCC
-    lives on, a pass can also take the adjoint's entries there into (3, k)
-    rows.
+    slab, so its two adjoint updates are contiguous 1-D passes. Every pass
+    forms each slab's adjoint there; out and rows only decide whether it is
+    scaled and written, and whether its entries on support, the sorted flat
+    indices of the k voxels an objective's NCC lives on, go into rows.
 
     Each element's adjoint takes its updates in the order of the whole
     grid's pass (-d0[i], +d0[i-1], -d1[j], +d1[j-1], -d2[k], +d2[k-1],
@@ -154,7 +154,7 @@ class _Smoothness:
             uc = u[c]
             for i, planes in enumerate(self._slabs):
                 a, b = planes.start, planes.stop
-                adj = None if out is None else self._adj[:b - a]
+                adj = self._adj[:b - a]
                 # axis 0: the differences d0[lo .. hi-2], one before the
                 # slab's own d0[a .. e-1], which its energy sums
                 lo, hi, e = max(a - 1, 0), min(b + 1, nx), min(b, nx - 1)
@@ -163,19 +163,17 @@ class _Smoothness:
                 np.copyto(v, uc[lo:hi])
                 d = self._d[:(hi - lo - 1) * self._plane].reshape(hi - lo - 1, ny, nz)
                 np.subtract(v[1:], v[:-1], out=d)
-                if adj is not None:
-                    np.subtract(0.0, d[a - lo:e - lo], out=adj[:e - a])
-                    adj[e - a:] = 0.0       # plane nx - 1 has no forward difference
-                    s = max(a, 1)
-                    adj[s - a:] += d[s - 1 - lo:b - 1 - lo]
+                np.subtract(0.0, d[a - lo:e - lo], out=adj[:e - a])
+                adj[e - a:] = 0.0       # plane nx - 1 has no forward difference
+                s = max(a, 1)
+                adj[s - a:] += d[s - 1 - lo:b - 1 - lo]
                 own = d[a - lo:e - lo]
                 parts[3 * c] += float(np.multiply(own, own, out=own).sum())
                 slab = v[a - lo:b - lo]
                 d = self._d[:(b - a) * (ny - 1) * nz].reshape(b - a, ny - 1, nz)
                 np.subtract(slab[:, 1:], slab[:, :-1], out=d)
-                if adj is not None:
-                    adj[:, :-1] -= d
-                    adj[:, 1:] += d
+                adj[:, :-1] -= d
+                adj[:, 1:] += d
                 parts[3 * c + 1] += float(np.multiply(d, d, out=d).sum())
                 # axis 2 over the flattened slab: entry j is slab[j + 1] -
                 # slab[j], and each row's last, which spans two rows, is
@@ -185,39 +183,29 @@ class _Smoothness:
                 np.subtract(flat[1:], flat[:-1], out=d[:-1])
                 d2 = d.reshape(slab.shape)
                 d2[..., -1] = 0.0
-                if adj is not None:
-                    g = adj.reshape(-1)
-                    g -= d
-                    g[1:] += d[:-1]
+                g = adj.reshape(-1)
+                g -= d
+                g[1:] += d[:-1]
                 # squared into the slab's copy, free now, in the contiguous
                 # (planes, ny, nz - 1) layout whose sum the energy takes
                 sq = self._v[:(b - a) * ny * (nz - 1)].reshape(b - a, ny, nz - 1)
                 parts[3 * c + 2] += float(np.multiply(d2[..., :-1], d2[..., :-1], out=sq).sum())
-                if adj is not None:
-                    adj *= 2.0 / self._n
-                    adj *= lam
-                    out[c, a:b] = adj
-                    if rows is not None:
-                        s0, s1 = self._runs[i], self._runs[i + 1]
-                        local = np.subtract(self._support[s0:s1], a * self._plane,
-                                            out=self._local[:s1 - s0])
-                        # mode "clip" (the indices are in range) takes
-                        # straight into out, not through a copy of it
-                        np.take(adj.reshape(-1), local, out=rows[c, s0:s1], mode="clip")
+                if out is None:
+                    continue
+                adj *= 2.0 / self._n
+                adj *= lam
+                out[c, a:b] = adj
+                if rows is not None:
+                    s0, s1 = self._runs[i], self._runs[i + 1]
+                    local = np.subtract(self._support[s0:s1], a * self._plane,
+                                        out=self._local[:s1 - s0])
+                    # mode "clip" (the indices are in range) takes
+                    # straight into out, not through a copy of it
+                    np.take(adj.reshape(-1), local, out=rows[c, s0:s1], mode="clip")
         total = 0.0
         for p in parts:
             total += p
         return total / self._n
-
-
-def _smoothness(u: np.ndarray, want_grad: bool = False):
-    """S(u) and, when asked, its float64 adjoint 2/N * (D^T D) u (else
-    None), through a new _Smoothness with no support."""
-    smooth = _Smoothness(u.shape[1:])
-    if not want_grad:
-        return smooth(u), None
-    grad = np.empty(u.shape)
-    return smooth(u, grad), grad
 
 
 def smoothness(fld: DisplacementField) -> float:
@@ -225,7 +213,7 @@ def smoothness(fld: DisplacementField) -> float:
     three components along all three axes (voxel units)."""
     if min(fld.dims) < 2:
         raise ValidationError("smoothness needs at least 2 voxels per axis")
-    return _smoothness(fld.data)[0]
+    return _Smoothness(fld.dims)(fld.data)
 
 
 class Objective:
@@ -242,8 +230,8 @@ class Objective:
 
     The NCC lives on the support alone, the k voxels whose weight is > 0
     (every voxel when nothing is masked): support holds their sorted flat
-    indices, and on_support gathers any (3, nx, ny, nz) coordinates to
-    theirs. The weights, the fixed side and moving's sampled values are
+    indices, and _cut(coords, support) cuts any (3, nx, ny, nz) coordinates
+    to theirs. The weights, the fixed side and moving's sampled values are
     k-vectors, every NCC sum runs over them, and the NCC gradient is
     subtracted from the gradient's support rows; off the support the
     gradient is the smoothness term's alone. Sums over the whole grid,
@@ -284,15 +272,10 @@ class Objective:
         self._rows = np.empty((3, k))
         self._smooth = _Smoothness(fixed.dims, self.support)
 
-    def on_support(self, coords: np.ndarray) -> np.ndarray:
-        """(3, nx, ny, nz) coordinates cut to the support's, a (3, k) array
-        in support's order (see _cut)."""
-        return _cut(coords, self.support)
-
     def ncc_at(self, points: np.ndarray, grad: np.ndarray) -> float:
         """-NCC_w of moving sampled at points, a (3, k, ...) array of the
         voxel coordinates in moving of the support's k voxels in support's
-        order (on_support cuts them from the whole grid's); adds its gradient
+        order (_cut cuts them from the whole grid's); adds its gradient
         with respect to each voxel's coordinates into grad, a (3, k) float64
         array in the same order. Sampling is float64, so the
         finite-difference gradient check is not drowned by float32 rounding

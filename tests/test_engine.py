@@ -51,6 +51,18 @@ class TestWarpContour:
         with pytest.raises(ValidationError, match="0/1"):
             pr.warp_contour(img, pr.zero_field(img), rigid)
 
+    @pytest.mark.parametrize("rigid", [None, pr.RigidTransform()])
+    def test_contour_is_checked_before_it_is_warped(self, small_phantom, rigid):
+        # a 0.5-valued mask on a grid other than the field's is refused as a
+        # contour, and neither warp nor resample_rigid samples it first
+        _, st, _ = small_phantom
+        half = pr.Volume(np.full((4, 4, 4), 0.5, dtype=np.float32))
+        with mock.patch.object(engine, "warp") as warp, \
+                mock.patch.object(engine, "resample_rigid") as resample:
+            with pytest.raises(ValidationError, match="0/1"):
+                pr.warp_contour(half, pr.zero_field(st.ctv), rigid)
+        assert not warp.called and not resample.called
+
 
 class TestWarpRigid:
     def test_zero_field_is_resample_rigid(self, small_phantom):
@@ -291,9 +303,10 @@ class TestRigidObjective:
         index = np.array(np.unravel_index(obj.support, fixed.dims), dtype=np.float64)
         cut = engine._rigid_mapping(moving, fixed, center, index[..., None, None])[1](
             t.matrix(), t.translation)
-        assert cut.tobytes() == obj.on_support(full).tobytes()
+        full = similarity._cut(full, obj.support)
+        assert cut.tobytes() == full.tobytes()
         g_full, g_cut = np.zeros((2, 3, obj.support.size))
-        assert obj.ncc_at(obj.on_support(full), g_full) == obj.ncc_at(cut, g_cut)
+        assert obj.ncc_at(full, g_full) == obj.ncc_at(cut, g_cut)
         assert g_full.tobytes() == g_cut.tobytes()
 
 
@@ -313,9 +326,9 @@ def _bowl_evaluate(x):
 
 
 def _plain_descend(loss, gradient, x, lr, iterations, eps, scale=1.0):
-    """_descend's step rule at tol 0, evaluated plainly: a fresh gradient
-    every iteration, one step over the whole of x and every trial scored
-    by loss alone."""
+    """_descend's step rule at tol 0, step lr and epsilon eps, evaluated
+    plainly: a fresh gradient every iteration, one step over the whole of x
+    and every trial scored by loss alone."""
     cur = loss(x)
     trajectory = [cur]
     m1 = np.zeros_like(x)
@@ -345,11 +358,17 @@ def _plain_descend(loss, gradient, x, lr, iterations, eps, scale=1.0):
     return x, trajectory
 
 
+def _level_constants(monkeypatch, step, eps=engine.LEVEL_EPS):
+    """_descend's step and epsilon set to step and eps for one test."""
+    monkeypatch.setattr(engine, "LEVEL_STEP", step)
+    monkeypatch.setattr(engine, "LEVEL_EPS", eps)
+
+
 class TestDescend:
-    def test_trajectory_and_window_rule(self):
+    def test_trajectory_and_window_rule(self, monkeypatch):
+        _level_constants(monkeypatch, 0.1, 1e-8)
         x0 = np.zeros(FIELD)
-        x, traj, counters = engine._descend(_bowl_evaluate, x0, 0.1, 200,
-                                            1e-8, 1e-5)
+        x, traj, counters = engine._descend(_bowl_evaluate, x0, 200, 1e-5)
         assert traj[0] == _bowl(x0)
         assert traj[-1] == _bowl(x)
         assert np.all(np.diff(traj) <= 0.0)
@@ -361,59 +380,61 @@ class TestDescend:
         assert counters["stop_reason"] == "converged"
         assert sum(counters["accepted"].values()) + counters["rejected"] == len(traj) - 1
 
-    def test_rigid_rule_runs_full_budget(self):
+    def test_rigid_rule_runs_full_budget(self, monkeypatch):
         # started at the minimum the loss never changes, so only tol 0
         # keeps the descent going
-        _, traj, counters = engine._descend(_bowl_evaluate, C.reshape(FIELD), 0.1, 30,
-                                            1e-12, 0.0)
+        _level_constants(monkeypatch, 0.1, 1e-12)
+        _, traj, counters = engine._descend(_bowl_evaluate, C.reshape(FIELD), 30, 0.0)
         assert traj == [1.0] * 31
         assert counters["stop_reason"] == "iteration_cap"
-        _, traj, counters = engine._descend(_bowl_evaluate, C.reshape(FIELD), 0.1, 30,
-                                            1e-12, 1e-5)
+        _, traj, counters = engine._descend(_bowl_evaluate, C.reshape(FIELD), 30, 1e-5)
         assert len(traj) == engine.LEVEL_WINDOW + 1
         assert counters["stop_reason"] == "converged"
 
-    def test_evaluations_count_the_calls(self):
+    def test_evaluations_count_the_calls(self, monkeypatch):
+        _level_constants(monkeypatch, 0.1, 1e-8)
         calls = []
 
         def evaluate(x):
             calls.append(x)
             return _bowl_evaluate(x)
-        _, traj, counters = engine._descend(evaluate, np.zeros(FIELD), 0.1, 200,
-                                            1e-8, 1e-5)
+        _, traj, counters = engine._descend(evaluate, np.zeros(FIELD), 200, 1e-5)
         assert counters["evaluations"] == len(calls) >= len(traj)
 
-    def test_non_finite_trials_rejected(self):
+    def test_non_finite_trials_rejected(self, monkeypatch):
+        _level_constants(monkeypatch, 0.1, 1e-8)
+
         def loss(x):
             return math.inf if x.flat[0] > 0.5 else _bowl(x)
         def evaluate(x):
             return loss(x), _bowl_evaluate(x)[1]
-        x, traj, _ = engine._descend(evaluate, np.zeros(FIELD), 0.1, 50, 1e-8, 0.0)
+        x, traj, _ = engine._descend(evaluate, np.zeros(FIELD), 50, 0.0)
         assert x.flat[0] <= 0.5
         assert all(math.isfinite(v) for v in traj)
         assert np.all(np.diff(traj) <= 0.0)
 
-    def test_start_is_never_written(self):
+    def test_start_is_never_written(self, monkeypatch):
         # the descent steps in buffers of its own and swaps trial and
         # iterate; rejected trials (a loss of inf past x[0] = 0.5) run the
         # same swap-free path
+        _level_constants(monkeypatch, 0.1, 1e-8)
         x0 = np.array([0.3, -0.7, 0.1, 0.9]).reshape(FIELD)
         before = x0.copy()
 
         def evaluate(x):
             return (math.inf if x.flat[0] > 0.5 else _bowl(x)), _bowl_evaluate(x)[1]
-        x, _, counters = engine._descend(evaluate, x0, 0.1, 30, 1e-8, 0.0)
+        x, _, counters = engine._descend(evaluate, x0, 30, 0.0)
         assert x0.tobytes() == before.tobytes()
         assert not np.shares_memory(x, x0) and not np.array_equal(x, x0)
         assert counters["evaluations"] > 31
 
-    def test_non_finite_initial_loss_raises(self):
+    def test_non_finite_initial_loss_raises(self, monkeypatch):
+        _level_constants(monkeypatch, 0.1, 1e-8)
         with pytest.raises(ValidationError, match="non-finite"):
-            engine._descend(lambda x: (math.nan, x),
-                            np.zeros(FIELD), 0.1, 10, 1e-8, 1e-5)
+            engine._descend(lambda x: (math.nan, x), np.zeros(FIELD), 10, 1e-5)
 
 
-    def test_fused_trials_match_the_plain_rule(self, small_phantom):
+    def test_fused_trials_match_the_plain_rule(self, small_phantom, monkeypatch):
         # reusing a taken first trial's gradient, and the one of an
         # all-rejected iteration, changes no bit of the descent
         img, st, _ = small_phantom
@@ -422,8 +443,8 @@ class TestDescend:
         obj = similarity.Objective(pr.warp(img, g), img, st.body, 0.2)
         x0 = np.zeros((3,) + img.dims)
         # a step of 0.5 voxels, large enough that some trials are rejected
-        x, traj, counters = engine._descend(obj.evaluate, x0, 0.5, 25,
-                                            engine.LEVEL_EPS, 0.0)
+        _level_constants(monkeypatch, 0.5)
+        x, traj, counters = engine._descend(obj.evaluate, x0, 25, 0.0)
         want_x, want_traj = _plain_descend(lambda u: obj.loss(u).total,
                                            lambda u: obj.evaluate(u)[1],
                                            x0, 0.5, 25, engine.LEVEL_EPS)
@@ -434,7 +455,7 @@ class TestDescend:
         assert sum(counters["accepted"].values()) == 25
         assert counters["evaluations"] > 1 + 25
 
-    def test_blocked_float32_trials_match_the_plain_rule(self, small_phantom):
+    def test_blocked_float32_trials_match_the_plain_rule(self, small_phantom, monkeypatch):
         # a level's float32 descent under a float32 gate, stepped in x-slabs
         # of 3 planes per component, the last of each 2 planes; at a step of
         # 0.5 voxels some trials are rejected, and each retried trial
@@ -444,11 +465,11 @@ class TestDescend:
                                  envelope=st.body.data.astype(np.float64))
         obj = similarity.Objective(pr.warp(img, g), img, st.body, 0.2)
         x0 = np.zeros((3,) + img.dims, dtype=np.float32)
-        gate = np.random.default_rng(5).uniform(0.5, 1.0, (1,) + img.dims).astype(np.float32)
+        gate = np.random.default_rng(5).uniform(0.5, 1.0, img.dims).astype(np.float32)
         assert img.dims[0] % 3 == 2
+        _level_constants(monkeypatch, 0.5)
         with mock.patch.object(volgrid, "_CHUNK", 3 * img.dims[1] * img.dims[2]):
-            x, traj, counters = engine._descend(obj.evaluate, x0, 0.5, 25,
-                                                engine.LEVEL_EPS, 0.0, scale=gate)
+            x, traj, counters = engine._descend(obj.evaluate, x0, 25, 0.0, gate)
         want_x, want_traj = _plain_descend(lambda u: obj.loss(u).total,
                                            lambda u: obj.evaluate(u)[1],
                                            x0, 0.5, 25, engine.LEVEL_EPS, gate)
@@ -457,14 +478,15 @@ class TestDescend:
         assert traj == want_traj
         assert counters["evaluations"] > 1 + 25
 
-    def test_rejected_iteration_reuses_its_gradient(self):
+    def test_rejected_iteration_reuses_its_gradient(self, monkeypatch):
+        _level_constants(monkeypatch, 0.1, 1e-8)
         x0 = np.zeros(FIELD)
         at_start = []
 
         def evaluate(x):
             at_start.append(np.array_equal(x, x0))
             return (1.0 if at_start[-1] else 2.0), _bowl_evaluate(x)[1]
-        x, traj, counters = engine._descend(evaluate, x0, 0.1, 6, 1e-8, 0.0)
+        x, traj, counters = engine._descend(evaluate, x0, 6, 0.0)
         assert np.array_equal(x, x0) and traj == [1.0] * 7
         # the start is scored once, then only the trials, four per iteration
         assert at_start == [True] + [False] * 24
@@ -472,7 +494,7 @@ class TestDescend:
         assert counters["rejected"] == 6
         assert counters["stop_reason"] == "iteration_cap"
 
-    def test_start_factor_stays_then_steps_up(self):
+    def test_start_factor_stays_then_steps_up(self, monkeypatch):
         # loss -x[0] with gradient -1, so Adam steps by about +1 and a
         # trial's factor is its distance from the current x; allowed[i] is
         # the largest factor iteration i accepts
@@ -492,9 +514,9 @@ class TestDescend:
             state["x"], state["taken"] = c.flat[0], it + 1
             return -c.flat[0]
 
-        _, _, counters = engine._descend(
-            lambda c: (loss(c), -np.ones(c.shape)),
-            np.zeros((1, 1, 1, 1)), 1.0, len(allowed), 1e-12, 0.0)
+        _level_constants(monkeypatch, 1.0, 1e-12)
+        _, _, counters = engine._descend(lambda c: (loss(c), -np.ones(c.shape)),
+                                         np.zeros((1, 1, 1, 1)), len(allowed), 0.0)
         first = [next(f for i, f in tried if i == it) for it in range(len(allowed))]
         assert first == [1, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 0.5]
         assert counters["accepted"] == {"1": 0, "0.5": 7, "0.25": 4, "0.125": 0}
@@ -505,7 +527,7 @@ class TestDescend:
 class TestFloat32Descent:
     """Each level descends in float32, the dtype of the field it starts from."""
 
-    def test_descent_runs_in_the_start_dtype(self):
+    def test_descent_runs_in_the_start_dtype(self, monkeypatch):
         dims = (4, 5, 6)
         target = np.linspace(-1.0, 1.0, 3 * 4 * 5 * 6).reshape((3,) + dims)
         seen = []
@@ -514,14 +536,14 @@ class TestFloat32Descent:
             seen.append(x.dtype)
             d = x.astype(np.float64) - target
             return float((d * d).sum()), (2.0 * d).astype(np.float32)
-        scale = np.full((1,) + dims, 0.75, dtype=np.float32)
+        gate = np.full(dims, 0.75, dtype=np.float32)
         x0 = np.zeros((3,) + dims, dtype=np.float32)
-        x, traj, _ = engine._descend(evaluate, x0, engine.LEVEL_STEP, 12,
-                                     engine.LEVEL_EPS, 0.0, scale=scale)
+        x, traj, _ = engine._descend(evaluate, x0, 12, 0.0, gate)
         assert x.dtype == np.float32 and set(seen) == {np.dtype(np.float32)}
         assert traj[-1] < traj[0] and not x0.any()      # the start is not written
         # a float64 start stays float64
-        p, _, _ = engine._descend(_bowl_evaluate, np.zeros(FIELD), 0.1, 5, 1e-12, 0.0)
+        _level_constants(monkeypatch, 0.1, 1e-12)
+        p, _, _ = engine._descend(_bowl_evaluate, np.zeros(FIELD), 5, 0.0)
         assert p.dtype == np.float64
 
     def test_register_hands_every_level_float32(self, small_phantom, monkeypatch):
@@ -531,17 +553,21 @@ class TestFloat32Descent:
         calls = []
         descend = engine._descend
 
-        def recorded(evaluate, x, *args, scale=1.0):
-            out = descend(evaluate, x, *args, scale=scale)
-            calls.append((x.dtype, np.asarray(scale).dtype, out[0].dtype))
+        def recorded(evaluate, x, iterations, tol, gate=None):
+            out = descend(evaluate, x, iterations, tol, gate)
+            calls.append((x.dtype, out[0].dtype,
+                          gate if gate is None else (gate.dtype, gate.shape == x.shape[1:])))
             return out
         monkeypatch.setattr(engine, "_descend", recorded)
-        cfg = replace(FAST, use_anatomy=True, use_risk=True, use_gate=True)
-        fld, rep = pr.register(pr.warp(img, g), img, cfg, structures=st, dose=dose)
         f32 = np.dtype(np.float32)
-        assert len(calls) == len(rep.levels)
-        assert calls == [(f32, f32, f32)] * len(calls)
-        assert fld.data.dtype == f32
+        # under use_gate a float32 gate over each level's grid; prior-free, none
+        gated = replace(FAST, use_anatomy=True, use_risk=True, use_gate=True)
+        for cfg, want_gate in ((gated, (f32, True)), (FAST, None)):
+            calls.clear()
+            fld, rep = pr.register(pr.warp(img, g), img, cfg, structures=st, dose=dose)
+            assert len(calls) == len(rep.levels)
+            assert calls == [(f32, f32, want_gate)] * len(calls)
+            assert fld.data.dtype == f32
 
     def test_float32_descent_stays_near_the_float64_one(self, small_phantom):
         # the same descent from a float64 start rounds every trial to
@@ -551,8 +577,7 @@ class TestFloat32Descent:
         g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.0, 4.0, 3),
                                  envelope=st.body.data.astype(np.float64))
         obj = similarity.Objective(pr.warp(img, g), img, st.body, 0.2)
-        runs = [engine._descend(obj.evaluate, np.zeros((3,) + img.dims, dtype=dtype),
-                                engine.LEVEL_STEP, 25, engine.LEVEL_EPS, 0.0)
+        runs = [engine._descend(obj.evaluate, np.zeros((3,) + img.dims, dtype=dtype), 25, 0.0)
                 for dtype in (np.float32, np.float64)]
         (x32, traj32, counters32), (x64, traj64, counters64) = runs
         assert x32.dtype == np.float32 and x64.dtype == np.float64

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -90,6 +91,26 @@ class TestVolumeIO:
         (tmp_path / "v.raw").write_bytes(raw[:-4])
         with pytest.raises(FormatError):
             io.read_volume(str(tmp_path / "v"))
+
+    def test_long_raw_refused_before_it_is_read(self, tmp_path):
+        # a 1-voxel header over a raw file padded by 1 MiB: its size alone
+        # refuses it, so nothing near the file's length is read into memory
+        vol = pr.Volume(np.ones((1, 1, 1), dtype=np.float32))
+        io.write_volume(str(tmp_path / "v"), vol, kind="image")
+        io.write_volume(str(tmp_path / "f"), pr.zero_field(vol), kind="field")
+        with open(tmp_path / "v.raw", "ab") as f:
+            f.write(bytes(2 ** 20))
+        assert _exit_code_contract(["warp", "--image", str(tmp_path / "v"), "--field",
+                                    str(tmp_path / "f"), "--out", str(tmp_path / "o")]) \
+            == EXIT_VALIDATION
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="1048580 bytes, expected 4"):
+                io.read_volume(str(tmp_path / "v"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 10
 
     def test_bad_components_rejected(self, tmp_path, rng):
         vol = random_volume(rng, (2, 2, 2))

@@ -261,15 +261,21 @@ def test_config_builds_hold_only_finite_numbers(data, what):
         assert isinstance(leaf, bool) or _finite_number(leaf), (what, doc, leaf)
 
 
+def _smoothness(u):
+    """S(u) and its float64 adjoint 2/N * (D^T D) u, from the pass that
+    writes the adjoint."""
+    grad = np.empty(u.shape)
+    return similarity._Smoothness(u.shape[1:])(u, grad), grad
+
+
 @SETTINGS
 @given(u=st.tuples(*[st.integers(2, 7)] * 3).flatmap(
     lambda dims: arrays(np.float64, (3,) + dims, elements=st.floats(-1e3, 1e3))))
 def test_fused_smoothness_matches_two_passes(u):
-    energy, grad = similarity._smoothness(u, True)
+    energy, grad = _smoothness(u)
     want_energy, want_grad = oracles.smoothness_two_pass(u)
-    assert energy == want_energy == similarity._smoothness(u)[0]
+    assert energy == want_energy == similarity._Smoothness(u.shape[1:])(u)
     assert grad.tobytes() == want_grad.tobytes()
-    assert similarity._smoothness(u)[1] is None
 
 
 @st.composite
@@ -292,8 +298,8 @@ def test_slabbed_smoothness_matches_two_passes(case):
     # volgrid._CHUNK sets the slab: one of `planes` x-planes of ny * nz voxels
     planes, u = case
     with mock.patch.object(volgrid, "_CHUNK", planes * u.shape[2] * u.shape[3]):
-        energy, grad = similarity._smoothness(u, True)
-        alone = similarity._smoothness(u)[0]
+        energy, grad = _smoothness(u)
+        alone = similarity._Smoothness(u.shape[1:])(u)
     want_energy, want_grad = oracles.smoothness_two_pass(u.astype(np.float64))
     # the adjoint keeps its bits; the energy adds up per-slab sums
     assert grad.tobytes() == want_grad.tobytes()
@@ -344,10 +350,11 @@ def test_slabbed_passes_keep_the_one_slab_bits(case, odd):
     def evaluate(x):
         d = x - u
         return float((d.astype(np.float64) ** 2).sum()), 2 * d
-    gate = (1.0 + np.abs(u[:1]) / 2e3).astype(u.dtype)
-    args = (evaluate, np.zeros_like(u), 0.5, 4, engine.LEVEL_EPS, 0.0)
-    want = engine._descend(*args, scale=gate)
-    got = _slabbed(planes, dims, engine._descend, *args, scale=gate)
+    gate = (1.0 + np.abs(u[0]) / 2e3).astype(u.dtype)
+    args = (evaluate, np.zeros_like(u), 4, 0.0, gate)
+    with mock.patch.object(engine, "LEVEL_STEP", 0.5):
+        want = engine._descend(*args)
+        got = _slabbed(planes, dims, engine._descend, *args)
     assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
 

@@ -190,7 +190,7 @@ class TestTotalLoss:
         img, st, _ = small_phantom
         obj = Objective(img, img, st.body, 0.2)
         coords = np.indices(img.dims, dtype=np.float64) + 0.3
-        points = obj.on_support(coords)
+        points = similarity._cut(coords, obj.support)
         grad = np.zeros_like(points)
         obj.ncc_at(points, grad)
         tracemalloc.start()
@@ -228,7 +228,7 @@ class TestTotalLoss:
         img, st, _ = small_phantom
         obj = Objective(img, img, st.body, 0.2)
         u = np.random.default_rng(3).normal(0.0, 0.5, (3,) + img.dims).astype(np.float32)
-        want = obj._ident + obj.on_support(u).astype(np.float64)
+        want = obj._ident + similarity._cut(u, obj.support).astype(np.float64)
         obj._coords(u)
         tracemalloc.start()
         try:
@@ -398,11 +398,11 @@ class TestSupportSampling:
         start = rng.normal(size=coords.shape)      # ncc_at adds into grad
         want_grad = start.copy()
         # ncc_at's gradient lives on the support: (3, k) in support's order
-        grad = obj.on_support(start).copy()
-        got = obj.ncc_at(obj.on_support(coords), grad)
+        grad = similarity._cut(start, obj.support)
+        got = obj.ncc_at(similarity._cut(coords, obj.support), grad)
         assert got == pytest.approx(ref.ncc_at(coords, want_grad), rel=0, abs=LOSS_ABS)
-        assert_gradient_close(grad - obj.on_support(start),
-                              obj.on_support(want_grad - start))
+        assert_gradient_close(grad - similarity._cut(start, obj.support),
+                              similarity._cut(want_grad - start, obj.support))
 
     @pytest.mark.parametrize("case", ["holes", "whole-grid"])
     def test_evaluate_keeps_the_formulas_bits_across_slabs(self, rng, case):

@@ -152,8 +152,10 @@ class TestWarp:
         fld = replace(pr.zero_field(vol), **change)
         with pytest.raises(ValidationError, match="field grid differs from input grid"):
             pr.warp(vol, fld)
+        # a contour is checked for 0/1 values first, so this one is binary
+        contour = vol.with_data((vol.data > 0.5).astype(np.float32))
         with pytest.raises(ValidationError, match="field grid differs from input grid"):
-            pr.warp_contour(vol, fld)
+            pr.warp_contour(contour, fld)
 
 
 class TestDownsampleAvg:
