@@ -87,7 +87,7 @@ MAX_ITERATIONS = 10_000
 @dataclass(frozen=True)
 class RegConfig:
     levels: int = 5
-    iterations: tuple = (40, 60, 80, 100, 100)   # coarse -> fine
+    iterations: tuple = (40, 60, 80, 100, 30)   # coarse -> fine
     lambda_smooth: float = 0.2
     use_anatomy: bool = False
     use_risk: bool = False
@@ -162,6 +162,10 @@ class RegReport:
     # whose jacobian_det is <= 0, the border included
     folded_voxels: int
     flags: tuple = ()
+    # wall seconds of the prior build (the fused prior, its pyramid and the
+    # gates) and of the fold count
+    prior_build_s: float = 0.0
+    folds_s: float = 0.0
 
     def to_dict(self) -> dict:
         # wall-clock times are reported separately (CLI timing.json) so two
@@ -180,25 +184,61 @@ class RegReport:
         }
 
     def timing(self) -> dict:
-        return {f"level_{l.level}": l.wall_time_s for l in self.levels}
+        """register's wall seconds per phase, in the order they ran:
+        prior_build, level_N per level (coarse first), folds."""
+        return {"prior_build": self.prior_build_s,
+                **{f"level_{l.level}": l.wall_time_s for l in self.levels},
+                "folds": self.folds_s}
 
 
 # ---------------------------------------------------------------------------
 # the descents, and the level inputs of the rigid stages and pyramid levels
 
 # fixed optimizer settings, not RegConfig keys: each pyramid level's Adam
-# step and epsilon, its convergence window, the depth of the rigid pyramid,
-# the line search's ladder of step factors and the number of consecutive
-# first-trial accepts after which it moves one rung up
+# step and epsilon, the binomial passes over the step at a middle level, its
+# convergence window, the depth of the rigid pyramid, the line search's
+# ladder of step factors and the number of consecutive first-trial accepts
+# after which it moves one rung up
 LEVEL_STEP = 0.125     # voxels; small enough that most first trials are taken
 LEVEL_EPS = 1e-8
+# every level but the two coarsest and the finest: 0, 0, 2, 2, 0 over five
+# levels, 0, 0, 2, 0 over four, none over three or fewer (see register)
+MIDDLE_STEP_PASSES = 2
 LEVEL_WINDOW = 5
 RIGID_LEVELS = 3
 STEP_FACTORS = (1.0, 0.5, 0.25, 0.125)
 STEP_UP_AFTER = 3
 
 
-def _descend(evaluate, x, iterations, tol, gate=None):
+def _binomial(a, passes, scratch):
+    """Smooth a, a C-contiguous (components, nx, ny, nz) array, in place:
+    `passes` passes of the three-tap binomial [1/4, 1/2, 1/4] along x, y
+    and z, the edges replicated (scipy.ndimage's mode "nearest"). scratch,
+    shaped and typed as a, is overwritten.
+
+    Each axis takes two shifted adds over the whole flat array, by that
+    axis's stride: scratch[i] = a[i] + a[i + 1], then a[i] = scratch[i - 1]
+    + scratch[i], four times the binomial. The shift carries each row's
+    ends into the next row, so the last plane along the axis is then
+    rewritten as scratch = a + a, and the first as 2 a + scratch, each
+    edge counting its own value once more. The factor 1/4 per axis is
+    taken once at the end, a power of two, so it rounds as it would per
+    axis."""
+    flat, t = a.reshape(-1, copy=False), scratch.reshape(-1, copy=False)
+    axes = [(a.strides[k] // a.itemsize, (slice(None),) * k + (0,), (slice(None),) * k + (-1,))
+            for k in (1, 2, 3)]
+    for _ in range(passes):
+        for stride, first, last in axes:
+            np.add(flat[:-stride], flat[stride:], out=t[:-stride])
+            np.add(a[last], a[last], out=scratch[last])
+            edge = a[first] * 2.0
+            edge += scratch[first]
+            np.add(t[:-stride], t[stride:], out=flat[stride:])
+            a[first] = edge
+    a *= 0.25 ** (3 * passes)
+
+
+def _descend(evaluate, x, iterations, tol, gate=None, passes=0):
     """Adam (betas 0.9, 0.999, step LEVEL_STEP, epsilon LEVEL_EPS) from x
     with backtracking down STEP_FACTORS: the first trial whose loss is
     finite and not higher is taken, so the trajectory (initial loss, then
@@ -210,9 +250,13 @@ def _descend(evaluate, x, iterations, tol, gate=None):
     first-trial accepts. An iteration that takes no trial keeps x, the
     start factor and the gradient. x is a (components, nx, ny, nz) field;
     gate, None or an (nx, ny, nz) array, multiplies each component's step
-    per element. Stops after `iterations`, or once the loss changed by less
-    than tol, relative, over LEVEL_WINDOW iterations (tol 0 never stops
-    early).
+    per element. With passes > 0 the gated step is then smoothed by
+    _binomial, `passes` passes per component, as diffeomorphic demons
+    smooths its update (Vercauteren et al., NeuroImage 2009); register
+    asks for MIDDLE_STEP_PASSES at the middle pyramid levels and for none
+    at the two coarsest and the finest. Stops after `iterations`, or once
+    the loss changed by less than tol, relative, over LEVEL_WINDOW
+    iterations (tol 0 never stops early).
 
     The descent runs in x's dtype: with x, the gradients and the gate
     float32, so are the moments, the step and every trial. Every scalar in
@@ -226,11 +270,15 @@ def _descend(evaluate, x, iterations, tol, gate=None):
     volgrid._slabs at a time, through two slab-sized scratch arrays, so a
     slab's arithmetic stays in cache; a retried trial recomputes its step
     from the moments. Each element takes the same operations in the same
-    order as the plain formulas, so the bits are theirs. x itself is
-    copied, never written to. A taken trial swaps buffers with the
-    iterate, so evaluate must keep no reference to the array it is given,
-    and the gradient it returns, which is kept across rejected trials, must
-    be an array no later call writes.
+    order as the plain formulas, so the bits are theirs. With passes > 0
+    a fifth array keeps the step: the first trial of an iteration writes
+    the gated step into it slab by slab and smooths it whole, with the
+    trial buffer, which it overwrites next, as the scratch; every trial is
+    then x - factor * step. x itself is copied, never written to. A taken
+    trial swaps buffers with the iterate, so evaluate must keep no
+    reference to the array it is given, and the gradient it returns,
+    which is kept across rejected trials, must be an array no later call
+    writes.
 
     Returns (x, trajectory, counters). The counters are deterministic:
     stop_reason ("converged" by the window rule, or "iteration_cap"); the
@@ -249,33 +297,44 @@ def _descend(evaluate, x, iterations, tol, gate=None):
     x = x.copy()
     cand = np.empty_like(x)
     m1, m2 = np.zeros_like(x), np.zeros_like(x)
+    step = np.empty_like(x) if passes else None
     blocks = [(c, planes) for c in range(x.shape[0]) for planes in _slabs(x.shape[1:])]
     scratch = np.empty((2, blocks[0][1].stop) + x.shape[2:], dtype=x.dtype)
 
     def trial(it, factor, update):
-        """cand = x - factor * step, block by block, each block's moments
-        first updated by g when update is set."""
-        c1, c2 = 1.0 - beta1 ** (it + 1), 1.0 - beta2 ** (it + 1)
-        for c, planes in blocks:
-            m1_b, m2_b, g_b, x_b, cand_b = (v[c, planes] for v in (m1, m2, g, x, cand))
-            t, q = scratch[:, :m1_b.shape[0]]
-            if update:
-                # m1 = beta1 * m1 + (1 - beta1) * g;  m2 = beta2 * m2 + (1 - beta2) * g * g
-                m1_b *= beta1
-                m1_b += np.multiply(g_b, 1.0 - beta1, out=t)
-                m2_b *= beta2
-                # (in g's dtype, as the plain formula forms it, even when x's differs)
-                m2_b += np.multiply(np.multiply(g_b, 1.0 - beta2, out=t), g_b, out=t,
-                                    dtype=g.dtype)
-            # step = LEVEL_STEP * (m1 / c1) / (sqrt(m2 / c2) + LEVEL_EPS) * gate
-            np.divide(m1_b, c1, out=t)
-            t *= LEVEL_STEP
-            np.sqrt(np.divide(m2_b, c2, out=q), out=q)
-            q += LEVEL_EPS
-            t /= q
-            if gate is not None:
-                t *= gate[planes]
-            np.subtract(x_b, np.multiply(t, factor, out=t), out=cand_b)
+        """cand = x - factor * step. The step is formed block by block from
+        the moments, each block's moments first updated by g when update is
+        set; a kept step is formed, then smoothed, by the first trial alone
+        (update set), and every trial steps by it whole."""
+        if step is None or update:
+            c1, c2 = 1.0 - beta1 ** (it + 1), 1.0 - beta2 ** (it + 1)
+            for c, planes in blocks:
+                m1_b, m2_b, g_b, x_b, cand_b = (v[c, planes] for v in (m1, m2, g, x, cand))
+                t, q = scratch[:, :m1_b.shape[0]]
+                if step is not None:
+                    t = step[c, planes]
+                if update:
+                    # m1 = beta1 * m1 + (1 - beta1) * g;  m2 = beta2 * m2 + (1 - beta2) * g * g
+                    m1_b *= beta1
+                    m1_b += np.multiply(g_b, 1.0 - beta1, out=t)
+                    m2_b *= beta2
+                    # (in g's dtype, as the plain formula forms it, even when x's differs)
+                    m2_b += np.multiply(np.multiply(g_b, 1.0 - beta2, out=t), g_b, out=t,
+                                        dtype=g.dtype)
+                # step = LEVEL_STEP * (m1 / c1) / (sqrt(m2 / c2) + LEVEL_EPS) * gate
+                np.divide(m1_b, c1, out=t)
+                t *= LEVEL_STEP
+                np.sqrt(np.divide(m2_b, c2, out=q), out=q)
+                q += LEVEL_EPS
+                t /= q
+                if gate is not None:
+                    t *= gate[planes]
+                if step is None:
+                    np.subtract(x_b, np.multiply(t, factor, out=t), out=cand_b)
+            if step is not None:
+                _binomial(step, passes, cand)
+        if step is not None:
+            np.subtract(x, np.multiply(step, factor, out=cand), out=cand)
 
     for it in range(iterations):
         taken = None
@@ -610,6 +669,13 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
     scored in: the iterate, the Adam moments, the step, every trial and the
     gate. The objective computes the coordinates, the sampling, the NCC sums
     and the smoothness energy and its adjoint in float64.
+
+    By pyramid position, coarse first: the two coarsest levels and the
+    finest take the gated Adam step as it is, and every level between
+    smooths it with MIDDLE_STEP_PASSES binomial passes (_descend), so five
+    levels take 0, 0, 2, 2, 0 passes, four take 0, 0, 2, 0 and three or
+    fewer none. The smoothed middle levels leave a field that the finest
+    level needs only refine, hence its short default budget (30).
     """
     config = config or RegConfig()
     check_prior_inputs(fixed, config, structures, dose, embeddings, adapter_weights)
@@ -620,17 +686,18 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
     mask = foreground_mask(fixed, structures)
     if not same_grid(fixed, mask):
         raise ValidationError("mask grid differs from image grid")
-    fused = _build_fused_prior(config, structures, dose, embeddings, adapter_weights, flags)
-
     levels = _level_inputs(fixed, moving, mask, config.levels)
     n_levels = len(levels)
-    if n_levels < config.levels:
-        flags.append(f"levels_reduced_to_{n_levels}")
 
+    t0 = time.perf_counter()
+    fused = _build_fused_prior(config, structures, dose, embeddings, adapter_weights, flags)
     prior_levels = build_pyramid(fused, n_levels) if fused is not None else (None,) * n_levels
     # RegConfig refuses use_gate without a prior
     gate_levels = [gate(p, config.prior_params).data if config.use_gate else None
                    for p in prior_levels]
+    prior_build_s = time.perf_counter() - t0
+    if n_levels < config.levels:
+        flags.append(f"levels_reduced_to_{n_levels}")
 
     phi = None
     level_reports = []
@@ -647,7 +714,8 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
             obj.evaluate,
             (upsample_field(phi, f_l.dims) if phi is not None else zero_field(f_l)).data,
             config.iterations[min(step, len(config.iterations) - 1)],
-            config.convergence_tol, gate=gate_levels[li])
+            config.convergence_tol, gate=gate_levels[li],
+            passes=MIDDLE_STEP_PASSES if 2 <= step < n_levels - 1 else 0)
         # the last accepted trial, the float32 field evaluate scored
         phi = DisplacementField(x, spacing=f_l.spacing, origin=f_l.origin)
         if li == 0:
@@ -662,7 +730,9 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
 
     if final.degenerate:
         flags.append("degenerate_variance")
+    t0 = time.perf_counter()
     fold_pct, folded = _folds(phi, mask)
     return phi, RegReport(levels=tuple(level_reports), final=final,
                           fold_fraction_pct=fold_pct, folded_voxels=folded,
-                          flags=tuple(flags))
+                          flags=tuple(flags), prior_build_s=prior_build_s,
+                          folds_s=time.perf_counter() - t0)

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d, gaussian_filter
 
 import protoreg as pr
 from protoreg import engine, similarity, volgrid
@@ -325,10 +326,11 @@ def _bowl_evaluate(x):
     return _bowl(x), 2.0 * (x - C.reshape(x.shape))
 
 
-def _plain_descend(loss, gradient, x, lr, iterations, eps, scale=1.0):
+def _plain_descend(loss, gradient, x, lr, iterations, eps, scale=1.0, passes=0):
     """_descend's step rule at tol 0, step lr and epsilon eps, evaluated
-    plainly: a fresh gradient every iteration, one step over the whole of x
-    and every trial scored by loss alone."""
+    plainly: a fresh gradient every iteration, one step over the whole of x,
+    smoothed by `passes` binomial passes, and every trial scored by loss
+    alone."""
     cur = loss(x)
     trajectory = [cur]
     m1 = np.zeros_like(x)
@@ -340,6 +342,7 @@ def _plain_descend(loss, gradient, x, lr, iterations, eps, scale=1.0):
         m2 = 0.999 * m2 + (1.0 - 0.999) * g * g
         step = (lr * (m1 / (1.0 - 0.9 ** (it + 1)))
                 / (np.sqrt(m2 / (1.0 - 0.999 ** (it + 1))) + eps) * scale)
+        engine._binomial(step, passes, np.empty_like(step))
         for k in range(start, len(engine.STEP_FACTORS)):
             cand = x - engine.STEP_FACTORS[k] * step
             val = loss(cand)
@@ -538,9 +541,11 @@ class TestFloat32Descent:
             return float((d * d).sum()), (2.0 * d).astype(np.float32)
         gate = np.full(dims, 0.75, dtype=np.float32)
         x0 = np.zeros((3,) + dims, dtype=np.float32)
-        x, traj, _ = engine._descend(evaluate, x0, 12, 0.0, gate)
-        assert x.dtype == np.float32 and set(seen) == {np.dtype(np.float32)}
-        assert traj[-1] < traj[0] and not x0.any()      # the start is not written
+        for passes in (0, 2):       # the step as it is, and smoothed
+            seen.clear()
+            x, traj, _ = engine._descend(evaluate, x0, 12, 0.0, gate, passes)
+            assert x.dtype == np.float32 and set(seen) == {np.dtype(np.float32)}
+            assert traj[-1] < traj[0] and not x0.any()      # the start is not written
         # a float64 start stays float64
         _level_constants(monkeypatch, 0.1, 1e-12)
         p, _, _ = engine._descend(_bowl_evaluate, np.zeros(FIELD), 5, 0.0)
@@ -553,21 +558,40 @@ class TestFloat32Descent:
         calls = []
         descend = engine._descend
 
-        def recorded(evaluate, x, iterations, tol, gate=None):
-            out = descend(evaluate, x, iterations, tol, gate)
+        def recorded(evaluate, x, iterations, tol, gate=None, passes=0):
+            out = descend(evaluate, x, iterations, tol, gate, passes)
             calls.append((x.dtype, out[0].dtype,
-                          gate if gate is None else (gate.dtype, gate.shape == x.shape[1:])))
+                          gate if gate is None else (gate.dtype, gate.shape == x.shape[1:]),
+                          passes))
             return out
         monkeypatch.setattr(engine, "_descend", recorded)
         f32 = np.dtype(np.float32)
-        # under use_gate a float32 gate over each level's grid; prior-free, none
+        # under use_gate a float32 gate over each level's grid; prior-free,
+        # none; three levels smooth no step
         gated = replace(FAST, use_anatomy=True, use_risk=True, use_gate=True)
         for cfg, want_gate in ((gated, (f32, True)), (FAST, None)):
             calls.clear()
             fld, rep = pr.register(pr.warp(img, g), img, cfg, structures=st, dose=dose)
             assert len(calls) == len(rep.levels)
-            assert calls == [(f32, f32, want_gate)] * len(calls)
+            assert calls == [(f32, f32, want_gate, 0)] * len(calls)
             assert fld.data.dtype == f32
+        # by pyramid position, coarse first: the two coarsest and the finest
+        # level take the step as it is, every other level smooths it, and
+        # stays float32 (a 49^3 grid allows 5 levels, 97^3 allows 6)
+        want = {1: [0], 2: [0, 0], 3: [0, 0, 0], 4: [0, 0, 2, 0], 5: [0, 0, 2, 2, 0],
+                6: [0, 0, 2, 2, 2, 0]}
+        assert engine.MIDDLE_STEP_PASSES == 2
+        rng = np.random.default_rng(3)
+        for n, sizes in ((49, range(1, 6)), (97, (6,))):
+            vol = pr.Volume(gaussian_filter(rng.random((n,) * 3), 2.0).astype(np.float32))
+            for levels in sizes:
+                calls.clear()
+                cfg = pr.RegConfig(levels=levels, iterations=(1,), convergence_tol=0.0)
+                fld, rep = pr.register(pr.warp(vol, pr.make_smooth_field(
+                    vol.dims, pr.FieldSpec(1.0, 4.0, 5))), vol, cfg)
+                assert len(rep.levels) == levels and not rep.flags
+                assert calls == [(f32, f32, None, k) for k in want[levels]]
+                assert fld.data.dtype == f32
 
     def test_float32_descent_stays_near_the_float64_one(self, small_phantom):
         # the same descent from a float64 start rounds every trial to
@@ -585,6 +609,49 @@ class TestFloat32Descent:
         diff = np.abs(x32 - x64)
         assert diff.max() < 5e-3 and diff.mean() < 1e-5
         assert traj32[-1] == pytest.approx(traj64[-1], rel=1e-7)
+
+
+class TestSmoothedStep:
+    """The middle levels smooth the Adam step with _binomial."""
+
+    @pytest.mark.parametrize("shape", [(3, 5, 7, 9), (3, 1, 6, 5), (2, 7, 1, 3),
+                                       (3, 4, 3, 1), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("passes", [0, 1, 2, 3])
+    def test_binomial_matches_correlate1d(self, shape, passes):
+        a = np.random.default_rng(len(shape) + passes).normal(size=shape).astype(np.float32)
+        want = a.astype(np.float64)
+        for _ in range(passes):
+            for axis in (1, 2, 3):
+                want = correlate1d(want, [0.25, 0.5, 0.25], axis=axis, mode="nearest")
+        scratch = np.empty_like(a)
+        engine._binomial(a, passes, scratch)
+        assert a.dtype == np.float32
+        # within float32 rounding of the largest value
+        np.testing.assert_allclose(a, want, rtol=0, atol=4e-7 * np.abs(want).max())
+
+    def test_smoothed_trials_match_the_plain_rule(self, small_phantom, monkeypatch):
+        # a float32 descent under a gate with two passes: at a step of 4
+        # voxels some trials are rejected (at 0.5 to 2 none is), and each
+        # retried trial steps by the smoothed step the first trial kept
+        img, st, _ = small_phantom
+        g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.0, 4.0, 3),
+                                 envelope=st.body.data.astype(np.float64))
+        obj = similarity.Objective(pr.warp(img, g), img, st.body, 0.2)
+        x0 = np.zeros((3,) + img.dims, dtype=np.float32)
+        gate = np.random.default_rng(5).uniform(0.5, 1.0, img.dims).astype(np.float32)
+        _level_constants(monkeypatch, 4.0)
+        with mock.patch.object(volgrid, "_CHUNK", 3 * img.dims[1] * img.dims[2]):
+            x, traj, counters = engine._descend(obj.evaluate, x0, 25, 0.0, gate, 2)
+        want_x, want_traj = _plain_descend(lambda u: obj.loss(u).total,
+                                           lambda u: obj.evaluate(u)[1],
+                                           x0, 4.0, 25, engine.LEVEL_EPS, gate, 2)
+        assert x.dtype == want_x.dtype == np.float32
+        assert x.tobytes() == want_x.tobytes()
+        assert traj == want_traj
+        assert counters["evaluations"] > 1 + 25
+        # and the smoothing moved the descent
+        unsmoothed, _, _ = engine._descend(obj.evaluate, x0, 25, 0.0, gate)
+        assert not np.array_equal(x, unsmoothed)
 
 
 # a bowl whose curvatures span 1 to 1000 across its six axes
@@ -907,6 +974,23 @@ class TestRegister:
         assert rep.folded_voxels == 2
         assert rep.to_dict()["folded_voxels"] == 2
         assert rep.fold_fraction_pct == 100.0 * 3 / 30 ** 3
+
+    def test_jittered_recovery_leaves_no_fold(self):
+        # acceptance criterion 3's case with a jitter of 0.6 voxels (the
+        # guided benchmark's field for seed 2002, warped here by pr.warp):
+        # without a smoothed step at the middle levels the default register
+        # folded 4 body voxels
+        img, st, _ = pr.make_phantom(pr.PhantomSpec())
+        env = gaussian_filter(st.body.data.astype(np.float64), 3.0)
+        env /= env.max()
+        g = pr.DisplacementField(sum(
+            pr.make_smooth_field(img.dims, spec, envelope=env).data
+            for spec in (pr.FieldSpec(4.0, 6.0, 11), pr.FieldSpec(0.6, 6.0, 1000003 * 2003))))
+        st_fixed = pr.StructureSet(ctv=pr.warp_contour(st.ctv, g),
+                                   body=pr.warp_contour(st.body, g),
+                                   oars=tuple(pr.warp_contour(o, g) for o in st.oars))
+        _, rep = pr.register(pr.warp(img, g), img, pr.RegConfig(), structures=st_fixed)
+        assert rep.folded_voxels == 0
 
     def test_flat_grid_rejected_before_any_iteration(self, rng, monkeypatch):
         def no_trial(self, u):

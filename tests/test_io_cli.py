@@ -957,8 +957,12 @@ class TestCliRegisterDeterminism:
         assert len(doc["levels"]) == 2
         assert "rigid_transform" in doc
         timing = json.loads((out / "timing.json").read_text())
-        assert len(timing) == 2
+        # every phase of the run, each level apart
+        assert set(timing) == {"read", "rigid", "prior_build", "level_2", "level_1",
+                               "folds", "write"}
         assert all(v >= 0.0 for v in timing.values())
+        # and no wall time in the report
+        assert all("wall_time_s" not in level for level in doc["levels"])
 
 
 ROOT = Path(__file__).resolve().parents[1]
