@@ -99,6 +99,9 @@ class RegConfig:
 
     def __post_init__(self):
         _check_numbers(self)
+        if not isinstance(self.prior_params, PriorParams):
+            raise ValidationError("prior_params must be a PriorParams, "
+                                  f"got {type(self.prior_params).__name__}")
         if self.levels < 1:
             raise ValidationError("levels must be >= 1")
         iterations = _values(self.iterations, "iterations", ok=_integer)
@@ -130,10 +133,9 @@ class RegConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RegConfig":
         kwargs = _known_keys(cls, d, "config")
-        pp = kwargs.pop("prior_params", None)
-        if pp is not None:
-            kwargs["prior_params"] = PriorParams(**_known_keys(PriorParams, pp,
-                                                               "prior_params"))
+        if "prior_params" in kwargs:
+            kwargs["prior_params"] = PriorParams(**_known_keys(
+                PriorParams, kwargs["prior_params"], "prior_params"))
         return cls(**kwargs)
 
 
@@ -224,7 +226,10 @@ def _binomial(a, passes, scratch):
     edge counting its own value once more. The factor 1/4 per axis is
     taken once at the end, a power of two, so it rounds as it would per
     axis."""
-    flat, t = a.reshape(-1, copy=False), scratch.reshape(-1, copy=False)
+    if not (a.flags.c_contiguous and scratch.flags.c_contiguous):
+        raise ValueError("_binomial needs C-contiguous arrays")
+    # so these are flat views (reshape's copy=False would say so, from numpy 2.1 on)
+    flat, t = a.reshape(-1), scratch.reshape(-1)
     axes = [(a.strides[k] // a.itemsize, (slice(None),) * k + (0,), (slice(None),) * k + (-1,))
             for k in (1, 2, 3)]
     for _ in range(passes):
@@ -265,20 +270,19 @@ def _descend(evaluate, x, iterations, tol, gate=None, passes=0):
     promote the float32 arrays to float64.
 
     Buffers: the iterate, the trial and the two moments are four arrays
-    shaped as x, allocated once per descent and updated in place. The
-    moments are updated and each trial formed a component's x-slab of
-    volgrid._slabs at a time, through two slab-sized scratch arrays, so a
-    slab's arithmetic stays in cache; a retried trial recomputes its step
-    from the moments. Each element takes the same operations in the same
-    order as the plain formulas, so the bits are theirs. With passes > 0
-    a fifth array keeps the step: the first trial of an iteration writes
-    the gated step into it slab by slab and smooths it whole, with the
-    trial buffer, which it overwrites next, as the scratch; every trial is
-    then x - factor * step. x itself is copied, never written to. A taken
-    trial swaps buffers with the iterate, so evaluate must keep no
-    reference to the array it is given, and the gradient it returns,
-    which is kept across rejected trials, must be an array no later call
-    writes.
+    shaped as x, allocated once per descent and updated in place, and with
+    passes > 0 a fifth is _binomial's scratch. Every trial forms its step
+    in the trial buffer, updating the moments first on an iteration's
+    first trial, a component's x-slab of volgrid._slabs at a time through
+    one slab-sized scratch array, so a slab's arithmetic stays in cache;
+    with passes > 0 it smooths the step whole, and then forms x - factor *
+    step in place. A retried trial forms and smooths its step again from
+    the moments. Each element takes the same operations in the same order
+    as the plain formulas, so the bits are theirs. x itself is copied,
+    never written to. A taken trial swaps buffers with the iterate, so
+    evaluate must keep no reference to the array it is given, and the
+    gradient it returns, which is kept across rejected trials, must be an
+    array no later call writes.
 
     Returns (x, trajectory, counters). The counters are deterministic:
     stop_reason ("converged" by the window rule, or "iteration_cap"); the
@@ -297,44 +301,37 @@ def _descend(evaluate, x, iterations, tol, gate=None, passes=0):
     x = x.copy()
     cand = np.empty_like(x)
     m1, m2 = np.zeros_like(x), np.zeros_like(x)
-    step = np.empty_like(x) if passes else None
+    smooth = np.empty_like(x) if passes else None
     blocks = [(c, planes) for c in range(x.shape[0]) for planes in _slabs(x.shape[1:])]
-    scratch = np.empty((2, blocks[0][1].stop) + x.shape[2:], dtype=x.dtype)
+    scratch = np.empty((blocks[0][1].stop,) + x.shape[2:], dtype=x.dtype)
 
     def trial(it, factor, update):
-        """cand = x - factor * step. The step is formed block by block from
-        the moments, each block's moments first updated by g when update is
-        set; a kept step is formed, then smoothed, by the first trial alone
-        (update set), and every trial steps by it whole."""
-        if step is None or update:
-            c1, c2 = 1.0 - beta1 ** (it + 1), 1.0 - beta2 ** (it + 1)
-            for c, planes in blocks:
-                m1_b, m2_b, g_b, x_b, cand_b = (v[c, planes] for v in (m1, m2, g, x, cand))
-                t, q = scratch[:, :m1_b.shape[0]]
-                if step is not None:
-                    t = step[c, planes]
-                if update:
-                    # m1 = beta1 * m1 + (1 - beta1) * g;  m2 = beta2 * m2 + (1 - beta2) * g * g
-                    m1_b *= beta1
-                    m1_b += np.multiply(g_b, 1.0 - beta1, out=t)
-                    m2_b *= beta2
-                    # (in g's dtype, as the plain formula forms it, even when x's differs)
-                    m2_b += np.multiply(np.multiply(g_b, 1.0 - beta2, out=t), g_b, out=t,
-                                        dtype=g.dtype)
-                # step = LEVEL_STEP * (m1 / c1) / (sqrt(m2 / c2) + LEVEL_EPS) * gate
-                np.divide(m1_b, c1, out=t)
-                t *= LEVEL_STEP
-                np.sqrt(np.divide(m2_b, c2, out=q), out=q)
-                q += LEVEL_EPS
-                t /= q
-                if gate is not None:
-                    t *= gate[planes]
-                if step is None:
-                    np.subtract(x_b, np.multiply(t, factor, out=t), out=cand_b)
-            if step is not None:
-                _binomial(step, passes, cand)
-        if step is not None:
-            np.subtract(x, np.multiply(step, factor, out=cand), out=cand)
+        """cand = x - factor * step. The step is formed in cand block by
+        block from the moments, each block's moments first updated by g when
+        update is set, then smoothed whole when passes > 0."""
+        c1, c2 = 1.0 - beta1 ** (it + 1), 1.0 - beta2 ** (it + 1)
+        for c, planes in blocks:
+            m1_b, m2_b, g_b, t = (v[c, planes] for v in (m1, m2, g, cand))
+            q = scratch[:t.shape[0]]
+            if update:
+                # m1 = beta1 * m1 + (1 - beta1) * g;  m2 = beta2 * m2 + (1 - beta2) * g * g
+                m1_b *= beta1
+                m1_b += np.multiply(g_b, 1.0 - beta1, out=t)
+                m2_b *= beta2
+                # (in g's dtype, as the plain formula forms it, even when x's differs)
+                m2_b += np.multiply(np.multiply(g_b, 1.0 - beta2, out=t), g_b, out=t,
+                                    dtype=g.dtype)
+            # step = LEVEL_STEP * (m1 / c1) / (sqrt(m2 / c2) + LEVEL_EPS) * gate
+            np.divide(m1_b, c1, out=t)
+            t *= LEVEL_STEP
+            np.sqrt(np.divide(m2_b, c2, out=q), out=q)
+            q += LEVEL_EPS
+            t /= q
+            if gate is not None:
+                t *= gate[planes]
+        if passes:
+            _binomial(cand, passes, smooth)
+        np.subtract(x, np.multiply(cand, factor, out=cand), out=cand)
 
     for it in range(iterations):
         taken = None

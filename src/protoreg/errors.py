@@ -129,12 +129,17 @@ def _array(v, name: str, dtype, shape) -> np.ndarray:
     return a
 
 
+# _check_numbers' test and wording for each JSON kind of a field's default
+_KINDS = {"boolean": (lambda v: isinstance(v, bool), "a bool"),
+          "integer": (_integer, "an integer"), "number": (_finite_number, "a finite number")}
+
+
 def _check_numbers(obj) -> None:
-    """Check every field of the dataclass obj whose default is a number:
-    an integer default takes an integer, a float default a finite number."""
+    """Check every field of the dataclass obj whose default is a bool or a
+    number: a bool default takes a bool, an integer default an integer, a
+    float default a finite number."""
     for f in fields(obj):
-        ok = {"integer": _integer, "number": _finite_number}.get(_json_kind(f.default))
+        ok, what = _KINDS.get(_json_kind(f.default), (None, None))
         value = getattr(obj, f.name)
         if ok is not None and not ok(value):
-            what = "an integer" if ok is _integer else "a finite number"
             raise ValidationError(f"{f.name} must be {what}, got {reprlib.repr(value)}")

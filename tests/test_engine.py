@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -629,10 +630,18 @@ class TestSmoothedStep:
         # within float32 rounding of the largest value
         np.testing.assert_allclose(a, want, rtol=0, atol=4e-7 * np.abs(want).max())
 
+    def test_binomial_refuses_a_strided_array(self):
+        # its flat strides would not be the array's, or its flat views copies
+        a = np.zeros((3, 4, 5, 12), dtype=np.float32)
+        for bad, scratch in ((a[..., ::2], np.empty((3, 4, 5, 6), np.float32)),
+                             (a, np.empty((3, 4, 5, 24), np.float32)[..., ::2])):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                engine._binomial(bad, 1, scratch)
+
     def test_smoothed_trials_match_the_plain_rule(self, small_phantom, monkeypatch):
         # a float32 descent under a gate with two passes: at a step of 4
         # voxels some trials are rejected (at 0.5 to 2 none is), and each
-        # retried trial steps by the smoothed step the first trial kept
+        # retried trial forms and smooths its step again from the moments
         img, st, _ = small_phantom
         g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.0, 4.0, 3),
                                  envelope=st.body.data.astype(np.float64))
@@ -652,6 +661,21 @@ class TestSmoothedStep:
         # and the smoothing moved the descent
         unsmoothed, _, _ = engine._descend(obj.evaluate, x0, 25, 0.0, gate)
         assert not np.array_equal(x, unsmoothed)
+
+    @pytest.mark.parametrize("passes,fields", [(0, 4), (2, 5)])
+    def test_descent_holds_four_fields_and_a_fifth_to_smooth(self, passes, fields):
+        # the iterate, the trial and the two moments, and _binomial's
+        # scratch at a smoothed level; the rest (a slab of scratch, a third
+        # of a field at 32^3, and temporaries) stays under one field more
+        x0 = np.zeros((3, 32, 32, 32), dtype=np.float32)
+        g = np.full_like(x0, 0.5)
+        tracemalloc.start()
+        try:
+            engine._descend(lambda x: (0.0, g), x0, 3, 0.0, None, passes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fields * x0.nbytes <= peak < (fields + 1) * x0.nbytes
 
 
 # a bowl whose curvatures span 1 to 1000 across its six axes
@@ -1094,11 +1118,26 @@ class TestRegConfig:
         with pytest.raises(ValidationError):
             pr.RegConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"use_anatomy": "no"}, "use_anatomy must be a bool"),
+        ({"use_risk": 1}, "use_risk must be a bool"),
+        ({"use_anatomy": True, "use_gate": np.True_}, "use_gate must be a bool"),
+        ({"use_film": None, "use_risk": True}, "use_film must be a bool"),
+        ({"prior_params": {"sigma_mm": 5.0}}, "prior_params must be a PriorParams"),
+        ({"prior_params": None}, "prior_params must be a PriorParams")])
+    def test_malformed_flags_and_prior_params_rejected(self, kwargs, match):
+        # to_dict would write a flag from_dict refuses, and a guided
+        # register would fail on the prior_params
+        with pytest.raises(ValidationError, match=match):
+            pr.RegConfig(**kwargs)
+
     @pytest.mark.parametrize("doc,kind", [
         ({"use_anatomy": "no"}, "boolean"), ({"levels": True}, "integer"),
-        ({"lambda_smooth": "0.2"}, "number"), ({"iterations": 40}, "list")])
+        ({"lambda_smooth": "0.2"}, "number"), ({"iterations": 40}, "list"),
+        ({"prior_params": None}, "object")])
     def test_from_dict_rejects_wrong_json_types(self, doc, kind):
-        # a truthy string would silently turn a flag on
+        # a truthy string would silently turn a flag on, and a null
+        # prior_params fall back to the defaults
         with pytest.raises(ValidationError, match=f"must be a JSON {kind}"):
             pr.RegConfig.from_dict(doc)
 
