@@ -126,11 +126,25 @@ def read_volume(path: str):
             st = os.fstat(f.fileno())
             # a regular file's size is known before it is read, so a long
             # one is refused without reading it
-            if stat.S_ISREG(st.st_mode) and st.st_size != expected:
-                raise FormatError(f"{path}.raw has {st.st_size} bytes, expected {expected}")
-            raw = f.read()
+            if stat.S_ISREG(st.st_mode):
+                if st.st_size != expected:
+                    raise FormatError(f"{path}.raw has {st.st_size} bytes, "
+                                      f"expected {expected}")
+                raw = f.read(expected + 1)
+            else:
+                # any other (a pipe, a device) is read in pieces to one
+                # byte past the expected length at most, so what is held
+                # grows with the bytes that arrive, not with the header's dims
+                raw = bytearray()
+                while len(raw) <= expected:
+                    piece = f.read(min(expected + 1 - len(raw), 1 << 16))
+                    if not piece:
+                        break
+                    raw += piece
     except OSError as e:
         raise OSError(f"failed reading {path!r}: {e}") from e
+    if len(raw) > expected:
+        raise FormatError(f"{path}.raw has more than {expected} bytes")
     if len(raw) != expected:
         raise FormatError(
             f"{path}.raw has {len(raw)} bytes, expected {expected}")

@@ -5,12 +5,15 @@ Conventions used throughout the package:
   * Displacement fields store (ux, uy, uz) in shape (3, nx, ny, nz);
     displacements are in voxel units of the field's own grid.
   * Sampling outside the grid returns 0 (inputs are zero-padded anyway).
-  * Every trilinear sampling in the package goes through a _Sampler built
-    on one image: it alone holds the zero-ringed copy and the chunk
-    buffers, and takes its coordinates as one (3, ...) array.
+  * Every trilinear sampling at arbitrary coordinates goes through a
+    _Sampler built on one image: it alone holds the zero-ringed copy and
+    the chunk buffers, and takes its coordinates as one (3, ...) array.
+    The pyramid's transfers on the regular lattice, downsample_avg and
+    upsample_field, are sums of strided views instead.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -117,8 +120,8 @@ def _corner_offset(c: np.ndarray, n: int, stride: int, frac, low, o):
 
 
 # voxels per x-slab of every pass that works through a whole grid (see
-# _slabs): the smoothness pass, the descent's Adam step, resample_rigid, warp,
-# upsample_field and jacobian_det
+# _slabs): the smoothness pass, the descent's Adam step, resample_rigid, warp
+# and jacobian_det
 _CHUNK = 32768
 
 # points per pass of a _Sampler, and the most its chunk buffers hold. A
@@ -159,7 +162,8 @@ class _Sampler:
     """
 
     def __init__(self, arr: np.ndarray):
-        self._ringed = np.pad(arr.astype(np.float64), 2)
+        self._ringed = np.zeros(tuple(n + 4 for n in arr.shape))
+        self._ringed[2:-2, 2:-2, 2:-2] = arr
         self._size = min(_SAMPLER_CHUNK, arr.size)
         self._real = np.empty((9, self._size))
         self._index = np.empty((4, self._size), dtype=np.int64)
@@ -266,20 +270,27 @@ def warp(moving: Volume, fld: DisplacementField) -> Volume:
 # pyramid construction
 
 def _pool_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Factor-2 average pooling along one axis; trailing odd slab averaged
-    over its actual membership."""
+    """Factor-2 average pooling along one axis, in float64: each pair of
+    planes summed, then halved; a trailing odd plane is its own average."""
     n = arr.shape[axis]
-    starts = np.arange(0, n, 2)
-    sums = np.add.reduceat(arr, starts, axis=axis)
-    counts = np.minimum(starts + 2, n) - starts
-    shape = [1] * arr.ndim
-    shape[axis] = len(starts)
-    return sums / counts.reshape(shape)
+    h = n // 2
+    shape = list(arr.shape)
+    shape[axis] = n - h
+    out = np.empty(shape)
+    head = (slice(None),) * axis
+    pooled = out[head + (slice(0, h),)]
+    np.add(arr[head + (slice(0, 2 * h, 2),)], arr[head + (slice(1, 2 * h, 2),)],
+           out=pooled, dtype=np.float64)
+    pooled /= 2.0
+    if n % 2:
+        out[head + (h,)] = arr[head + (n - 1,)]
+    return out
 
 
 def downsample_avg(vol: Volume) -> Volume:
-    """Factor-2 average pooling per axis; spacing doubles."""
-    arr = vol.data.astype(np.float64)
+    """Factor-2 average pooling per axis, x, y then z, in float64 (x straight
+    from the float32 data, which widens exactly); spacing doubles."""
+    arr = vol.data
     for ax in range(3):
         arr = _pool_axis(arr, ax)
     return Volume(arr.astype(np.float32),
@@ -305,12 +316,34 @@ def build_pyramid(vol: Volume, levels: int) -> tuple:
 # ---------------------------------------------------------------------------
 # field algebra
 
+def _refine_axis(n: int, t: int) -> list:
+    """The classes of fine index i along one axis of n coarse voxels
+    refined to t = 2n or 2n - 1, as (fine slice, coarse slices) pairs whose
+    coarse slices are the corners of i/2, each of weight 1 / their count:
+    even i on coarse i/2; odd i between coarse (i-1)/2 and (i+1)/2; and,
+    for t = 2n, the last i clamped to coarse n - 1."""
+    pieces = [(slice(0, t, 2), (slice(0, n),))]
+    if n > 1:
+        pieces.append((slice(1, 2 * n - 2, 2), (slice(0, n - 1), slice(1, n))))
+    if t == 2 * n:
+        pieces.append((slice(t - 1, t), (slice(n - 1, n),)))
+    return pieces
+
+
 def upsample_field(fld: DisplacementField, target_dims) -> DisplacementField:
     """Trilinear upsampling by 2 per axis with displacement magnitudes
     doubled (voxel units change with the grid).
 
     Corner-aligned: fine coordinate i maps to coarse coordinate i/2,
-    clamped at the far edge.
+    clamped at the far edge. Each axis's fine indices fall into the
+    classes of _refine_axis; each of the (at most 27) products of classes
+    is a float64 sum of shifted coarse views in the sampler's corner order
+    (dx, dy, dz), scaled by 2 * wx * wy * wz and rounded to float32. The
+    bits are those of trilinear sampling at the clamped i/2, doubled:
+    every corner weight there is 1, 1/2 or 0, a power of two scales each
+    partial sum exactly (float32 data keeps them far from float64's
+    subnormals and overflow), and a corner of weight 0 adds a zero that
+    changes nothing.
     """
     target_dims = _grid_dims(target_dims)
     src = fld.dims
@@ -318,13 +351,18 @@ def upsample_field(fld: DisplacementField, target_dims) -> DisplacementField:
         if math.ceil(target_dims[a] / 2) != src[a]:
             raise ValidationError(
                 f"target dims {target_dims} not a factor-2 refinement of {src}")
-    samplers = [_Sampler(u) for u in fld.data]
-    top = np.subtract(src, 1.0).reshape(3, 1, 1, 1)
     out = np.empty((3,) + target_dims, dtype=np.float32)
-    for planes in _slabs(target_dims):
-        coords = np.minimum(_indices(target_dims, planes) / 2.0, top)
-        for o, sample in zip(out, samplers):
-            o[planes] = 2.0 * sample(coords)
+    scratch = np.empty(fld.data.size)
+    for (fx, xs), (fy, ys), (fz, zs) in itertools.product(
+            *(_refine_axis(n, t) for n, t in zip(src, target_dims))):
+        corners = [fld.data[:, cx, cy, cz] for cx in xs for cy in ys for cz in zs]
+        acc = scratch[:corners[0].size].reshape(corners[0].shape)
+        # from +0.0, as the sampler's zeroed sum: a -0.0 corner gives +0.0
+        np.add(corners[0], 0.0, out=acc, dtype=np.float64)
+        for c in corners[1:]:
+            np.add(acc, c, out=acc)
+        acc *= 2.0 / len(corners)
+        out[:, fx, fy, fz] = acc
     return DisplacementField(out,
                              spacing=tuple(s / 2 for s in fld.spacing),
                              origin=fld.origin)

@@ -77,6 +77,23 @@ def downsample_avg(arr):
     return out
 
 
+def downsample_avg_reduceat(arr):
+    """Factor-2 average pooling as the program once did it, frozen as a bit
+    reference: widen to float64, then per axis x, y, z sum each pair (and
+    a trailing odd plane alone) with np.add.reduceat and divide by the
+    counts; rounded to float32."""
+    out = np.asarray(arr).astype(np.float64)
+    for axis in range(3):
+        n = out.shape[axis]
+        starts = np.arange(0, n, 2)
+        sums = np.add.reduceat(out, starts, axis=axis)
+        counts = np.minimum(starts + 2, n) - starts
+        shape = [1] * out.ndim
+        shape[axis] = len(starts)
+        out = sums / counts.reshape(shape)
+    return out.astype(np.float32)
+
+
 def masked_ncc(a, b, w):
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()

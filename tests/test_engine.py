@@ -1167,9 +1167,10 @@ print((after - before) * 1024 / n ** 3)     # ru_maxrss is in KiB on Linux
 def test_64_cubed_level_adds_at_most_94_bytes_per_voxel():
     # a level keeps its images, the support's k-vectors, the descent's four
     # float32 fields and one slab of smoothness scratch, and sets the peak:
-    # 83-86 bytes per voxel here. The upsampling before it and the fold
-    # count after it work in x-slabs and stay below that, so one float32
-    # field more in the level (12 bytes per voxel, 96-97 measured) fails
+    # 83-86 bytes per voxel here. The upsampling before it (the new field
+    # and a float64 scratch of the coarse one) and the fold count after it
+    # (in x-slabs) stay below that, so one float32 field more in the level
+    # (12 bytes per voxel, 96-97 measured) fails
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", SCALE_64], capture_output=True, text=True,

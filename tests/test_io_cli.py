@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from dataclasses import asdict, replace
@@ -111,6 +112,48 @@ class TestVolumeIO:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 10
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("dims, sent, refusal, peak_bound", [
+        # a 1-voxel header over a pipe fed 1 MiB: refused after a few bytes,
+        # not read whole (a link to /dev/zero would never end)
+        ((1, 1, 1), 2 ** 20, "more than 4 bytes", 64 * 2 ** 10),
+        # a header claiming a 1 GiB grid over a pipe that carries 100 bytes:
+        # what is held grows with the bytes that arrive (64 KiB pieces), not
+        # with the header's dims
+        ((1024, 512, 512), 100, "has 100 bytes, expected 1073741824", 128 * 2 ** 10)],
+        ids=["long", "short-under-huge-dims"])
+    def test_raw_pipe_refused_after_a_bounded_read(self, tmp_path, dims, sent, refusal,
+                                                   peak_bound):
+        # a pipe's size is not known before it is read
+        vol = pr.Volume(np.ones((1, 1, 1), dtype=np.float32))
+        io.write_volume(str(tmp_path / "v"), vol, kind="image")
+        header = json.loads((tmp_path / "v.json").read_text())
+        header["dims"] = list(dims)
+        (tmp_path / "v.json").write_text(json.dumps(header))
+        (tmp_path / "v.raw").unlink()
+        os.mkfifo(tmp_path / "v.raw")
+        payload = bytes(sent)
+
+        def feed():
+            # the reader may close the pipe early, which breaks it
+            try:
+                with open(tmp_path / "v.raw", "wb") as f:
+                    f.write(payload)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=refusal):
+                io.read_volume(str(tmp_path / "v"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=30)
+        assert peak < peak_bound
 
     def test_bad_components_rejected(self, tmp_path, rng):
         vol = random_volume(rng, (2, 2, 2))

@@ -114,15 +114,53 @@ def test_pyramid_levels_keep_four_voxels_and_ceil_halve(dims, levels):
     assert len(pyr) == levels or min(math.ceil(d / 2) for d in pyr[-1].dims) < 4
 
 
-@SETTINGS
-@given(target=st.tuples(*[st.integers(1, 12)] * 3), data=st.data())
-def test_upsample_field_returns_requested_dims(target, data):
+# float32 values whose double is finite (DisplacementField refuses inf), of
+# every exponent, subnormals and both zeros among them
+HALF_MAX32 = float(np.finfo(np.float32).max) / 2
+transfer_values = st.floats(-HALF_MAX32, HALF_MAX32, width=32)
+SUBNORMALS32 = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-40, -3e-39], dtype=np.float32)
+
+
+@st.composite
+def upsample_cases(draw):
+    """A target grid of 1-12 voxels per axis, odd and even, and a field on
+    the coarse grid it refines."""
+    target = draw(st.tuples(*[st.integers(1, 12)] * 3))
     src = tuple(math.ceil(t / 2) for t in target)
-    u = data.draw(arrays(np.float32, (3,) + src,
-                         elements=st.floats(-4, 4, width=32)))
+    return target, draw(arrays(np.float32, (3,) + src, elements=transfer_values))
+
+
+@SETTINGS
+@given(case=upsample_cases())
+@example(case=((1, 2, 5), np.resize(SUBNORMALS32, (3, 1, 1, 3))))
+@example(case=((4, 3, 2), np.full((3, 2, 2, 1), -0.0, dtype=np.float32)))
+@example(case=((3, 4, 6), np.resize(np.array([HALF_MAX32, -HALF_MAX32, 1e-30, -0.0, 7e5],
+                                             dtype=np.float32), (3, 2, 2, 3))))
+def test_upsample_field_returns_requested_dims(case):
+    target, u = case
     up = pr.upsample_field(pr.DisplacementField(u, spacing=(2.0, 2.0, 2.0)), target)
     assert up.dims == target
     assert up.spacing == (1.0, 1.0, 1.0)
+    # the bits of trilinear sampling at i/2, clamped to the coarse grid,
+    # doubled and rounded to float32
+    coords = np.meshgrid(*[np.minimum(np.arange(t) / 2.0, n - 1)
+                           for t, n in zip(target, u.shape[1:])], indexing="ij")
+    for c, got in zip(u, up.data):
+        want = (2.0 * oracles.trilinear_arrays(c, *coords)).astype(np.float32)
+        assert got.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(vol=st.tuples(*[st.integers(1, 9)] * 3).flatmap(
+    lambda dims: arrays(np.float32, dims, elements=finite32)))
+@example(vol=np.resize(SUBNORMALS32, (3, 1, 5)))
+@example(vol=np.full((2, 3, 1), -0.0, dtype=np.float32))
+@example(vol=np.resize(np.array([np.finfo(np.float32).max, -1e-38, 3.0, -0.0, 1e-45],
+                                dtype=np.float32), (5, 4, 3)))
+def test_downsample_avg_keeps_the_reduceat_bits(vol):
+    out = pr.downsample_avg(pr.Volume(vol, spacing=(1.0, 0.5, 2.0)))
+    assert out.data.tobytes() == oracles.downsample_avg_reduceat(vol).tobytes()
+    assert out.spacing == (2.0, 1.0, 4.0)
 
 
 @SETTINGS

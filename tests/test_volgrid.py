@@ -15,6 +15,17 @@ import oracles
 from conftest import random_volume, lattice_safe_field
 
 
+def _traced_peak(f, *args):
+    """The tracemalloc peak, in bytes, of the call f(*args), its result
+    included."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTrilinearSample:
     def test_integer_coordinate_returns_stored_value(self, rng):
         vol = random_volume(rng, (5, 5, 5))
@@ -185,6 +196,13 @@ class TestDownsampleAvg:
         assert float(out.data.mean()) == pytest.approx(
             float(vol.data.astype(np.float64).mean()), abs=1e-6)
 
+    def test_64_cubed_peak_stays_under_1_75_mib(self):
+        # three strided passes, x straight from the float32 data: the x- and
+        # y-pooled float64 grids (1 and 0.5 MiB) are the most alive at once,
+        # 1.63 MiB measured, so a whole-grid float64 copy (2 MiB) fails
+        vol = pr.Volume(np.random.default_rng(0).random((64, 64, 64), dtype=np.float32))
+        assert _traced_peak(pr.downsample_avg, vol) <= 1.75 * 2**20
+
 
 class TestUpsampleField:
     def test_zero_field(self):
@@ -219,6 +237,14 @@ class TestUpsampleField:
         for u, got in zip(fld.data, out.data):
             want = (2.0 * oracles.trilinear_arrays(u, *coords)).astype(np.float32)
             assert got.tobytes() == want.tobytes()
+
+    def test_32_to_64_cubed_peak_stays_under_4_75_mib(self):
+        # the 3 MiB float32 result, one float64 scratch of the coarse field
+        # (0.75 MiB) and the result's finiteness check: 4.50 MiB measured,
+        # so a second scratch, or float64 coordinates of an x-slab, fails
+        fld = pr.DisplacementField(
+            np.random.default_rng(0).normal(0.0, 2.0, (3, 32, 32, 32)).astype(np.float32))
+        assert _traced_peak(pr.upsample_field, fld, (64, 64, 64)) <= 4.75 * 2**20
 
     def test_bad_target_dims_rejected(self):
         fld = pr.DisplacementField(np.zeros((3, 4, 4, 4), dtype=np.float32))
