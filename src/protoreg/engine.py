@@ -197,15 +197,25 @@ class RegReport:
 # the descents, and the level inputs of the rigid stages and pyramid levels
 
 # fixed optimizer settings, not RegConfig keys: each pyramid level's Adam
-# step and epsilon, the binomial passes over the step at a middle level, its
-# convergence window, the depth of the rigid pyramid, the line search's
-# ladder of step factors and the number of consecutive first-trial accepts
-# after which it moves one rung up
-LEVEL_STEP = 0.125     # voxels; small enough that most first trials are taken
+# step and epsilon, the binomial passes over the step at a middle level and
+# that level's step and window tolerance, the convergence window, the depth
+# of the rigid pyramid, the line search's ladder of step factors and the
+# number of consecutive first-trial accepts after which it moves one rung up.
+# LEVEL_STEP is in voxels, at the levels that take the step as it is: at the
+# finest level a step of 0.25 takes factor 0.5 on every iteration, so 0.125
+# is what its line search allows
+LEVEL_STEP = 0.125
 LEVEL_EPS = 1e-8
 # every level but the two coarsest and the finest: 0, 0, 2, 2, 0 over five
 # levels, 0, 0, 2, 0 over four, none over three or fewer (see register)
 MIDDLE_STEP_PASSES = 2
+# a smoothed level's step, in voxels, and its window tolerance, as a
+# multiple of convergence_tol: at LEVEL_STEP such a level took factor 1 on
+# every first trial and ran its whole budget, so the step, not convergence,
+# set its length; at MIDDLE_STEP it reaches its plateau, where the looser
+# tolerance stops it
+MIDDLE_STEP = 0.5
+MIDDLE_TOL_SCALE = 100.0
 LEVEL_WINDOW = 5
 RIGID_LEVELS = 3
 STEP_FACTORS = (1.0, 0.5, 0.25, 0.125)
@@ -257,17 +267,19 @@ def _descend(evaluate, x, iterations, tol, gate=None, passes=0):
     gate, None or an (nx, ny, nz) array, multiplies each component's step
     per element. With passes > 0 the gated step is then smoothed by
     _binomial, `passes` passes per component, as diffeomorphic demons
-    smooths its update (Vercauteren et al., NeuroImage 2009); register
-    asks for MIDDLE_STEP_PASSES at the middle pyramid levels and for none
-    at the two coarsest and the finest. Stops after `iterations`, or once
-    the loss changed by less than tol, relative, over LEVEL_WINDOW
-    iterations (tol 0 never stops early).
+    smooths its update (Vercauteren et al., NeuroImage 2009), and the Adam
+    step is MIDDLE_STEP in place of LEVEL_STEP; register asks for
+    MIDDLE_STEP_PASSES at the middle pyramid levels and for none at the two
+    coarsest and the finest. Stops after `iterations`, or once the loss
+    changed by less than tol, relative, over LEVEL_WINDOW iterations, with
+    passes > 0 by less than MIDDLE_TOL_SCALE * tol (tol 0 never stops
+    early).
 
     The descent runs in x's dtype: with x, the gradients and the gate
     float32, so are the moments, the step and every trial. Every scalar in
-    the step, LEVEL_STEP and LEVEL_EPS included, must be a Python float:
-    under numpy 2's promotion rules (NEP 50) a numpy float64 scalar would
-    promote the float32 arrays to float64.
+    the step, LEVEL_STEP, MIDDLE_STEP and LEVEL_EPS included, must be a
+    Python float: under numpy 2's promotion rules (NEP 50) a numpy float64
+    scalar would promote the float32 arrays to float64.
 
     Buffers: the iterate, the trial and the two moments are four arrays
     shaped as x, allocated once per descent and updated in place, and with
@@ -285,18 +297,22 @@ def _descend(evaluate, x, iterations, tol, gate=None, passes=0):
     array no later call writes.
 
     Returns (x, trajectory, counters). The counters are deterministic:
-    stop_reason ("converged" by the window rule, or "iteration_cap"); the
-    calls to evaluate (`evaluations`); the iterations that took each factor
-    (`accepted`, keyed "1" to "0.125") and those that took none
-    (`rejected`)."""
+    stop_reason ("converged" by the window rule, "line_search_failed" when
+    the window closes on LEVEL_WINDOW iterations that took no trial, or
+    "iteration_cap"); the calls to evaluate (`evaluations`); the iterations
+    that took each factor (`accepted`, keyed "1" to "0.125") and those that
+    took none (`rejected`)."""
     cur, g = evaluate(x)
     if not math.isfinite(cur):
         raise ValidationError("non-finite loss at the start of a descent")
     trajectory = [cur]
     evaluations, rejected = 1, 0
     accepted = [0] * len(STEP_FACTORS)
-    start, streak = 0, 0
+    # misses: the iterations since the last one that took a trial
+    start, streak, misses = 0, 0, 0
     stop_reason = "iteration_cap"
+    # read here, not bound as defaults, so that a patched constant holds
+    step, tol = (MIDDLE_STEP, MIDDLE_TOL_SCALE * tol) if passes else (LEVEL_STEP, tol)
     beta1, beta2 = 0.9, 0.999
     x = x.copy()
     cand = np.empty_like(x)
@@ -321,9 +337,9 @@ def _descend(evaluate, x, iterations, tol, gate=None, passes=0):
                 # (in g's dtype, as the plain formula forms it, even when x's differs)
                 m2_b += np.multiply(np.multiply(g_b, 1.0 - beta2, out=t), g_b, out=t,
                                     dtype=g.dtype)
-            # step = LEVEL_STEP * (m1 / c1) / (sqrt(m2 / c2) + LEVEL_EPS) * gate
+            # step = step * (m1 / c1) / (sqrt(m2 / c2) + LEVEL_EPS) * gate
             np.divide(m1_b, c1, out=t)
-            t *= LEVEL_STEP
+            t *= step
             np.sqrt(np.divide(m2_b, c2, out=q), out=q)
             q += LEVEL_EPS
             t /= q
@@ -346,7 +362,9 @@ def _descend(evaluate, x, iterations, tol, gate=None, passes=0):
         if taken is None:
             rejected += 1
             streak = 0
+            misses += 1
         else:
+            misses = 0
             x, cand, cur, g = cand, x, val, cand_g
             accepted[taken] += 1
             if taken == start:
@@ -359,7 +377,8 @@ def _descend(evaluate, x, iterations, tol, gate=None, passes=0):
         if len(trajectory) > LEVEL_WINDOW:
             prev = trajectory[-1 - LEVEL_WINDOW]
             if abs(prev - cur) / max(abs(prev), 1e-12) < tol:
-                stop_reason = "converged"
+                # the loss did not move because no trial was taken
+                stop_reason = "line_search_failed" if misses >= LEVEL_WINDOW else "converged"
                 break
     counters = {
         "stop_reason": stop_reason,
@@ -668,11 +687,14 @@ def register(fixed: Volume, moving: Volume, config: RegConfig | None = None,
     and the smoothness energy and its adjoint in float64.
 
     By pyramid position, coarse first: the two coarsest levels and the
-    finest take the gated Adam step as it is, and every level between
-    smooths it with MIDDLE_STEP_PASSES binomial passes (_descend), so five
-    levels take 0, 0, 2, 2, 0 passes, four take 0, 0, 2, 0 and three or
-    fewer none. The smoothed middle levels leave a field that the finest
-    level needs only refine, hence its short default budget (30).
+    finest take the gated Adam step as it is, LEVEL_STEP voxels, and every
+    level between smooths it with MIDDLE_STEP_PASSES binomial passes and
+    steps by MIDDLE_STEP (_descend), so five levels take 0, 0, 2, 2, 0
+    passes, four take 0, 0, 2, 0 and three or fewer none. A smoothed level
+    stops on its plateau, by a window tolerance MIDDLE_TOL_SCALE times
+    convergence_tol, so its budget is a cap. The smoothed middle levels
+    leave a field that the finest level needs only refine, hence its short
+    default budget (30).
     """
     config = config or RegConfig()
     check_prior_inputs(fixed, config, structures, dose, embeddings, adapter_weights)

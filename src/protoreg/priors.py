@@ -94,11 +94,31 @@ def _prior(data: np.ndarray, like: Volume) -> Volume:
                   spacing=like.spacing, origin=like.origin)
 
 
+def _edt_in_box(fill: np.ndarray, spacing) -> np.ndarray:
+    """distance_transform_edt(fill, sampling=spacing), computed on the
+    bounding box of fill's True voxels grown by one voxel (within the grid).
+
+    Every voxel of that margin is False, and any False voxel outside the box
+    clamps onto one that is no farther from a voxel inside it, so the exact
+    distances are the whole grid's; outside the box they are 0 as there.
+    """
+    box = []
+    for k in range(3):
+        hit = np.flatnonzero(fill.any(axis=tuple(a for a in range(3) if a != k)))
+        box.append(slice(max(hit[0] - 1, 0), hit[-1] + 2))
+    box = tuple(box)
+    out = np.zeros(fill.shape)
+    out[box] = distance_transform_edt(fill[box], sampling=spacing)
+    return out
+
+
 def signed_distance(mask: Volume) -> Volume:
     """Exact Euclidean signed distance in mm, negative inside the mask.
 
     Outside voxels get the distance to the nearest inside voxel center and
     vice versa, so signed_distance(mask) == -signed_distance(complement).
+    Each side's distances are taken on the box of the voxels it fills
+    (_edt_in_box), so a small target costs a small transform.
     """
     _check_binary(mask, "mask")
     inside = mask.data > 0.5
@@ -106,8 +126,8 @@ def signed_distance(mask: Volume) -> Volume:
         raise ValidationError("mask is empty; boundary undefined")
     if inside.all():
         raise ValidationError("mask covers the whole grid; boundary undefined")
-    d_out = distance_transform_edt(~inside, sampling=mask.spacing)
-    d_in = distance_transform_edt(inside, sampling=mask.spacing)
+    d_out = _edt_in_box(~inside, mask.spacing)
+    d_in = _edt_in_box(inside, mask.spacing)
     return Volume((d_out - d_in).astype(np.float32),
                   spacing=mask.spacing, origin=mask.origin)
 

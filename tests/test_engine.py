@@ -482,6 +482,28 @@ class TestDescend:
         assert traj == want_traj
         assert counters["evaluations"] > 1 + 25
 
+    def test_window_of_rejected_iterations_is_a_failed_line_search(self, monkeypatch):
+        # the loss stays put because no trial is taken, not because the
+        # descent converged; a window in which one trial of equal loss was
+        # taken did converge
+        _level_constants(monkeypatch, 0.1, 1e-8)
+        x0 = np.zeros(FIELD)
+
+        def evaluate(x):
+            return (1.0 if np.array_equal(x, x0) else 2.0), _bowl_evaluate(x)[1]
+        _, traj, counters = engine._descend(evaluate, x0, 30, 1e-5)
+        assert traj == [1.0] * (engine.LEVEL_WINDOW + 1)
+        assert counters["rejected"] == engine.LEVEL_WINDOW
+        assert counters["stop_reason"] == "line_search_failed"
+        taken = iter([False, True] + [False] * 100)
+
+        def one_taken(x):
+            return (1.0 if np.array_equal(x, x0) or next(taken) else 2.0), \
+                _bowl_evaluate(x)[1]
+        _, traj, counters = engine._descend(one_taken, x0, 30, 1e-5)
+        assert len(traj) == engine.LEVEL_WINDOW + 1 and counters["rejected"] < engine.LEVEL_WINDOW
+        assert counters["stop_reason"] == "converged"
+
     def test_rejected_iteration_reuses_its_gradient(self, monkeypatch):
         _level_constants(monkeypatch, 0.1, 1e-8)
         x0 = np.zeros(FIELD)
@@ -547,6 +569,10 @@ class TestFloat32Descent:
             x, traj, _ = engine._descend(evaluate, x0, 12, 0.0, gate, passes)
             assert x.dtype == np.float32 and set(seen) == {np.dtype(np.float32)}
             assert traj[-1] < traj[0] and not x0.any()      # the start is not written
+        # the step's scalars are Python floats, each level's step included:
+        # a numpy float64 one would promote the step to float64 (NEP 50)
+        assert [type(v) for v in (engine.LEVEL_STEP, engine.MIDDLE_STEP, engine.LEVEL_EPS)] \
+            == [float] * 3
         # a float64 start stays float64
         _level_constants(monkeypatch, 0.1, 1e-12)
         p, _, _ = engine._descend(_bowl_evaluate, np.zeros(FIELD), 5, 0.0)
@@ -648,7 +674,8 @@ class TestSmoothedStep:
         obj = similarity.Objective(pr.warp(img, g), img, st.body, 0.2)
         x0 = np.zeros((3,) + img.dims, dtype=np.float32)
         gate = np.random.default_rng(5).uniform(0.5, 1.0, img.dims).astype(np.float32)
-        _level_constants(monkeypatch, 4.0)
+        # a smoothed descent steps by MIDDLE_STEP, whatever LEVEL_STEP is
+        monkeypatch.setattr(engine, "MIDDLE_STEP", 4.0)
         with mock.patch.object(volgrid, "_CHUNK", 3 * img.dims[1] * img.dims[2]):
             x, traj, counters = engine._descend(obj.evaluate, x0, 25, 0.0, gate, 2)
         want_x, want_traj = _plain_descend(lambda u: obj.loss(u).total,
@@ -658,9 +685,32 @@ class TestSmoothedStep:
         assert x.tobytes() == want_x.tobytes()
         assert traj == want_traj
         assert counters["evaluations"] > 1 + 25
-        # and the smoothing moved the descent
+        # and the smoothing moved the descent, at the same step
+        _level_constants(monkeypatch, 4.0)
         unsmoothed, _, _ = engine._descend(obj.evaluate, x0, 25, 0.0, gate)
         assert not np.array_equal(x, unsmoothed)
+
+    def test_smoothed_descent_stops_by_the_middle_tolerance(self, monkeypatch):
+        # on a bowl with a uniform minimum the smoothing leaves the uniform
+        # step as it is, so at one step size the two descents agree until
+        # the smoothed one stops, on a window tolerance MIDDLE_TOL_SCALE
+        # times looser; the unsmoothed one runs on. The bowl's floor is
+        # high, so that the relative change falls under the looser
+        # tolerance halfway down
+        monkeypatch.setattr(engine, "MIDDLE_STEP", engine.LEVEL_STEP)
+        target = np.full((3, 4, 4, 4), 2.0)
+
+        def evaluate(x):
+            d = x - target
+            return float((d * d).sum()) + 3e5, 2.0 * d
+        tol = 1e-5
+        x0 = np.zeros_like(target)
+        _, smoothed, counters = engine._descend(evaluate, x0, 200, tol, None, 2)
+        _, plain, _ = engine._descend(evaluate, x0, 200, tol)
+        assert counters["stop_reason"] == "converged"
+        assert smoothed == plain[:len(smoothed)] and len(smoothed) < len(plain)
+        prev = smoothed[-1 - engine.LEVEL_WINDOW]
+        assert tol <= (prev - smoothed[-1]) / prev < engine.MIDDLE_TOL_SCALE * tol
 
     @pytest.mark.parametrize("passes,fields", [(0, 4), (2, 5)])
     def test_descent_holds_four_fields_and_a_fifth_to_smooth(self, passes, fields):
@@ -917,14 +967,18 @@ class TestRegister:
         assert "levels_reduced_to_3" in rep.flags
         assert [lv.dims for lv in rep.levels] == [(4, 4, 4), (8, 8, 8), (16, 16, 16)]
 
-    @pytest.mark.parametrize("config,want", [
+    @pytest.mark.parametrize("config,want,n", [
         # the last budget repeats for extra levels, coarse to fine ...
-        (pr.RegConfig(levels=3, iterations=(2, 3), convergence_tol=0.0), [2, 3, 3]),
-        # ... and budgets beyond the clipped level count go unused
-        (pr.RegConfig(iterations=(1, 2, 3, 4, 5), convergence_tol=0.0), [1, 2, 3]),
-    ], ids=["last-repeats", "extra-unused"])
-    def test_iteration_schedule(self, config, want):
-        spec = replace(pr.PhantomSpec(), dims=(16, 16, 16), spacing=(2.0, 2.0, 2.0))
+        (pr.RegConfig(levels=3, iterations=(2, 3), convergence_tol=0.0), [2, 3, 3], 16),
+        # ... and budgets beyond the clipped level count go unused ...
+        (pr.RegConfig(iterations=(1, 2, 3, 4, 5), convergence_tol=0.0), [1, 2, 3], 16),
+        # ... and at tolerance 0 every level runs its whole budget, the
+        # smoothed middle levels of five (13^3 and 25^3) too
+        (pr.RegConfig(iterations=(2, 3, 40, 40, 1), convergence_tol=0.0),
+         [2, 3, 40, 40, 1], 49),
+    ], ids=["last-repeats", "extra-unused", "five-levels-full"])
+    def test_iteration_schedule(self, config, want, n):
+        spec = replace(pr.PhantomSpec(), dims=(n,) * 3, spacing=(32.0 / n,) * 3)
         img, st, _ = pr.make_phantom(spec)
         moving = pr.warp(img, pr.make_smooth_field(
             img.dims, pr.FieldSpec(1.0, 3.0, 5), spacing=img.spacing))
@@ -961,6 +1015,24 @@ class TestRegister:
         for lvl in rep.levels:
             assert lvl.rejected < lvl.iterations_used, lvl
         assert rep.levels[-1].iterations_used > engine.LEVEL_WINDOW
+
+    def test_a_level_flat_on_rejected_iterations_reports_a_failed_line_search(
+            self, small_phantom):
+        # on this un-enveloped field the 4^3 level takes no trial, so the
+        # window rule ends it with the loss where it started: that is a
+        # failed line search, not convergence (the finer levels do not run)
+        img, st, _ = small_phantom
+        g = pr.make_smooth_field(img.dims, pr.FieldSpec(2.5, 4.0, 104))
+        st_f = pr.StructureSet(ctv=pr.warp_contour(st.ctv, g),
+                               body=pr.warp_contour(st.body, g),
+                               oars=tuple(pr.warp_contour(o, g) for o in st.oars))
+        _, rep = pr.register(pr.warp(img, g), img, pr.RegConfig(iterations=(40, 0)),
+                             structures=st_f)
+        lvl = rep.levels[0]
+        assert (lvl.dims, lvl.iterations_used, lvl.evaluations, lvl.rejected) \
+            == ((4, 4, 4), engine.LEVEL_WINDOW, 21, engine.LEVEL_WINDOW)
+        assert lvl.stop_reason == "line_search_failed"
+        assert lvl.final_loss == lvl.initial_loss
 
     def test_folds_count_the_foreground_border_included(self):
         # a bump of -3 in u_x one voxel up x folds the voxel below it, where

@@ -49,6 +49,14 @@ class TestSignedDistance:
         expected = oracles.signed_distance(m.data > 0, spacing)
         np.testing.assert_allclose(sdf.data, expected, atol=1e-5)
 
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 3.0), (0.7, 1.3, 2.9)])
+    def test_phantom_structures_keep_the_whole_grid_bits(self, spacing):
+        # the CTV fills a small box, the body most of the grid
+        _, st, _ = pr.make_phantom(pr.PhantomSpec())
+        for m in (st.ctv, st.body):
+            got = pr.signed_distance(pr.Volume(m.data, spacing=spacing)).data
+            assert got.tobytes() == oracles.signed_distance_whole_grid(m.data, spacing).tobytes()
+
     def test_empty_and_full_rejected(self):
         with pytest.raises(ValidationError):
             pr.signed_distance(pr.Volume(np.zeros((4, 4, 4), dtype=np.float32)))

@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import protoreg as pr
@@ -161,6 +161,33 @@ def test_downsample_avg_keeps_the_reduceat_bits(vol):
     out = pr.downsample_avg(pr.Volume(vol, spacing=(1.0, 0.5, 2.0)))
     assert out.data.tobytes() == oracles.downsample_avg_reduceat(vol).tobytes()
     assert out.spacing == (2.0, 1.0, 4.0)
+
+
+@st.composite
+def two_phase_masks(draw):
+    """A 0/1 mask with both phases: random voxels inside a random box, the
+    box's complement taken or not, so either side can fill a small box."""
+    dims = draw(st.tuples(*[st.integers(1, 10)] * 3))
+    box = []
+    for n in dims:
+        lo = draw(st.integers(0, n - 1))
+        box.append(slice(lo, draw(st.integers(lo + 1, n))))
+    fill = np.zeros(dims, dtype=bool)
+    fill[tuple(box)] = draw(arrays(np.bool_, fill[tuple(box)].shape))
+    if draw(st.booleans()):
+        fill = ~fill
+    assume(fill.any() and not fill.all())
+    return fill.astype(np.float32)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mask=two_phase_masks(), spacing=st.sampled_from(
+    [(1.0, 1.0, 1.0), (1.0, 1.0, 3.0), (0.7, 1.3, 2.9)]) | triples(0.1, 10.0))
+@example(mask=np.pad(np.ones((1, 1, 1), np.float32), 3), spacing=(2.0, 1.0, 1.0))
+def test_signed_distance_keeps_the_whole_grid_bits(mask, spacing):
+    # each side's EDT on its box plus a one-voxel margin
+    got = pr.signed_distance(pr.Volume(mask, spacing=spacing)).data
+    assert got.tobytes() == oracles.signed_distance_whole_grid(mask, spacing).tobytes()
 
 
 @SETTINGS
